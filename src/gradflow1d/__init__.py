@@ -13,7 +13,6 @@ from .dynamics import (
     StepControl,
     StopRule,
     Trajectory,
-    imex_step,
     mms_verify,
     run,
 )
@@ -24,7 +23,7 @@ from .equilibria import (
     shoot,
     unstable_direction,
 )
-from .functionals import ActionValue, EnergyAccumulator, action, energy_step, identity_residual
+from .functionals import ActionValue, action, energy_addend, identity_residual
 from .grid import Field, SpatialGrid, gradient_sq, integrate, laplacian, sobolev_norm, sup_norm
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .problem import ProblemSpec, SpecValidationError, coefficient_norms, load_spec, make_grid

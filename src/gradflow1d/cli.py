@@ -106,17 +106,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     traj = dynamics.run(cfg.spec, u0, cfg.control, cfg.t_max,
                         dynamics.StopRule(cfg.tol_eq),
                         snapshot_stride=cfg.snapshot_stride)
-    os.makedirs(out_dir, exist_ok=True)
-    traj.write_outputs(out_dir)
     summary = traj.summary_dict()
     summary["coefficient_norms"] = [
         {"L1": l1, "Linf": li} for l1, li in problem.coefficient_norms(cfg.spec)
     ]
     summary["note"] = ("domain truncated to a box; constant coefficients are "
                        "integrable on the box only")
-    with open(os.path.join(out_dir, "run_summary.json"), "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    traj.write_outputs(out_dir, summary)
     _say(quiet, f"status: {traj.status}  t={traj.final_time:.6g}  "
                 f"steps={traj.steps}")
     if traj.status == dynamics.BLOW_UP:
@@ -249,14 +245,18 @@ def cmd_verify(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
             ctrl = dynamics.StepControl(**data)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad verify.control section: {e}") from e
-    names = cfg.verify.get("suites")
+    names = cfg.verify.get("suites", verify.SUITES)
+    if not isinstance(names, (list, tuple)):
+        raise ConfigError("verify.suites must be a list of suite names")
+    unknown = [n for n in names if n not in verify.SUITES]
+    if unknown:
+        raise ConfigError(f"unknown verify suites {unknown}; "
+                          f"known: {list(verify.SUITES)}")
     t_max = cfg.verify.get("t_max")
-    results = []
-    for res in verify.default_suites(seed=cfg.seed, ctrl=ctrl,
-                                     t_max=None if t_max is None else float(t_max)):
-        if names is not None and res.name not in names:
-            continue
-        results.append(res)
+    results = verify.default_suites(seed=cfg.seed, ctrl=ctrl,
+                                    t_max=None if t_max is None else float(t_max),
+                                    names=names)
+    for res in results:
         _say(quiet, f"{res.name}: {'pass' if res.passed else 'FAIL'}")
     os.makedirs(out_dir, exist_ok=True)
     report = {

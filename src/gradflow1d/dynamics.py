@@ -4,8 +4,8 @@ First-order IMEX stepping: backward Euler on the diffusion (one
 symmetric-positive-definite tridiagonal solve per step), forward Euler on
 the reaction.  Step control halves dt when the explicit increment
 dt*sup|P(u)| exceeds its limit or the linear solve degrades, and doubles
-it back (up to dt_max) after ten smooth steps.  All failure modes land in
-the trajectory status, never in exceptions.
+it back (up to dt_max) after ten smooth steps.  Numerical failure modes
+land in the trajectory status, never in exceptions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exprlang, problem
-from .functionals import action
+from .functionals import action, energy_addend
 from .grid import Field, SpatialGrid, laplacian_values, sup_norm, write_field_csv
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
@@ -29,7 +29,6 @@ __all__ = [
     "StopRule",
     "DiagnosticSeries",
     "Trajectory",
-    "imex_step",
     "run",
     "mms_verify",
     "MmsReport",
@@ -134,42 +133,20 @@ class Trajectory:
             out["escape_sign"] = self.escape_sign
         return out
 
-    def write_outputs(self, out_dir) -> None:
+    def write_outputs(self, out_dir, summary: dict) -> None:
+        """Write diagnostics.csv, the snapshots and `summary` as run_summary.json."""
         os.makedirs(out_dir, exist_ok=True)
         self.diagnostics.write_csv(os.path.join(out_dir, "diagnostics.csv"))
         for t, f in self.snapshots:
             write_field_csv(f, os.path.join(out_dir, f"snap_{t:.6f}.csv"))
         with open(os.path.join(out_dir, "run_summary.json"), "w") as f:
-            json.dump(self.summary_dict(), f, indent=2)
+            json.dump(summary, f, indent=2)
             f.write("\n")
 
 
 @lru_cache(maxsize=128)
 def _solver(grid: SpatialGrid, dt: float) -> ImplicitDiffusionSolver:
     return ImplicitDiffusionSolver(grid, dt)
-
-
-class _LinearSolveDegraded(ArithmeticError):
-    pass
-
-
-def imex_step(u: Field, dt: float, nl: Nonlinearity, forcing=None) -> Field:
-    """One IMEX step: solve (I - dt*Lap) u_next = u + dt*(P(u) + forcing).
-
-    Raises RangeOverflowError when the right side is non-finite (blow-up
-    evidence for the driver).
-    """
-    explicit = nl.apply_P_values(u.values)
-    if forcing is not None:
-        explicit = explicit + (forcing.values if isinstance(forcing, Field) else forcing)
-    rhs = u.values + dt * explicit
-    if not np.all(np.isfinite(rhs)):
-        raise RangeOverflowError("non-finite right side in IMEX step")
-    solver = _solver(u.grid, float(dt))
-    x = solver.solve(rhs)
-    if solver.relative_residual(x, rhs) > _LINEAR_SOLVE_TOL:
-        raise _LinearSolveDegraded("tridiagonal solve residual above 1e-12")
-    return Field(u.grid, x)
 
 
 def run(
@@ -185,7 +162,8 @@ def run(
 ) -> Trajectory:
     """Advance from u0 until convergence, blow-up, or t_max.
 
-    forcing, when given, is a callable t -> ndarray added to P(u).
+    forcing, when given, is a callable t -> ndarray added to P(u); a value
+    that does not broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
     """
     if not t_max > 0:
@@ -245,21 +223,16 @@ def run(
             break
 
         forcing_now = forcing(t) if forcing is not None else None
-        try:
-            rhs = u.values + dt * (p_now if forcing_now is None
-                                   else p_now + forcing_now)
-            if not np.all(np.isfinite(rhs)):
-                raise RangeOverflowError("non-finite right side")
-            solver = _solver(g, float(dt))
-            x = solver.solve(rhs)
-            if solver.relative_residual(x, rhs) > _LINEAR_SOLVE_TOL:
-                raise _LinearSolveDegraded
-            u_next = Field(g, x)
-        except (RangeOverflowError, ValueError):
+        rhs = u.values + dt * (p_now if forcing_now is None
+                               else p_now + forcing_now)
+        if not np.all(np.isfinite(rhs)):
             status = BLOW_UP
             escape_sign = _extreme_sign(u)
             break
-        except _LinearSolveDegraded:
+        solver = _solver(g, float(dt))
+        x = solver.solve(rhs)
+        if solver.relative_residual(x, rhs) > _LINEAR_SOLVE_TOL:
+            # degraded solve: retry with half the step
             dt *= 0.5
             smooth = 0
             if dt < ctrl.dt_min:
@@ -267,12 +240,14 @@ def run(
                 escape_sign = _extreme_sign(u)
                 break
             continue
+        if not np.all(np.isfinite(x)):
+            status = BLOW_UP
+            escape_sign = _extreme_sign(u)
+            break
+        u_next = Field(g, x)
 
         # windowed energy, accumulated every step regardless of stride
-        udot = (u_next.values - u.values) / dt
-        energy += 0.5 * dt * g.h * (
-            float(np.dot(udot, udot)) + float(np.dot(resid_now, resid_now))
-        )
+        energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h)
 
         t += dt
         steps += 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .functionals import action
 from .grid import Field, SpatialGrid, laplacian_values
-from .nonlinearity import Nonlinearity, RangeOverflowError
+from .nonlinearity import Nonlinearity, RangeOverflowError, horner
 from .tridiag import SingularSystemError, cyclic_thomas_solve, thomas_solve
 
 __all__ = [
@@ -105,13 +105,6 @@ def _make_equilibrium(nl, values, source, thresholds=None) -> Equilibrium:
 # -- scalar polynomial roots ------------------------------------------------
 
 
-def _poly_eval(coeffs, c):
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc = acc * c + a
-    return acc
-
-
 def real_polynomial_roots(coeffs) -> list[float]:
     """All real roots of p(c) = sum coeffs[i] c^i, ascending coefficients.
 
@@ -136,31 +129,31 @@ def real_polynomial_roots(coeffs) -> list[float]:
     roots = []
     for v in crit:
         scale = sum(abs(a) * abs(v) ** i for i, a in enumerate(c))
-        if abs(_poly_eval(c, v)) <= 64 * np.finfo(float).eps * max(scale, 1e-300):
+        if abs(horner(c, v)) <= 64 * np.finfo(float).eps * max(scale, 1e-300):
             roots.append(v)
 
     knots = sorted({-radius, radius, *crit})
     for a, b in zip(knots, knots[1:]):
-        fa, fb = _poly_eval(c, a), _poly_eval(c, b)
+        fa, fb = horner(c, a), horner(c, b)
         if fa == 0.0:
             roots.append(a)
             continue
         if fb == 0.0:
             continue  # handled as the left end of the next interval
-        if fa * fb < 0.0:
+        if (fa < 0.0) != (fb < 0.0):  # a product can underflow to zero
             lo, hi, flo = a, b, fa
             while hi - lo > 1e-14:
                 mid = 0.5 * (lo + hi)
-                fm = _poly_eval(c, mid)
+                fm = horner(c, mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
-                if flo * fm < 0.0:
+                if (flo < 0.0) != (fm < 0.0):
                     hi = mid
                 else:
                     lo, flo = mid, fm
             roots.append(0.5 * (lo + hi))
-    if _poly_eval(c, knots[-1]) == 0.0:
+    if horner(c, knots[-1]) == 0.0:
         roots.append(knots[-1])
 
     # Newton polish, then merge near-duplicates
@@ -168,10 +161,10 @@ def real_polynomial_roots(coeffs) -> list[float]:
     for r in roots:
         v = r
         for _ in range(4):
-            dp = _poly_eval(deriv, v)
+            dp = horner(deriv, v)
             if dp == 0.0:
                 break
-            step = _poly_eval(c, v) / dp
+            step = horner(c, v) / dp
             if not math.isfinite(step) or abs(step) > 1e-6:
                 break
             v -= step
@@ -320,22 +313,6 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     h = (x1 - x0) / n_steps
     thr = nl.spec.sup_guard if escape_threshold is None else float(escape_threshold)
 
-    constant = nl.spatially_constant()
-    if constant:
-        coeffs = nl.constant_coefficients()
-        x_mid = 0.0
-
-        def p_of(u, _x):
-            acc = 0.0
-            for a in reversed(coeffs):
-                acc = acc * u + a
-            n = nl.degree
-            if not nl.disable_leading:
-                acc -= u * abs(u) ** (n - 1) if nl.signed_power else u**n
-            return acc
-    else:
-        p_of = nl.scalar_P
-
     xs = [x0]
     us = [float(u_left)]
     vs = [float(slope_left)]
@@ -344,13 +321,13 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     sign = 0
     for _ in range(n_steps):
         try:
-            k1u, k1v = v, -p_of(u, x)
+            k1u, k1v = v, -nl.scalar_P(u, x)
             k2u = v + 0.5 * h * k1v
-            k2v = -p_of(u + 0.5 * h * k1u, x + 0.5 * h)
+            k2v = -nl.scalar_P(u + 0.5 * h * k1u, x + 0.5 * h)
             k3u = v + 0.5 * h * k2v
-            k3v = -p_of(u + 0.5 * h * k2u, x + 0.5 * h)
+            k3v = -nl.scalar_P(u + 0.5 * h * k2u, x + 0.5 * h)
             k4u = v + h * k3v
-            k4v = -p_of(u + h * k3u, x + h)
+            k4v = -nl.scalar_P(u + h * k3u, x + h)
             u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         except OverflowError:
@@ -371,10 +348,10 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
             break
 
     drift = None
-    if constant:
+    if nl.spatially_constant():
         uu = np.asarray(us)
         vv = np.asarray(vs)
-        q = np.array([nl.scalar_potential(val, x_mid) for val in uu])
+        q = np.array([nl.scalar_potential(val, 0.0) for val in uu])
         hh = 0.5 * vv * vv + q
         drift = float(np.max(np.abs(hh - hh[0])))
     return ShootingPath(

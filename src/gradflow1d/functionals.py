@@ -1,14 +1,13 @@
-"""Action functional, windowed energy accumulation, and their identity.
+"""Action functional, the per-step windowed energy, and their identity.
 
 The action is implemented with a negative gradient term,
 
     A(u) = -(1/2) integral |grad u|^2 + integral Q(u, x),
 
 Q the potential of P, so that its discrete gradient is exactly
-laplacian(u) + P(u) and A is non-decreasing along the flow.  The
-positive-gradient variant is available separately for comparison.
+laplacian(u) + P(u) and A is non-decreasing along the flow.
 
-The windowed energy accumulates
+The windowed energy adds
 
     (1/2) dt [ integral ((u_after - u_before)/dt)^2
              + integral (laplacian(u_before) + P(u_before))^2 ]
@@ -24,15 +23,13 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, dirichlet_energy, integrate, laplacian_values, same_grid
+from .grid import Field, dirichlet_energy, integrate
 from .nonlinearity import Nonlinearity, RangeOverflowError
 
 __all__ = [
     "ActionValue",
-    "EnergyAccumulator",
     "action",
-    "action_literal_gradient_sign",
-    "energy_step",
+    "energy_addend",
     "identity_residual",
 ]
 
@@ -53,42 +50,16 @@ def action(nl: Nonlinearity, u: Field) -> ActionValue:
     return ActionValue(value=value, dirichlet_part=dir_part, potential_part=pot_part)
 
 
-def action_literal_gradient_sign(nl: Nonlinearity, u: Field) -> float:
-    """The +(1/2)|grad u|^2 sign variant, kept for comparison only."""
-    a = action(nl, u)
-    return a.dirichlet_part + a.potential_part
+def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
+                  resid_before: np.ndarray, dt: float, h: float) -> float:
+    """One step's windowed energy.
 
-
-@dataclass(frozen=True)
-class EnergyAccumulator:
-    """Non-decreasing cumulative energy over a time window."""
-
-    cumulative: float = 0.0
-    window_start_t: float = 0.0
-    last_t: float = 0.0
-
-
-def energy_step(
-    acc: EnergyAccumulator,
-    u_before: Field,
-    u_after: Field,
-    dt: float,
-    nl: Nonlinearity,
-) -> EnergyAccumulator:
-    """Append one step's energy; returns a new accumulator."""
-    if not dt > 0:
-        raise ValueError("dt > 0 required")
-    g = same_grid(u_before, u_after)
-    udot = (u_after.values - u_before.values) / dt
-    resid = laplacian_values(u_before.values, g) + nl.apply_P_values(u_before.values)
-    addend = 0.5 * dt * g.h * (float(np.dot(udot, udot)) + float(np.dot(resid, resid)))
-    if not isfinite(addend):
-        raise RangeOverflowError("non-finite energy addend")
-    return EnergyAccumulator(
-        cumulative=acc.cumulative + addend,
-        window_start_t=acc.window_start_t,
-        last_t=acc.last_t + dt,
-    )
+    resid_before is laplacian(u_before) + P(u_before); h is the grid
+    spacing.  The time stepper adds this once per accepted step.
+    """
+    udot = (u_after - u_before) / dt
+    return 0.5 * dt * h * (float(np.dot(udot, udot))
+                           + float(np.dot(resid_before, resid_before)))
 
 
 def identity_residual(traj, nl: Nonlinearity) -> float:

@@ -93,13 +93,6 @@ class Field:
         return f"Field({self.grid!r}, sup={sup_norm(self):.6g})"
 
 
-def same_grid(a: Field, b: Field) -> SpatialGrid:
-    """Fields combine arithmetically only on the identical grid."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    return a.grid
-
-
 def _extend(values: np.ndarray, boundary: str) -> np.ndarray:
     """Values with one ghost node appended on each side."""
     if boundary == "periodic":

@@ -12,7 +12,7 @@ import numpy as np
 from . import exprlang
 from .grid import Field, SpatialGrid, sobolev_norm
 
-__all__ = ["Nonlinearity", "RangeOverflowError"]
+__all__ = ["Nonlinearity", "RangeOverflowError", "horner"]
 
 
 class RangeOverflowError(ArithmeticError):
@@ -22,18 +22,36 @@ class RangeOverflowError(ArithmeticError):
     """
 
 
+def horner(coeffs, v):
+    """sum_i coeffs[i] * v^i by Horner's rule, coefficients in ascending order.
+
+    v is a float or an ndarray; each coefficient is a float or an ndarray
+    broadcastable against v.  The loop starts from 0.0, so every caller
+    rounds in the same order.
+    """
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * v + a
+    return acc
+
+
 class Nonlinearity:
-    def __init__(self, spec, grid: SpatialGrid, disable_leading: bool = False):
+    def __init__(self, spec, grid: SpatialGrid):
         self.spec = spec
         self.grid = grid
-        # disable_leading drops the -u^N term: pure-diffusion test hook
-        self.disable_leading = bool(disable_leading)
         samples = []
         for e in spec.coeffs:
             a = exprlang.sample(e, grid.nodes)
             a.setflags(write=False)
             samples.append(a)
         self.coeff_samples = tuple(samples)
+        # Horner coefficients of dP = P' and of the potential Q (before its
+        # trailing factor u), sampled once like those of P
+        self._dP_coeffs = tuple(i * samples[i] for i in range(1, len(samples)))
+        self._Q_coeffs = tuple(a / (i + 1) for i, a in enumerate(samples))
+        # off-grid evaluation skips expression walks when every sample agrees
+        self._constant = (tuple(float(a[0]) for a in samples)
+                          if all(np.ptp(a) == 0.0 for a in samples) else None)
 
     @property
     def degree(self) -> int:
@@ -44,32 +62,26 @@ class Nonlinearity:
         return self.spec.signed_power
 
     def spatially_constant(self) -> bool:
-        return all(np.ptp(a) == 0.0 for a in self.coeff_samples)
+        return self._constant is not None
 
     def constant_coefficients(self) -> tuple[float, ...]:
-        if not self.spatially_constant():
+        if self._constant is None:
             raise ValueError("coefficients are not spatially constant")
-        return tuple(float(a[0]) for a in self.coeff_samples)
+        return self._constant
 
     def _check(self, out: np.ndarray, what: str) -> np.ndarray:
         if not np.all(np.isfinite(out)):
             raise RangeOverflowError(f"{what} overflowed to a non-finite value")
         return out
 
-    def apply_P(self, u: Field) -> Field:
-        return Field(self.grid, self.apply_P_values(u.values))
-
     def apply_P_values(self, v: np.ndarray) -> np.ndarray:
         n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = np.zeros_like(v)
-            for a in reversed(self.coeff_samples):
-                acc = acc * v + a
-            if not self.disable_leading:
-                if self.signed_power:
-                    acc = acc - v * np.abs(v) ** (n - 1)
-                else:
-                    acc = acc - v**n
+            acc = horner(self.coeff_samples, v)
+            if self.signed_power:
+                acc = acc - v * np.abs(v) ** (n - 1)
+            else:
+                acc = acc - v**n
         return self._check(acc, "P(u)")
 
     def apply_dP(self, u: Field) -> Field:
@@ -77,14 +89,11 @@ class Nonlinearity:
         v = u.values
         n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = np.zeros_like(v)
-            for i in range(n - 1, 0, -1):
-                acc = acc * v + i * self.coeff_samples[i]
-            if not self.disable_leading:
-                if self.signed_power:
-                    acc = acc - n * np.abs(v) ** (n - 1)
-                else:
-                    acc = acc - n * v ** (n - 1)
+            acc = horner(self._dP_coeffs, v)
+            if self.signed_power:
+                acc = acc - n * np.abs(v) ** (n - 1)
+            else:
+                acc = acc - n * v ** (n - 1)
         return Field(self.grid, self._check(acc, "dP(u)"))
 
     def potential(self, u: Field) -> Field:
@@ -92,39 +101,34 @@ class Nonlinearity:
         v = u.values
         n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = np.zeros_like(v)
-            for i in range(n - 1, -1, -1):
-                acc = acc * v + self.coeff_samples[i] / (i + 1)
-            acc = acc * v
-            if not self.disable_leading:
-                acc = acc - np.abs(v) ** (n + 1) / (n + 1) if self.signed_power \
-                    else acc - v ** (n + 1) / (n + 1)
+            acc = horner(self._Q_coeffs, v) * v
+            acc = acc - np.abs(v) ** (n + 1) / (n + 1) if self.signed_power \
+                else acc - v ** (n + 1) / (n + 1)
         return Field(self.grid, self._check(acc, "potential(u)"))
+
+    def _coeffs_at(self, xval: float):
+        if self._constant is not None:
+            return self._constant
+        return [exprlang.evaluate(e, xval) for e in self.spec.coeffs]
 
     def scalar_P(self, uval: float, xval: float) -> float:
         """P at a single (u, x) point, off-grid; used by phase-plane shooting."""
-        acc = 0.0
-        for e in reversed(self.spec.coeffs):
-            acc = acc * uval + exprlang.evaluate(e, xval)
-        if not self.disable_leading:
-            n = self.degree
-            if self.signed_power:
-                acc -= uval * abs(uval) ** (n - 1)
-            else:
-                acc -= uval**n
+        acc = horner(self._coeffs_at(xval), uval)
+        n = self.degree
+        if self.signed_power:
+            acc -= uval * abs(uval) ** (n - 1)
+        else:
+            acc -= uval**n
         return acc
 
     def scalar_potential(self, uval: float, xval: float) -> float:
-        acc = 0.0
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * uval + exprlang.evaluate(self.spec.coeffs[i], xval) / (i + 1)
-        acc *= uval
+        coeffs = self._coeffs_at(xval)
+        acc = horner([a / (i + 1) for i, a in enumerate(coeffs)], uval) * uval
         n = self.degree
-        if not self.disable_leading:
-            if self.signed_power:
-                acc -= abs(uval) ** (n + 1) / (n + 1)
-            else:
-                acc -= uval ** (n + 1) / (n + 1)
+        if self.signed_power:
+            acc -= abs(uval) ** (n + 1) / (n + 1)
+        else:
+            acc -= uval ** (n + 1) / (n + 1)
         return acc
 
     def reaction_norm_ratio(self, u: Field, k: int, p: float) -> float:

@@ -11,21 +11,11 @@ Two lanes:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 
 class SingularSystemError(ArithmeticError):
     """Elimination hit a pivot below the configured floor."""
-
-
-def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve the tridiagonal system; sub/sup have length m-1, diag and rhs m."""
-    m = len(diag)
-    ab = np.zeros((3, m))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
 def thomas_solve(sub, diag, sup, rhs, pivot_floor: float = 0.0):

@@ -213,6 +213,31 @@ def test_verify_subset_passes(tmp_path):
                                                      "reaction_bound"}
 
 
+def test_verify_builds_only_requested_suites(tmp_path, monkeypatch):
+    # suites are looked up when called, and the report keeps the suite order
+    from gradflow1d import verify
+
+    built = []
+    for name in verify.SUITES:
+        monkeypatch.setattr(verify, f"suite_{name}",
+                            lambda name=name, **_: built.append(name)
+                            or verify.SuiteResult(name, True))
+    data = _fisher_config(tmp_path / "out")
+    data["verify"] = {"suites": ["blowup_timing", "mms"]}
+    assert main(["verify", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    assert built == ["mms", "blowup_timing"]
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert [s["name"] for s in report["suites"]] == ["mms", "blowup_timing"]
+
+
+@pytest.mark.parametrize("suites", (["blowup_timing", "no_such_suite"], "mms"))
+def test_verify_unknown_suite_is_config_error(tmp_path, suites):
+    data = _fisher_config(tmp_path / "out")
+    data["verify"] = {"suites": suites}
+    assert main(["verify", _write(tmp_path, data), "--quiet"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_monotonicity_fails_with_huge_dt(tmp_path):
     # bypassing the explicit-increment guard with a large fixed step breaks
     # the discrete monotonicity of the action

@@ -11,12 +11,12 @@ from gradflow1d.dynamics import (
     DiagnosticSeries,
     StepControl,
     StopRule,
-    imex_step,
     mms_verify,
     run,
 )
 from gradflow1d.grid import Field, sup_norm
 from gradflow1d.nonlinearity import Nonlinearity
+from gradflow1d.tridiag import ImplicitDiffusionSolver
 
 
 def _fisher(m=64, boundary="periodic"):
@@ -44,25 +44,33 @@ def test_step_control_validation():
         StepControl(sup_guard=-1.0)
 
 
+def _one_step(spec, u, dt, nl=None):
+    """The field after exactly one IMEX step of size dt."""
+    ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt, safety=1.0,
+                       increment_limit=1e9)
+    traj = run(spec, u, ctrl, dt, StopRule(tol_eq=0.0), nl=nl)
+    assert traj.steps == 1
+    return traj.final_field.values
+
+
 def test_imex_step_zero_equilibrium():
     spec, g = _zero_reaction()
     nl = Nonlinearity(spec, g)
     u = Field.constant(g, 0.0)
-    out = imex_step(u, 1e-2, nl)
-    assert np.all(out.values == 0.0)
+    out = _one_step(spec, u, 1e-2, nl)
+    assert np.all(out == 0.0)
 
 
 def test_imex_step_pure_diffusion_eigenmode():
     # oracle: direct linear algebra; the mode is an eigenvector of the
     # stencil with eigenvalue -(2/h^2)(1 - cos(2 pi h / L))
-    spec, g = _zero_reaction(m=64)
-    nl = Nonlinearity(spec, g, disable_leading=True)
+    _, g = _zero_reaction(m=64)
     k = 2 * math.pi / g.length
     u = Field(g, np.sin(k * g.nodes))
     dt = 0.02
     lam = (2.0 / g.h**2) * (1.0 - math.cos(k * g.h))
     expected = u.values / (1.0 + dt * lam)
-    got = imex_step(u, dt, nl).values
+    got = ImplicitDiffusionSolver(g, dt).solve(u.values)
     assert np.allclose(got, expected, atol=1e-13)
 
 
@@ -73,9 +81,18 @@ def test_imex_step_constant_fisher_matches_scalar(boundary):
     g = nl.grid
     c = 0.37
     dt = 1e-2
-    got = imex_step(Field.constant(g, c), dt, nl).values
+    got = _one_step(spec, Field.constant(g, c), dt, nl)
     expected = c + dt * (c - c * c)
     assert np.allclose(got, expected, atol=1e-14)
+
+
+def test_run_rejects_forcing_of_wrong_length():
+    # a malformed forcing is a caller error, not blow-up evidence
+    spec, nl = _fisher()
+    ctrl = StepControl()
+    with pytest.raises(ValueError):
+        run(spec, Field.constant(nl.grid, 0.5), ctrl, 1.0, nl=nl,
+            forcing=lambda t: np.zeros(nl.grid.m + 1))
 
 
 def test_run_converges_immediately_at_equilibrium():
@@ -188,7 +205,7 @@ def test_trajectory_outputs(tmp_path):
     spec, nl = _fisher(m=64)
     ctrl = StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-3)
     traj = run(spec, Field.constant(nl.grid, 0.5), ctrl, 0.05, nl=nl)
-    traj.write_outputs(tmp_path)
+    traj.write_outputs(tmp_path, traj.summary_dict())
     diag = (tmp_path / "diagnostics.csv").read_text().splitlines()
     assert diag[0] == "t,dt,sup_norm,action,energy_cum,ut_sup"
     assert len(diag) == len(traj.diagnostics) + 1

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from gradflow1d import dynamics, problem, verify
-from gradflow1d.functionals import (
-    EnergyAccumulator,
-    action,
-    action_literal_gradient_sign,
-    energy_step,
-    identity_residual,
-)
+from gradflow1d.functionals import action, energy_addend, identity_residual
 from gradflow1d.grid import Field, laplacian_values
 from gradflow1d.nonlinearity import Nonlinearity
 
@@ -51,15 +45,16 @@ def test_action_value_decomposition(fisher):
         a = action(nl, u)
         assert a.value == pytest.approx(-a.dirichlet_part + a.potential_part)
         assert a.dirichlet_part >= 0.0
-        lit = action_literal_gradient_sign(nl, u)
-        assert lit == pytest.approx(a.dirichlet_part + a.potential_part)
+
+
+def _resid(nl, values):
+    return laplacian_values(values, nl.grid) + nl.apply_P_values(values)
 
 
 def test_energy_step_zero_at_equilibrium(fisher):
     _, nl = fisher
-    eq = Field.constant(nl.grid, 1.0)
-    acc = energy_step(EnergyAccumulator(), eq, eq, 0.1, nl)
-    assert acc.cumulative <= 1e-28
+    eq = np.full(nl.grid.m, 1.0)
+    assert energy_addend(eq, eq, _resid(nl, eq), 0.1, nl.grid.h) <= 1e-28
 
 
 def test_energy_step_zero_field_no_reaction():
@@ -67,22 +62,21 @@ def test_energy_step_zero_field_no_reaction():
         "N": 2, "coeffs": ["0", "0"], "box_half_length": 5.0, "grid_points": 64,
     })
     nl = Nonlinearity(spec, problem.make_grid(spec))
-    z = Field.constant(nl.grid, 0.0)
-    acc = energy_step(EnergyAccumulator(), z, z, 0.5, nl)
-    assert acc.cumulative == 0.0
+    z = np.zeros(nl.grid.m)
+    assert energy_addend(z, z, _resid(nl, z), 0.5, nl.grid.h) == 0.0
 
 
 def test_energy_accumulator_monotone(fisher):
     _, nl = fisher
     g = nl.grid
     rng = np.random.default_rng(8)
-    acc = EnergyAccumulator()
-    prev = Field(g, rng.uniform(0, 1, g.m))
+    cumulative = 0.0
+    prev = rng.uniform(0, 1, g.m)
     for _ in range(20):
-        nxt = Field(g, prev.values + 0.01 * rng.standard_normal(g.m))
-        new_acc = energy_step(acc, prev, nxt, 1e-2, nl)
-        assert new_acc.cumulative >= acc.cumulative >= 0.0
-        acc, prev = new_acc, nxt
+        nxt = prev + 0.01 * rng.standard_normal(g.m)
+        new_cumulative = cumulative + energy_addend(prev, nxt, _resid(nl, prev), 1e-2, g.h)
+        assert new_cumulative >= cumulative >= 0.0
+        cumulative, prev = new_cumulative, nxt
 
 
 def test_logistic_energy_matches_ode_oracle(fisher):
@@ -136,9 +130,9 @@ def test_identity_residual_positive_for_non_solution(fisher):
     u1 = Field(g, rng.uniform(0, 1, g.m))
     dt = 1e-3
     diag = dynamics.DiagnosticSeries()
-    acc = energy_step(EnergyAccumulator(), u0, u1, dt, nl)
+    energy = energy_addend(u0.values, u1.values, _resid(nl, u0.values), dt, g.h)
     diag.append(0.0, 0.0, 0.0, action(nl, u0).value, 0.0, 0.0)
-    diag.append(dt, dt, 0.0, action(nl, u1).value, acc.cumulative, 0.0)
+    diag.append(dt, dt, 0.0, action(nl, u1).value, energy, 0.0)
     traj = dynamics.Trajectory(
         snapshots=[(0.0, u0), (dt, u1)], diagnostics=diag, status="t_max_reached",
         first_field=u0, final_field=u1, final_time=dt, steps=1,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradflow1d import problem, verify
+from gradflow1d.equilibria import real_polynomial_roots
 from gradflow1d.grid import Field
-from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError
+from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError, horner
 
 
 def _nl(spec):
@@ -27,13 +30,13 @@ def pure_cubic():
 
 def test_fisher_roots(fisher):
     g = fisher.grid
-    assert np.all(fisher.apply_P(Field.constant(g, 0.0)).values == 0.0)
-    assert np.all(fisher.apply_P(Field.constant(g, 1.0)).values == 0.0)
+    assert np.all(fisher.apply_P_values(np.full(g.m, 0.0)) == 0.0)
+    assert np.all(fisher.apply_P_values(np.full(g.m, 1.0)) == 0.0)
 
 
 def test_pure_cubic_value(pure_cubic):
     g = pure_cubic.grid
-    out = pure_cubic.apply_P(Field.constant(g, 2.0)).values
+    out = pure_cubic.apply_P_values(np.full(g.m, 2.0))
     assert np.all(out == -8.0)
 
 
@@ -45,7 +48,7 @@ def test_signed_mode_sign_algebra():
         "grid_points": 64,
         "signed_power": True,
     }))
-    out = nl.apply_P(Field.constant(nl.grid, -3.0)).values
+    out = nl.apply_P_values(np.full(nl.grid.m, -3.0))
     assert np.all(out == 9.0)
 
 
@@ -126,14 +129,14 @@ def test_constant_field_matches_scalar_horner(fisher):
         return acc - c**2
 
     for c in (-1.5, -0.3, 0.0, 0.4, 1.0, 2.5):
-        got = fisher.apply_P(Field.constant(fisher.grid, c)).values
+        got = fisher.apply_P_values(np.full(fisher.grid.m, c))
         assert np.allclose(got, scalar_p(c), atol=1e-14)
         assert fisher.scalar_P(c, 0.0) == pytest.approx(scalar_p(c), abs=1e-14)
 
 
 def test_overflow_reported(pure_cubic):
     with pytest.raises(RangeOverflowError):
-        pure_cubic.apply_P(Field.constant(pure_cubic.grid, 1e200))
+        pure_cubic.apply_P_values(np.full(pure_cubic.grid.m, 1e200))
 
 
 def test_ratio_zero_field_rejected(fisher):
@@ -167,3 +170,60 @@ def test_ratio_bounded_on_seeded_family():
     for (k, p), frozen in FROZEN_RATIO_BOUNDS.items():
         measured = measure_ratio_bound(k, p, n_samples=100)
         assert measured <= frozen * (1 + 1e-12)
+
+
+# -- one Horner on and off the grid ------------------------------------------
+
+_SHAPES = ("cos({k}*x)", "sin({k}*x)", "tanh({k}*x)", "exp(-{k}*x^2)")
+
+
+@st.composite
+def _coefficient_exprs(draw):
+    n = draw(st.integers(2, 5))
+    varying = draw(st.booleans())
+    amp = st.floats(-2.0, 2.0)
+    exprs = []
+    for _ in range(n):
+        c = draw(amp)
+        if varying:
+            shape = draw(st.sampled_from(_SHAPES)).format(k=draw(st.floats(0.125, 2.0)))
+            exprs.append(f"{c!r}+{draw(amp)!r}*{shape}")
+        else:
+            exprs.append(repr(c))
+    return n, exprs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficient_exprs(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_scalar_and_vector_forms_agree(case, signed, seed):
+    # the two forms round in the same Horner order but sample the
+    # coefficients differently (numpy vs math), so they agree to a tolerance
+    # relative to the size of the summed terms, not bitwise
+    n, exprs = case
+    nl = _nl(problem.spec_from_dict({
+        "N": n, "coeffs": exprs, "box_half_length": 5.0, "grid_points": 16,
+        "signed_power": signed,
+    }))
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, nl.grid.m)
+    p_vec = nl.apply_P_values(v)
+    q_vec = nl.potential(Field(nl.grid, v)).values
+    for j, (x, u) in enumerate(zip(nl.grid.nodes, v)):
+        scale = abs(u) ** n + sum(abs(a[j]) * abs(u) ** i
+                                  for i, a in enumerate(nl.coeff_samples))
+        assert abs(nl.scalar_P(u, x) - p_vec[j]) <= 1e-13 * scale
+        assert abs(nl.scalar_potential(u, x) - q_vec[j]) <= 1e-13 * scale * abs(u)
+
+
+@settings(max_examples=100, deadline=None)
+@example([5e-324, 0.0], -1.0)  # sign products underflowed here
+@given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=5),
+       st.sampled_from((-1.0, 1.0)))
+def test_polynomial_roots_are_roots_under_horner(coeffs, lead):
+    # roots are bisected to 1e-14 and then polished, so allow rounding in the
+    # evaluation (with the solver's own 1e-300 floor on its scale) plus a
+    # 1e-13 displacement along the slope
+    c = coeffs + [lead]
+    for r in real_polynomial_roots(c):
+        scale = sum(abs(a) * abs(r) ** i for i, a in enumerate(c))
+        slope = sum(i * abs(a) * abs(r) ** (i - 1) for i, a in enumerate(c) if i)
+        assert abs(horner(c, r)) <= 1e-12 * max(scale, 1e-300) + 1e-13 * slope

@@ -6,7 +6,6 @@ from gradflow1d.tridiag import (
     ImplicitDiffusionSolver,
     SingularSystemError,
     cyclic_thomas_solve,
-    solve_tridiagonal,
     thomas_solve,
 )
 
@@ -19,18 +18,6 @@ def _dense_tridiag(sub, diag, sup, tr=0.0, bl=0.0):
     return a
 
 
-def test_solve_tridiagonal_vs_dense():
-    rng = np.random.default_rng(0)
-    for m in (8, 33, 100):
-        diag = 4.0 + rng.random(m)
-        sub = rng.standard_normal(m - 1)
-        sup = rng.standard_normal(m - 1)
-        rhs = rng.standard_normal(m)
-        x = solve_tridiagonal(sub, diag, sup, rhs)
-        expected = np.linalg.solve(_dense_tridiag(sub, diag, sup), rhs)
-        assert np.allclose(x, expected, atol=1e-12)
-
-
 def test_thomas_matches_lapack():
     rng = np.random.default_rng(1)
     m = 50
@@ -38,7 +25,7 @@ def test_thomas_matches_lapack():
     sub = rng.standard_normal(m - 1)
     sup = rng.standard_normal(m - 1)
     rhs = rng.standard_normal(m)
-    x1 = solve_tridiagonal(sub, diag, sup, rhs)
+    x1 = np.linalg.solve(_dense_tridiag(sub, diag, sup), rhs)
     x2, min_pivot = thomas_solve(sub, diag, sup, rhs)
     assert np.allclose(x1, x2, atol=1e-12)
     assert min_pivot > 1.0
