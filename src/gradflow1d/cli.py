@@ -76,15 +76,26 @@ def load_config(path: str) -> RunConfig:
     unknown = data.keys() - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    try:
+        t_max = float(data.get("t_max", 10.0))
+        seed = int(data.get("seed", 0))
+        tol_eq = float(data.get("tol_eq", 1e-8))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad run field: {e}") from e
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max must be a finite number > 0, got {t_max!r}")
+    stride = data.get("snapshot_stride", 64)
+    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+        raise ConfigError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
     return RunConfig(
         spec=spec,
         control=ctrl,
         initial_condition=data.get("initial_condition", "0"),
-        t_max=float(data.get("t_max", 10.0)),
-        snapshot_stride=int(data.get("snapshot_stride", 64)),
+        t_max=t_max,
+        snapshot_stride=stride,
         output_dir=data.get("output_dir", "out"),
-        seed=int(data.get("seed", 0)),
-        tol_eq=float(data.get("tol_eq", 1e-8)),
+        seed=seed,
+        tol_eq=tol_eq,
         equilibria=data.get("equilibria", {}),
         connect=data.get("connect", {}),
         verify=data.get("verify", {}),

@@ -3,9 +3,10 @@
 First-order IMEX stepping: backward Euler on the diffusion (one
 symmetric-positive-definite tridiagonal solve per step), forward Euler on
 the reaction.  Step control halves dt when the explicit increment
-dt*sup|P(u)| exceeds its limit or the linear solve degrades, and doubles
-it back (up to dt_max) after ten smooth steps.  Numerical failure modes
-land in the trajectory status, never in exceptions.
+dt*sup|P(u)| exceeds its limit or the linear solve degrades (a failed
+factorization counts as degraded), and doubles it back (up to dt_max)
+after ten smooth steps.  Numerical failure modes land in the trajectory
+status, never in exceptions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import exprlang, problem
-from .functionals import action, energy_addend
-from .grid import Field, SpatialGrid, laplacian_values, sup_norm, write_field_csv
+from .functionals import action_parts, energy_addend
+from .grid import Field, SpatialGrid, laplacian_values, write_field_csv
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
 
@@ -168,6 +169,8 @@ def run(
     """
     if not t_max > 0:
         raise ValueError("t_max > 0 required")
+    if not snapshot_stride >= 1:
+        raise ValueError("snapshot_stride >= 1 required")
     g = u0.grid
     if g != problem.make_grid(spec):
         raise ValueError("u0 grid does not match the problem spec")
@@ -176,7 +179,8 @@ def run(
 
     diag = DiagnosticSeries()
     snaps = [(0.0, u0)]
-    u = u0
+    snap_step = 0  # steps taken when snaps[-1] was recorded
+    u = u0.values
     t = 0.0
     dt = ctrl.dt_init
     energy = 0.0
@@ -185,21 +189,18 @@ def run(
     status = RUNNING
     escape_sign = 0
     limit = ctrl.safety * ctrl.increment_limit
-
-    def reaction_and_residual(f: Field):
-        p = nl.apply_P_values(f.values)
-        resid = laplacian_values(f.values, g) + p
-        return p, resid
+    solvers = {}  # dt -> factored solver, in front of the process-wide cache
 
     try:
-        p_now, resid_now = reaction_and_residual(u)
-        a_now = action(nl, u).value
+        p_now = nl.apply_P_values(u)
+        resid_now = laplacian_values(u, g) + p_now
+        a_now = action_parts(nl, u)[0]
     except RangeOverflowError:
         # initial data already beyond polynomial range
         return Trajectory([(0.0, u0)], diag, BLOW_UP, u0, u0, 0.0, 0,
-                          escape_sign=_extreme_sign(u0))
-    ut_sup = float(np.max(np.abs(resid_now)))
-    diag.append(0.0, 0.0, sup_norm(u), a_now, energy, ut_sup)
+                          escape_sign=_extreme_sign(u))
+    ut_sup = float(np.abs(resid_now).max())
+    diag.append(0.0, 0.0, float(np.abs(u).max()), a_now, energy, ut_sup)
     if ut_sup < stop.tol_eq:
         status = CONVERGED
 
@@ -211,7 +212,7 @@ def run(
         dt = min(dt, t_max - t)
 
         # explicit-increment guard; collapse of dt counts as blow-up evidence
-        p_sup = float(np.max(np.abs(p_now)))
+        p_sup = float(np.abs(p_now).max())
         while dt * p_sup > limit:
             dt *= 0.5
             smooth = 0
@@ -223,16 +224,22 @@ def run(
             break
 
         forcing_now = forcing(t) if forcing is not None else None
-        rhs = u.values + dt * (p_now if forcing_now is None
-                               else p_now + forcing_now)
-        if not np.all(np.isfinite(rhs)):
+        rhs = u + dt * (p_now if forcing_now is None else p_now + forcing_now)
+        if not np.isfinite(rhs).all():
             status = BLOW_UP
             escape_sign = _extreme_sign(u)
             break
-        solver = _solver(g, float(dt))
-        x = solver.solve(rhs)
-        if solver.relative_residual(x, rhs) > _LINEAR_SOLVE_TOL:
-            # degraded solve: retry with half the step
+        solver = solvers.get(dt)
+        if solver is None:
+            try:
+                solver = solvers[dt] = _solver(g, float(dt))
+            except np.linalg.LinAlgError:
+                pass  # not positive definite in floating point at this dt
+        if solver is not None:
+            x = solver.solve(rhs)
+            lap_x = laplacian_values(x, g)
+        if solver is None or solver.relative_residual(x, rhs, lap_x) > _LINEAR_SOLVE_TOL:
+            # degraded solve or no factor at this dt: retry with half the step
             dt *= 0.5
             smooth = 0
             if dt < ctrl.dt_min:
@@ -240,19 +247,18 @@ def run(
                 escape_sign = _extreme_sign(u)
                 break
             continue
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             status = BLOW_UP
             escape_sign = _extreme_sign(u)
             break
-        u_next = Field(g, x)
 
         # windowed energy, accumulated every step regardless of stride
-        energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h)
+        energy += energy_addend(u, x, resid_now, dt, g.h)
 
         t += dt
         steps += 1
-        u = u_next
-        sup_u = sup_norm(u)
+        u = x
+        sup_u = float(np.abs(u).max())
 
         if sup_u > ctrl.sup_guard:
             status = BLOW_UP
@@ -260,16 +266,18 @@ def run(
             break
 
         try:
-            p_now, resid_now = reaction_and_residual(u)
-            a_now = action(nl, u).value
+            p_now = nl.apply_P_values(u)
+            resid_now = lap_x + p_now
+            a_now = action_parts(nl, u)[0]
         except RangeOverflowError:
             status = BLOW_UP
             escape_sign = _extreme_sign(u)
             break
-        ut_sup = float(np.max(np.abs(resid_now)))
+        ut_sup = float(np.abs(resid_now).max())
         diag.append(t, dt, sup_u, a_now, energy, ut_sup)
         if steps % snapshot_stride == 0:
-            snaps.append((t, u))
+            snaps.append((t, Field(g, u)))
+            snap_step = steps
 
         if ut_sup < stop.tol_eq:
             status = CONVERGED
@@ -280,22 +288,22 @@ def run(
             dt = min(dt * 2.0, ctrl.dt_max)
             smooth = 0
 
+    final = snaps[-1][1] if snap_step == steps else Field(g, u)
     if snaps[-1][0] != t:
-        snaps.append((t, u))
+        snaps.append((t, final))
     return Trajectory(
         snapshots=snaps,
         diagnostics=diag,
         status=status,
         first_field=u0,
-        final_field=u,
+        final_field=final,
         final_time=t,
         steps=steps,
         escape_sign=escape_sign,
     )
 
 
-def _extreme_sign(u: Field) -> int:
-    v = u.values
+def _extreme_sign(v: np.ndarray) -> int:
     i = int(np.argmax(np.abs(v)))
     return int(np.sign(v[i])) if v[i] != 0 else 0
 

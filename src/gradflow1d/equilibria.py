@@ -129,7 +129,7 @@ def real_polynomial_roots(coeffs) -> list[float]:
     roots = []
     for v in crit:
         scale = sum(abs(a) * abs(v) ** i for i, a in enumerate(c))
-        if abs(horner(c, v)) <= 64 * np.finfo(float).eps * max(scale, 1e-300):
+        if abs(horner(c, v)) <= 64 * np.finfo(float).eps * scale:
             roots.append(v)
 
     knots = sorted({-radius, radius, *crit})

@@ -23,12 +23,13 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, dirichlet_energy, integrate
+from .grid import Field, dirichlet_energy_values
 from .nonlinearity import Nonlinearity, RangeOverflowError
 
 __all__ = [
     "ActionValue",
     "action",
+    "action_parts",
     "energy_addend",
     "identity_residual",
 ]
@@ -42,12 +43,18 @@ class ActionValue:
 
 
 def action(nl: Nonlinearity, u: Field) -> ActionValue:
-    dir_part = dirichlet_energy(u)
-    pot_part = integrate(nl.potential(u))
+    return ActionValue(*action_parts(nl, u.values))
+
+
+def action_parts(nl: Nonlinearity, v: np.ndarray) -> tuple[float, float, float]:
+    """(value, dirichlet_part, potential_part) of the action at samples v."""
+    g = nl.grid
+    dir_part = dirichlet_energy_values(v, g)
+    pot_part = g.h * float(nl.potential_values(v).sum())  # grid.integrate's rule
     value = -dir_part + pot_part
     if not (isfinite(dir_part) and isfinite(pot_part)):
         raise RangeOverflowError("non-finite action integrand")
-    return ActionValue(value=value, dirichlet_part=dir_part, potential_part=pot_part)
+    return value, dir_part, pot_part
 
 
 def energy_addend(u_before: np.ndarray, u_after: np.ndarray,

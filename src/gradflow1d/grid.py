@@ -95,11 +95,15 @@ class Field:
 
 def _extend(values: np.ndarray, boundary: str) -> np.ndarray:
     """Values with one ghost node appended on each side."""
+    e = np.empty(len(values) + 2)
+    e[1:-1] = values
     if boundary == "periodic":
-        return np.concatenate((values[-1:], values, values[:1]))
-    if boundary == "dirichlet0":
-        return np.concatenate(((0.0,), values, (0.0,)))
-    return np.concatenate((values[:1], values, values[-1:]))
+        e[0], e[-1] = values[-1], values[0]
+    elif boundary == "dirichlet0":
+        e[0] = e[-1] = 0.0
+    else:
+        e[0], e[-1] = values[0], values[-1]
+    return e
 
 
 def laplacian(u: Field) -> Field:
@@ -122,14 +126,18 @@ def gradient_sq(u: Field) -> Field:
 def dirichlet_energy(u: Field) -> float:
     """(1/2) integral of |grad u|^2 in the forward-difference convention
     matched to `laplacian` (exact summation by parts for every closure)."""
-    v = u.values
-    if u.grid.boundary == "periodic":
-        d = np.roll(v, -1) - v
-    elif u.grid.boundary == "dirichlet0":
-        d = np.diff(np.concatenate(((0.0,), v, (0.0,))))
+    return dirichlet_energy_values(u.values, u.grid)
+
+
+def dirichlet_energy_values(values: np.ndarray, grid: SpatialGrid) -> float:
+    e = _extend(values, grid.boundary)
+    if grid.boundary == "periodic":
+        d = e[2:] - values
+    elif grid.boundary == "dirichlet0":
+        d = e[1:] - e[:-1]
     else:
-        d = np.diff(v)
-    return 0.5 * float(np.dot(d, d)) / u.grid.h
+        d = values[1:] - values[:-1]
+    return 0.5 * float(np.dot(d, d)) / grid.h
 
 
 def integrate(u: Field) -> float:
@@ -145,13 +153,7 @@ def integrate(u: Field) -> float:
 
 def forward_difference(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """(u_{j+1} - u_j)/h with one right ghost per the boundary closure."""
-    if grid.boundary == "periodic":
-        nxt = np.roll(values, -1)
-    elif grid.boundary == "dirichlet0":
-        nxt = np.concatenate((values[1:], (0.0,)))
-    else:
-        nxt = np.concatenate((values[1:], values[-1:]))
-    return (nxt - values) / grid.h
+    return (_extend(values, grid.boundary)[2:] - values) / grid.h
 
 
 def sobolev_norm(u: Field, k: int, p: float) -> float:

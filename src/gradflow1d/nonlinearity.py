@@ -70,7 +70,7 @@ class Nonlinearity:
         return self._constant
 
     def _check(self, out: np.ndarray, what: str) -> np.ndarray:
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise RangeOverflowError(f"{what} overflowed to a non-finite value")
         return out
 
@@ -98,13 +98,15 @@ class Nonlinearity:
 
     def potential(self, u: Field) -> Field:
         """Antiderivative in u of P, sampled pointwise (the action integrand)."""
-        v = u.values
+        return Field(self.grid, self.potential_values(u.values))
+
+    def potential_values(self, v: np.ndarray) -> np.ndarray:
         n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
             acc = horner(self._Q_coeffs, v) * v
             acc = acc - np.abs(v) ** (n + 1) / (n + 1) if self.signed_power \
                 else acc - v ** (n + 1) / (n + 1)
-        return Field(self.grid, self._check(acc, "potential(u)"))
+        return self._check(acc, "potential(u)")
 
     def _coeffs_at(self, xval: float):
         if self._constant is not None:

@@ -79,6 +79,20 @@ def test_corrupted_config(tmp_path):
     assert main(["verify", str(path), "--quiet"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", (
+    {"snapshot_stride": 0},
+    {"snapshot_stride": 2.5},
+    {"t_max": "abc"},
+    {"t_max": float("nan")},
+    {"t_max": float("inf")},
+    {"seed": "abc"},
+), ids=("stride-0", "stride-2.5", "t_max-abc", "t_max-nan", "t_max-inf", "seed-abc"))
+def test_bad_run_field_is_config_error(tmp_path, override):
+    cfg = _write(tmp_path, _fisher_config(tmp_path / "out", **override))
+    assert main(["simulate", cfg, "--quiet"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_equilibria_catalog_fisher(tmp_path):
     data = _fisher_config(tmp_path / "out")
     data["equilibria"] = {"constant_roots": True}

@@ -95,6 +95,30 @@ def test_run_rejects_forcing_of_wrong_length():
             forcing=lambda t: np.zeros(nl.grid.m + 1))
 
 
+def test_run_rejects_snapshot_stride_below_one():
+    spec, nl = _fisher()
+    with pytest.raises(ValueError):
+        run(spec, Field.constant(nl.grid, 0.5), StepControl(), 1.0, nl=nl,
+            snapshot_stride=0)
+
+
+def test_run_halves_dt_when_factorization_fails():
+    # at dt ~ 1e15 on neumann0, cholesky_banded finds the matrix not positive
+    # definite in floating point; that is a degraded solve, not an exception
+    spec, nl = _fisher(m=256, boundary="neumann0")
+    u0 = Field.constant(nl.grid, 0.5)
+    ctrl = StepControl(dt_init=1e15, dt_max=1e15, increment_limit=1e30)
+    traj = run(spec, u0, ctrl, 1e16, nl=nl)
+    assert traj.status == CONVERGED
+    assert 0.0 < traj.diagnostics.dt[1] < 1e15
+    # halving past dt_min while every factorization fails is blow-up evidence
+    ctrl = StepControl(dt_init=1e15, dt_min=1e14, dt_max=1e15,
+                       increment_limit=1e30)
+    traj = run(spec, u0, ctrl, 1e16, nl=nl)
+    assert traj.status == BLOW_UP
+    assert traj.steps == 0
+
+
 def test_run_converges_immediately_at_equilibrium():
     spec, nl = _fisher()
     ctrl = StepControl()

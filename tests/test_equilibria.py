@@ -52,6 +52,12 @@ def test_roots_double_root():
     assert got == pytest.approx([0.0], abs=1e-12)
 
 
+def test_roots_tiny_constant_is_no_double_root():
+    # -5e-324 - c^2 < 0 everywhere; an absolute floor on the critical-point
+    # test used to accept c = 0
+    assert real_polynomial_roots([-5e-324, 0.0, -1.0]) == []
+
+
 def test_roots_random_polynomials_vs_numpy():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gradflow1d.grid import (
@@ -9,9 +11,11 @@ from gradflow1d.grid import (
     Field,
     SpatialGrid,
     dirichlet_energy,
+    forward_difference,
     gradient_sq,
     integrate,
     laplacian,
+    laplacian_values,
     read_field_csv,
     sobolev_norm,
     sup_norm,
@@ -191,6 +195,28 @@ def test_summation_by_parts_exact(boundary):
         u = Field(g, rng.standard_normal(g.m))
         quad_form = -integrate(Field(g, laplacian(u).values * u.values))
         assert quad_form == pytest.approx(2.0 * dirichlet_energy(u), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOUNDARIES), st.integers(8, 40), st.integers(0, 2**31))
+def test_stencils_match_concatenate_and_roll_forms_bitwise(boundary, m, seed):
+    # the ghost-node slices reproduce the np.concatenate / np.roll / np.diff
+    # stencils exactly, so trajectories do not change by a bit
+    g = SpatialGrid(5.0, m, boundary)
+    v = np.random.default_rng(seed).standard_normal(m)
+    if boundary == "periodic":
+        e = np.concatenate((v[-1:], v, v[:1]))
+        d = np.roll(v, -1) - v
+    elif boundary == "dirichlet0":
+        e = np.concatenate(((0.0,), v, (0.0,)))
+        d = np.diff(e)
+    else:
+        e = np.concatenate((v[:1], v, v[-1:]))
+        d = np.diff(v)
+    lap = (e[:-2] - 2.0 * v + e[2:]) / g.h**2
+    assert laplacian_values(v, g).tobytes() == lap.tobytes()
+    assert forward_difference(v, g).tobytes() == ((e[2:] - v) / g.h).tobytes()
+    assert dirichlet_energy(Field(g, v)) == 0.5 * float(np.dot(d, d)) / g.h
 
 
 def test_summation_by_parts_centered_consistency():

@@ -220,10 +220,9 @@ def test_scalar_and_vector_forms_agree(case, signed, seed):
        st.sampled_from((-1.0, 1.0)))
 def test_polynomial_roots_are_roots_under_horner(coeffs, lead):
     # roots are bisected to 1e-14 and then polished, so allow rounding in the
-    # evaluation (with the solver's own 1e-300 floor on its scale) plus a
-    # 1e-13 displacement along the slope
+    # evaluation plus a 1e-13 displacement along the slope
     c = coeffs + [lead]
     for r in real_polynomial_roots(c):
         scale = sum(abs(a) * abs(r) ** i for i, a in enumerate(c))
         slope = sum(i * abs(a) * abs(r) ** (i - 1) for i, a in enumerate(c) if i)
-        assert abs(horner(c, r)) <= 1e-12 * max(scale, 1e-300) + 1e-13 * slope
+        assert abs(horner(c, r)) <= 1e-12 * scale + 1e-13 * slope
