@@ -198,21 +198,46 @@ def cmd_equilibria(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _launch_number(entry: dict, key: str, default: float) -> float:
+    try:
+        value = float(entry.get(key, default))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad launch field {key!r}: {e}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"launch field {key!r} must be finite, got {value!r}")
+    return value
+
+
+def _launch_t_max(entry: dict, default: float) -> float:
+    t_max = _launch_number(entry, "t_max", default)
+    if not t_max > 0:
+        raise ConfigError(f"launch t_max must be > 0, got {t_max!r}")
+    return t_max
+
+
 def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
     plan = []
     for entry in cfg.connect.get("launches", []):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"launch entry must be an object, got {entry!r}")
         kind = entry.get("kind", "launch")
         if kind == "front":
+            if "initial_condition" not in entry:
+                raise ConfigError("front entry needs initial_condition")
             plan.append(connections.LaunchSpec(
                 kind="front",
                 initial_condition=entry["initial_condition"],
-                t_max=float(entry.get("t_max", cfg.t_max)),
+                t_max=_launch_t_max(entry, cfg.t_max),
             ))
             continue
         if "from_index" in entry:
-            idx = int(entry["from_index"])
+            idx = entry["from_index"]
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                raise ConfigError(f"from_index must be an integer, got {idx!r}")
         elif "from_value" in entry:
-            want = float(entry["from_value"])
+            want = _launch_number(entry, "from_value", 0.0)
+            if not catalog:
+                raise ConfigError("from_value needs a non-empty catalog")
             idx = min(range(len(catalog)),
                       key=lambda i: abs(float(catalog[i].field.values.mean()) - want))
         else:
@@ -222,8 +247,8 @@ def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
         plan.append(connections.LaunchSpec(
             kind="launch",
             from_index=idx,
-            amplitude=float(entry.get("amplitude", 1e-3)),
-            t_max=float(entry.get("t_max", cfg.t_max)),
+            amplitude=_launch_number(entry, "amplitude", 1e-3),
+            t_max=_launch_t_max(entry, cfg.t_max),
             seed=cfg.seed,
         ))
     return plan

@@ -39,6 +39,7 @@ UNDECIDED = "undecided"
 DEFAULT_MATCH_TOL = 1e-4
 DEFAULT_TAIL_TOL = 1e-8
 TAIL_WINDOW_FRACTION = 0.1
+GROWTH_MIN_ROWS = 100
 
 
 @dataclass
@@ -167,8 +168,9 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
     connecting run shows the rate falling to zero.
     """
     diag = traj.diagnostics
-    if len(diag) < 100:
-        raise ValueError("trajectory has fewer than 100 diagnostic rows")
+    if len(diag) < GROWTH_MIN_ROWS:
+        raise ValueError(
+            f"trajectory has fewer than {GROWTH_MIN_ROWS} diagnostic rows")
     t = diag.t
     e = diag.energy_cum
     t_from = t[-1] - window_fraction * (t[-1] - t[0])
@@ -287,8 +289,9 @@ def connection_energy_audit(
     """Run a batch of launches and audit the finite-energy dichotomy.
 
     Connected rows must carry finite energy with a small tail rate; front
-    rows must show linear energy growth and no catalog match.  Blow-up rows
-    are excluded from the audit and labeled.
+    rows must show linear energy growth and no catalog match (a front run
+    with fewer than GROWTH_MIN_ROWS diagnostic rows fails, with a NaN rate
+    and fit).  Blow-up rows are excluded from the audit and labeled.
     """
     from . import problem as problem_mod
 
@@ -301,7 +304,11 @@ def connection_energy_audit(
             traj = dynamics.run(spec, u0, ctrl, entry.t_max, stop, nl=nl)
             total = float(traj.diagnostics.energy_cum[-1])
             tail = _tail_rate(traj.diagnostics, TAIL_WINDOW_FRACTION)
-            growth = energy_growth_diagnostic(traj)
+            if len(traj.diagnostics) < GROWTH_MIN_ROWS:
+                # too short to fit a growth rate: reported, not passed
+                growth = GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
+            else:
+                growth = energy_growth_diagnostic(traj)
             to_index, _ = _match_catalog(catalog, traj.final_field, match_tol)
             passed = (growth.rate > 0.0 and growth.fit_quality > growth_fit_min
                       and to_index is None)

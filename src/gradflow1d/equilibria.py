@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from .functionals import action
 from .grid import Field, SpatialGrid, laplacian_values
@@ -371,42 +372,79 @@ class UnstableDirection:
     iterations: int
 
 
+def _ring_band(grid: SpatialGrid, dp: np.ndarray):
+    """Lap_h + diag(dp) as an upper band of width 2, in the ring order.
+
+    The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
+    the periodic wrap included, at most two places apart, so one band holds
+    every closure; the wrap entry is zero off `periodic`.  Returns the band
+    in LAPACK upper storage and the order (band row k is node order[k]).
+    """
+    m = grid.m
+    order = np.empty(m, dtype=np.intp)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    inv_h2 = 1.0 / grid.h**2
+    diag = -2.0 * inv_h2 + dp
+    if grid.boundary == "neumann0":
+        diag[0] += inv_h2
+        diag[-1] += inv_h2
+    band = np.zeros((3, m))
+    band[2] = diag[order]
+    left, right = pos[:-1], pos[1:]  # band rows of nodes j and j+1
+    band[2 - np.abs(right - left), np.maximum(left, right)] = inv_h2
+    if grid.boundary == "periodic":
+        band[1, 1] = inv_h2  # nodes 0 and m-1 sit at band rows 0 and 1
+    return band, order
+
+
 def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
                        max_iter: int = 10_000, seed: int = 0) -> UnstableDirection:
-    """Leading eigenpair of Lap_h + diag(dP(u)) by shifted power iteration.
+    """Leading eigenpair of A = Lap_h + diag(dP(u)) by banded inverse iteration.
 
-    The Gershgorin shift sigma = 1 + 4/h^2 + max(0, -min dP) makes the
-    spectrum positive so the top of it dominates.  The start vector is the
-    constant mode plus a small seeded perturbation: for spatially constant
-    linearizations the constant mode is exactly the leading eigenvector and
-    the iteration converges immediately.
+    The eigenvalue lam is the top one of A's ring-ordered band (LAPACK
+    dsbevx).  The direction comes from solving ((lam + d) I - A) w_k = w_{k-1}
+    with one Cholesky factor of the shifted band, starting from the constant
+    mode plus a small seeded perturbation, until the unshifted residual
+    max|A w - lam w| <= d with max w = 1, where
+    d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
+    the solves.  A has nonnegative off-diagonals and is irreducible, so by
+    Perron-Frobenius the direction is strictly positive; it is scaled to
+    maximum 1.  Raises PowerIterationError when the shifted band is not
+    positive definite or the residual bound is not met within max_iter
+    solves.
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field).values
-    sigma = 1.0 + 4.0 / g.h**2 + max(0.0, -float(dp.min()))
-
-    def apply(w):
-        return laplacian_values(w, g) + dp * w + sigma * w
+    band, order = _ring_band(g, dp)
+    lam = float(eig_banded(band, eigvals_only=True, select="i",
+                           select_range=(g.m - 1, g.m - 1))[0])
+    # lam and A w carry rounding of order eps * ||A||_inf, which passes
+    # 1e-8 max(1, |lam|) once 4/h^2 nears 1e8; the floor keeps the shifted
+    # band positive definite and the residual bound reachable there
+    norm_a = 4.0 / g.h**2 + float(np.max(np.abs(dp)))
+    tol = 1e-8 * max(1.0, abs(lam)) + 8.0 * np.finfo(float).eps * norm_a
+    shifted = -band
+    shifted[2] += lam + tol
+    try:
+        factor = cholesky_banded(shifted)
+    except LinAlgError as e:
+        raise PowerIterationError(f"shifted band not positive definite: {e}") from e
 
     rng = np.random.default_rng(seed)
     w = np.ones(g.m) + 1e-12 * rng.standard_normal(g.m)
-    w /= np.linalg.norm(w)
-    lam_shifted = 0.0
     for it in range(1, max_iter + 1):
-        bw = apply(w)
-        lam_shifted = float(np.dot(w, bw))
-        resid = float(np.max(np.abs(bw - lam_shifted * w)))
-        norm = float(np.linalg.norm(bw))
-        if norm == 0.0:
-            raise PowerIterationError("iterate vanished")
-        w = bw / norm
-        if resid <= 1e-8 * max(1.0, abs(lam_shifted)):
-            eigenvalue = lam_shifted - sigma
-            direction = w / float(np.max(np.abs(w)))
+        x = cho_solve_banded((factor, False), w[order])
+        w = np.empty(g.m)
+        w[order] = x / x[np.argmax(np.abs(x))]
+        resid = laplacian_values(w, g) + dp * w - lam * w
+        if float(np.max(np.abs(resid))) <= tol:
             return UnstableDirection(
-                eigenvalue=eigenvalue,
-                direction=Field(g, direction),
-                degenerate=abs(eigenvalue) < 1e-8,
+                eigenvalue=lam,
+                direction=Field(g, w),
+                degenerate=abs(lam) < 1e-8,
                 iterations=it,
             )
-    raise PowerIterationError(f"no convergence after {max_iter} iterations")
+    raise PowerIterationError(f"no convergence after {max_iter} solves")

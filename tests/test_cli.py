@@ -190,6 +190,42 @@ def test_connect_blowup_excluded(tmp_path):
     assert rows[0]["status"] == "blow_up"
 
 
+@pytest.mark.parametrize("launch, equilibria", (
+    ({"from_value": 0.0, "t_max": "abc"}, None),
+    ({"from_value": 0.0, "amplitude": "abc"}, None),
+    ({"from_value": 0.0, "t_max": float("nan")}, None),
+    ({"from_value": 0.0, "t_max": 0.0}, None),
+    ({"from_value": 0.0, "t_max": -1.0}, None),
+    ({"from_index": "0"}, None),
+    ({"kind": "front", "t_max": 1.0}, None),
+    ({"from_value": 0.0}, {"constant_roots": False}),
+), ids=("t_max-abc", "amplitude-abc", "t_max-nan", "t_max-0", "t_max-negative",
+        "from_index-str", "front-no-ic", "from_value-empty-catalog"))
+def test_connect_bad_launch_is_config_error(tmp_path, launch, equilibria):
+    data = _fisher_config(tmp_path / "out")
+    data["connect"] = {"launches": [launch]}
+    if equilibria is not None:
+        data["equilibria"] = equilibria
+    cfg = _write(tmp_path, data)
+    assert main(["connect", cfg, "--quiet"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_connect_short_front_is_failed_row(tmp_path):
+    # too few diagnostic rows to fit a growth rate: the row fails, the audit
+    # still finishes and writes every row
+    data = json.loads((CONFIGS / "front.json").read_text())
+    data["connect"]["launches"][0]["t_max"] = 0.05
+    data["output_dir"] = str(tmp_path / "out")
+    cfg = _write(tmp_path, data)
+    assert main(["connect", cfg, "--quiet"]) == EXIT_VERIFY
+    with open(tmp_path / "out" / "connections.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    assert rows[0]["status"] != "growth"
+    assert rows[0]["fit_quality"] == "nan"
+
+
 def test_equilibria_shooting_scan(tmp_path):
     # bounded phase-plane paths polish into nonconstant wall-pinned profiles
     data = _fisher_config(tmp_path / "out")

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradflow1d import problem, verify
 from gradflow1d.equilibria import (
     Equilibrium,
     NewtonNoConvergenceError,
     NonConstantCoefficientsError,
+    PowerIterationError,
     SingularJacobianError,
     classify_boundedness,
     constant_equilibria,
@@ -16,7 +19,7 @@ from gradflow1d.equilibria import (
     shoot,
     unstable_direction,
 )
-from gradflow1d.grid import Field
+from gradflow1d.grid import BOUNDARIES, Field, laplacian_values
 from gradflow1d.nonlinearity import Nonlinearity
 
 
@@ -258,3 +261,88 @@ def test_unstable_direction_degenerate():
     ud = unstable_direction(nl, eq)
     assert abs(ud.eigenvalue) < 1e-8
     assert ud.degenerate
+
+
+def _fisher_linearization(boundary, dp, box_half_length=5.0):
+    """Fisher (P = u - u^2) grid and an Equilibrium-shaped record with dP = dp.
+
+    unstable_direction reads only the field, so u = (1 - dp)/2 need not be an
+    equilibrium.
+    """
+    dp = np.asarray(dp, dtype=float)
+    nl = _nl(verify.fisher_spec(box_half_length=box_half_length,
+                                grid_points=len(dp), boundary=boundary))
+    eq = Equilibrium(field=Field(nl.grid, 0.5 * (1.0 - dp)), residual=math.nan,
+                     action=math.nan, bounded_below=True, bounded_above=True,
+                     source="newton")
+    return nl, eq
+
+
+def _dense_linearization(nl, eq):
+    g = nl.grid
+    lap = np.column_stack([laplacian_values(col, g) for col in np.eye(g.m)])
+    return lap + np.diag(nl.apply_dP(eq.field).values)
+
+
+def test_unstable_direction_nearly_constant_dp_not_accepted_early():
+    # dP varies by 1e-3 on a fine periodic grid: a bound scaled by a shifted
+    # eigenvalue ~4/h^2 accepted the constant mode, 1.3e-6 off in eigenvalue
+    nl, eq = _fisher_linearization(
+        "periodic", 1.0 - 1e-3 * np.cos(2.0 * np.pi * np.linspace(-5.0, 5.0, 2048,
+                                                                   endpoint=False) / 10.0))
+    ud = unstable_direction(nl, eq)
+    lam = np.linalg.eigvalsh(_dense_linearization(nl, eq))[-1]
+    assert abs(ud.eigenvalue - lam) <= 1e-9 * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_unstable_direction_fine_grid(boundary):
+    # 4/h^2 ~ 1e10: rounding in lam and A w exceeds 1e-8 max(1, |lam|), so
+    # the shift and the residual bound need the eps * ||A|| floor
+    m = 64
+    nl, eq = _fisher_linearization(
+        boundary, 1.0 - 0.5 * np.cos(np.pi * np.arange(m) / m), box_half_length=1e-3)
+    ud = unstable_direction(nl, eq)
+    lam = np.linalg.eigvalsh(_dense_linearization(nl, eq))[-1]
+    norm_a = 4.0 / nl.grid.h**2 + 1.5
+    assert abs(ud.eigenvalue - lam) <= 1e-8 * max(1.0, abs(lam)) + 8 * np.finfo(float).eps * norm_a
+    assert np.all(ud.direction.values > 0.0)
+
+
+def test_unstable_direction_max_iter_exhausted():
+    nl, eq = _fisher_linearization("dirichlet0", np.zeros(16))
+    with pytest.raises(PowerIterationError):
+        unstable_direction(nl, eq, max_iter=0)
+
+
+@st.composite
+def _linearizations(draw):
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    m = draw(st.integers(8, 64))  # odd and even: the ring order depends on parity
+    level = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        dp = np.full(m, level)
+    else:
+        dp = level + np.array(draw(st.lists(st.floats(-3.0, 3.0),
+                                            min_size=m, max_size=m)))
+    return _fisher_linearization(boundary, dp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linearizations())
+def test_unstable_direction_matches_dense(case):
+    nl, eq = case
+    ud = unstable_direction(nl, eq)
+    lams, vecs = np.linalg.eigh(_dense_linearization(nl, eq))
+    scale = max(1.0, abs(lams[-1]))
+    assert abs(ud.eigenvalue - lams[-1]) <= 1e-10 * scale
+    w = ud.direction.values
+    assert np.all(w > 0.0)
+    assert w.max() == 1.0
+    assert ud.degenerate == (abs(ud.eigenvalue) < 1e-8)
+    # the residual bound fixes the direction to about 1e-8*scale/gap: the
+    # eigenvector's condition number is 1/gap, so hold it to 1e-7 where the
+    # top of the spectrum is well separated
+    assume(lams[-1] - lams[-2] >= 0.2 * scale)
+    v = vecs[:, -1] / vecs[np.argmax(np.abs(vecs[:, -1])), -1]
+    assert np.max(np.abs(w - v)) <= 1e-7
