@@ -291,7 +291,8 @@ def connection_energy_audit(
     Connected rows must carry finite energy with a small tail rate; front
     rows must show linear energy growth and no catalog match (a front run
     with fewer than GROWTH_MIN_ROWS diagnostic rows fails, with a NaN rate
-    and fit).  Blow-up rows are excluded from the audit and labeled.
+    and fit).  A run of either kind that blows up is excluded from the audit
+    (passed None) and keeps the status blow_up.
     """
     from . import problem as problem_mod
 
@@ -310,8 +311,11 @@ def connection_energy_audit(
             else:
                 growth = energy_growth_diagnostic(traj)
             to_index, _ = _match_catalog(catalog, traj.final_field, match_tol)
-            passed = (growth.rate > 0.0 and growth.fit_quality > growth_fit_min
-                      and to_index is None)
+            if traj.status == dynamics.BLOW_UP:
+                passed = None  # outside the audit: not a global solution
+            else:
+                passed = (growth.rate > 0.0 and growth.fit_quality > growth_fit_min
+                          and to_index is None)
             rows.append(AuditRow(
                 launch_id=i, status="growth" if passed else traj.status,
                 from_index=None, to_index=to_index, total_energy=total,

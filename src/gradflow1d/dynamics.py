@@ -353,12 +353,11 @@ def mms_verify(
     if isinstance(et, str):
         et = exprlang.parse(et)
 
-    def t_fun(t):
-        return exprlang.evaluate(et, t)
+    t_fun = exprlang.compile(et)
 
     def t_prime(t):
         e = _MMS_TIME_FD_STEP
-        return (exprlang.evaluate(et, t + e) - exprlang.evaluate(et, t - e)) / (2 * e)
+        return (t_fun(t + e) - t_fun(t - e)) / (2 * e)
 
     levels = []
     converged = True

@@ -320,15 +320,22 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     u, v, x = float(u_left), float(slope_left), x0
     escaped = False
     sign = 0
+    # Coefficients are needed at x and x + h/2 only: stage 4's x + h is the
+    # next step's x, since `x += h` is the same addition.  Each is evaluated
+    # just before its first stage, so a failing coefficient raises where a
+    # per-stage evaluation would.
+    c_x = nl.coeffs_at(x)
     for _ in range(n_steps):
         try:
-            k1u, k1v = v, -nl.scalar_P(u, x)
+            k1u, k1v = v, -nl.scalar_P(u, c_x)
+            c_mid = nl.coeffs_at(x + 0.5 * h)
             k2u = v + 0.5 * h * k1v
-            k2v = -nl.scalar_P(u + 0.5 * h * k1u, x + 0.5 * h)
+            k2v = -nl.scalar_P(u + 0.5 * h * k1u, c_mid)
             k3u = v + 0.5 * h * k2v
-            k3v = -nl.scalar_P(u + 0.5 * h * k2u, x + 0.5 * h)
+            k3v = -nl.scalar_P(u + 0.5 * h * k2u, c_mid)
             k4u = v + h * k3v
-            k4v = -nl.scalar_P(u + h * k3u, x + h)
+            c_x = nl.coeffs_at(x + h)
+            k4v = -nl.scalar_P(u + h * k3u, c_x)
             u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         except OverflowError:
@@ -352,7 +359,8 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     if nl.spatially_constant():
         uu = np.asarray(us)
         vv = np.asarray(vs)
-        q = np.array([nl.scalar_potential(val, 0.0) for val in uu])
+        coeffs = nl.constant_coefficients()
+        q = np.array([nl.scalar_potential(val, coeffs) for val in uu])
         hh = 0.5 * vv * vv + q
         drift = float(np.max(np.abs(hh - hh[0])))
     return ShootingPath(

@@ -14,6 +14,11 @@ Grammar (standard precedence; ^ binds tightest and is right-associative):
 NAME is one of: exp, sin, cos, tanh, sqrt, abs.  Trees are immutable,
 evaluation is deterministic, and non-finite intermediate results raise
 instead of propagating.
+
+`evaluate` walks the tree and is the reference.  `compile` turns a tree into
+one straight-line Python function that runs the same float operations in
+the same order and falls back to the walk on any failure, so both return
+the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "NonFiniteResultError",
     "parse",
     "evaluate",
+    "compile",
     "to_source",
     "sample",
 ]
@@ -324,6 +330,104 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+_OPERATORS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
+              "^": "pow({}, {})"}
+_COMPILED: dict = {}
+_COMPILED_MAX = 1024
+
+
+def compile(e: Expr):
+    """A function x -> evaluate(e, x), bitwise equal, raising the same errors.
+
+    The generated source holds only generated names (x, xf, vK, cK), the
+    operators + - * /, the helpers pow, isfinite, float, walk and errors,
+    and the names of FUNCTIONS; literals are bound as constants, never
+    formatted into it.  An operator outside + - * / ^ or a function outside
+    FUNCTIONS is an ExprError here.  A tree without x is evaluated once
+    instead.  Results are cached by the tree's repr, which, unlike tree
+    equality, tells 0.0 from -0.0 and 1 from 1.0.
+    """
+    key = repr(e)
+    f = _COMPILED.get(key)
+    if f is None:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        f = _COMPILED[key] = _build(e)
+    return f
+
+
+def _build(e: Expr):
+    def walk(x):
+        return evaluate(e, x)
+
+    gen = _Codegen()
+    result = gen.emit(e)
+    if not gen.uses_x:  # constant: no code generation
+        try:
+            value = walk(0.0)
+        except NonFiniteResultError:
+            return walk
+        return lambda x: value
+    # The finite checks run after the last operation.  That is the same
+    # decision as checking each node: an operation on a non-finite operand
+    # either raises or yields a node that is itself checked, and on any
+    # failure the walk runs and raises at the first bad node.
+    body = "".join(f"        {line}\n" for line in gen.lines)
+    ok = " and ".join(f"isfinite({v})" for v in gen.checked) or "True"
+    src = ("def f(x):\n    try:\n        xf = float(x)\n" + body
+           + f"        if {ok}:\n            return {result}\n"
+           "    except errors:\n"
+           "        pass\n    return walk(x)\n")
+    namespace = {"__builtins__": {}, "float": float, "isfinite": math.isfinite,
+                 "pow": math.pow, "walk": walk,
+                 "errors": (ArithmeticError, ValueError, TypeError),
+                 **FUNCTIONS, **gen.consts}
+    exec(src, namespace)
+    return namespace["f"]
+
+
+class _Codegen:
+    """Straight-line statements for a tree, operands before operators."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.checked: list[str] = []  # BinOp and Call results, as evaluate checks
+        self.consts: dict = {}
+        self.uses_x = False
+
+    def _assign(self, expr: str) -> str:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def emit(self, e: Expr) -> str:
+        """Append the statements computing e; return the name that holds it."""
+        if isinstance(e, Num):
+            name = f"c{len(self.consts)}"
+            self.consts[name] = e.value
+            return name
+        if isinstance(e, Var):
+            self.uses_x = True
+            return "xf"
+        if isinstance(e, Neg):
+            return self._assign(f"-{self.emit(e.operand)}")
+        if isinstance(e, BinOp):
+            if e.op not in _OPERATORS:
+                raise ExprError(f"cannot compile operator {e.op!r}")
+            a = self.emit(e.left)
+            b = self.emit(e.right)
+            name = self._assign(_OPERATORS[e.op].format(a, b))
+        elif isinstance(e, Call):
+            if e.func not in FUNCTIONS:
+                raise ExprError(f"cannot compile function {e.func!r}")
+            name = self._assign(f"float({e.func}({self.emit(e.arg)}))")
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        self.checked.append(name)
+        return name
+
+
 def sample(e: Expr, xs) -> np.ndarray:
     """Evaluate e at every point of xs; raises on any non-finite value."""
-    return np.array([evaluate(e, float(v)) for v in np.asarray(xs).ravel()])
+    f = compile(e)
+    return np.array([f(float(v)) for v in np.asarray(xs).ravel().tolist()])

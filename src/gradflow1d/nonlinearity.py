@@ -49,9 +49,11 @@ class Nonlinearity:
         # trailing factor u), sampled once like those of P
         self._dP_coeffs = tuple(i * samples[i] for i in range(1, len(samples)))
         self._Q_coeffs = tuple(a / (i + 1) for i, a in enumerate(samples))
-        # off-grid evaluation skips expression walks when every sample agrees
+        # off-grid evaluation: the samples when every one agrees, else one
+        # compiled function per coefficient
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
+        self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
 
     @property
     def degree(self) -> int:
@@ -108,14 +110,15 @@ class Nonlinearity:
                 else acc - v ** (n + 1) / (n + 1)
         return self._check(acc, "potential(u)")
 
-    def _coeffs_at(self, xval: float):
+    def coeffs_at(self, xval: float):
+        """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""
         if self._constant is not None:
             return self._constant
-        return [exprlang.evaluate(e, xval) for e in self.spec.coeffs]
+        return [f(xval) for f in self._coeff_funs]
 
-    def scalar_P(self, uval: float, xval: float) -> float:
-        """P at a single (u, x) point, off-grid; used by phase-plane shooting."""
-        acc = horner(self._coeffs_at(xval), uval)
+    def scalar_P(self, uval: float, coeffs) -> float:
+        """P at a single u, with coeffs = coeffs_at(x); used by phase-plane shooting."""
+        acc = horner(coeffs, uval)
         n = self.degree
         if self.signed_power:
             acc -= uval * abs(uval) ** (n - 1)
@@ -123,8 +126,8 @@ class Nonlinearity:
             acc -= uval**n
         return acc
 
-    def scalar_potential(self, uval: float, xval: float) -> float:
-        coeffs = self._coeffs_at(xval)
+    def scalar_potential(self, uval: float, coeffs) -> float:
+        """The potential Q at a single u, with coeffs = coeffs_at(x)."""
         acc = horner([a / (i + 1) for i, a in enumerate(coeffs)], uval) * uval
         n = self.degree
         if self.signed_power:

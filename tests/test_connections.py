@@ -215,6 +215,18 @@ def test_audit_excludes_blowup():
     assert table.all_passed  # excluded rows do not fail the audit
 
 
+def test_audit_excludes_front_blowup():
+    # Fisher data near -1.5 lies below the unstable state 0 and runs away
+    spec = verify.fisher_spec(grid_points=16)
+    catalog = equilibria.constant_equilibria(Nonlinearity(spec, problem.make_grid(spec)))
+    ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
+    plan = [LaunchSpec(kind="front", initial_condition="-1.5+0.01*cos(x)", t_max=30.0)]
+    table = connection_energy_audit(spec, catalog, plan, ctrl)
+    assert table.rows[0].status == dynamics.BLOW_UP
+    assert table.rows[0].passed is None
+    assert table.all_passed
+
+
 def test_audit_front_row(front_traj):
     spec, nl, _ = front_traj
     catalog = equilibria.constant_equilibria(nl)

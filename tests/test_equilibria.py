@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradflow1d import problem, verify
+from gradflow1d import exprlang, problem, verify
 from gradflow1d.equilibria import (
     Equilibrium,
     NewtonNoConvergenceError,
@@ -20,7 +20,7 @@ from gradflow1d.equilibria import (
     unstable_direction,
 )
 from gradflow1d.grid import BOUNDARIES, Field, laplacian_values
-from gradflow1d.nonlinearity import Nonlinearity
+from gradflow1d.nonlinearity import Nonlinearity, horner
 
 
 def _nl(spec, **kw):
@@ -218,6 +218,62 @@ def test_shoot_bounded_inside_separatrix(cubic):
     path = shoot(cubic, 0.0, 0.5, (-5.0, 5.0), h_ode=1e-3)
     assert not path.escaped
     assert np.max(np.abs(path.us)) < 1.0
+
+
+def _shoot_reference(nl, u, v, x0, x1, h, thr):
+    """RK4 that walks every coefficient tree at all four stages of a step."""
+    n = nl.degree
+
+    def p(uu, xx):
+        acc = horner([exprlang.evaluate(e, xx) for e in nl.spec.coeffs], uu)
+        return acc - (uu * abs(uu) ** (n - 1) if nl.signed_power else uu**n)
+
+    n_steps = max(1, math.ceil((x1 - x0) / h))
+    h = (x1 - x0) / n_steps
+    x, us, vs, xs = x0, [u], [v], [x0]
+    for _ in range(n_steps):
+        try:
+            k1u, k1v = v, -p(u, x)
+            k2u = v + 0.5 * h * k1v
+            k2v = -p(u + 0.5 * h * k1u, x + 0.5 * h)
+            k3u = v + 0.5 * h * k2v
+            k3v = -p(u + 0.5 * h * k2u, x + 0.5 * h)
+            k4u = v + h * k3v
+            k4v = -p(u + h * k3u, x + h)
+            u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        except OverflowError:
+            break
+        x += h
+        if not (math.isfinite(u) and math.isfinite(v)):
+            break
+        xs.append(x)
+        us.append(u)
+        vs.append(v)
+        if abs(u) > thr:
+            break
+    return np.array(xs), np.array(us), np.array(vs)
+
+
+@pytest.mark.parametrize("coeffs, signed, start", [
+    (["0", "1+0.3*cos(0.7*x)"], False, (0.02, 0.0)),
+    (["0", "0.5+0.4*tanh(2*(x-0.3))", "0.1"], False, (0.03, 0.01)),
+    (["0.01*x", "1+0.5*exp(-((x-0.7)/1.3)^2)", "-0.2"], True, (0.5, 2.0)),
+    (["0", "1+0.3*cos(0.7*x)"], False, (2.0, 1.0)),  # escapes
+])
+def test_shoot_matches_four_evaluation_loop(coeffs, signed, start):
+    # coefficients at x + h/2 are shared by stages 2 and 3, and stage 4's
+    # x + h is the next step's x: the path must not move by a bit
+    spec = problem.spec_from_dict({
+        "N": len(coeffs), "coeffs": coeffs, "box_half_length": 5.0,
+        "grid_points": 64, "signed_power": signed, "boundary": "neumann0",
+    })
+    nl = _nl(spec)
+    assert not nl.spatially_constant()
+    path = shoot(nl, *start, (-5.0, 5.0), h_ode=1e-2, escape_threshold=1e3)
+    want = _shoot_reference(nl, *start, -5.0, 5.0, min(1e-2, nl.grid.h / 4.0), 1e3)
+    for got, ref in zip((path.xs, path.us, path.vs), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 # -- boundedness classification ---------------------------------------------------

@@ -1,10 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradflow1d import exprlang
 from gradflow1d.exprlang import (
     BinOp,
     Call,
+    ExprError,
     ExprSyntaxError,
     Neg,
     NonFiniteResultError,
@@ -132,27 +138,95 @@ def test_roundtrip_corpus(src):
     assert to_source(parse(printed)) == printed
 
 
-def _random_tree(rng, depth):
-    # parser-producible trees only: literals are non-negative (a leading
-    # minus always parses into a Neg node)
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.5:
-            return Var()
-        return Num(float(round(rng.uniform(0, 3), 3)))
-    pick = rng.random()
-    if pick < 0.6:
-        op = str(rng.choice(["+", "-", "*", "/", "^"]))
-        return BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
-    if pick < 0.8:
-        return Neg(_random_tree(rng, depth - 1))
-    return Call(str(rng.choice(sorted(exprlang.FUNCTIONS))), _random_tree(rng, depth - 1))
+# Parser-producible trees: literals are finite and non-negative (a leading
+# minus always parses into a Neg node).  Large literals reach overflow and
+# domain errors.
+_LITERALS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 710.0, 1e308]),
+                      st.floats(0.0, 10.0).map(abs))
+TREES = st.recursive(
+    st.one_of(st.just(Var()), st.builds(Num, _LITERALS)),
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Call, st.sampled_from(sorted(exprlang.FUNCTIONS)), sub)),
+    max_leaves=12)
+POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 710.0, -710.0, 1e308, -1e308, 5e-324]),
+    st.floats(-1e3, 1e3))
 
 
-def test_roundtrip_random_trees():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        tree = _random_tree(rng, 4)
-        assert parse(to_source(tree)) == tree
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_roundtrip_random_trees(tree):
+    assert parse(to_source(tree)) == tree
+
+
+def _outcome(f, x):
+    """The value's type and bits, or the error's type, source and x."""
+    try:
+        v = f(x)
+    except Exception as err:
+        return type(err), getattr(err, "source", None), getattr(err, "x", None)
+    return type(v), struct.pack("<d", v)
+
+
+def _walk(tree):
+    return lambda x: evaluate(tree, x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TREES, st.lists(POINTS, min_size=1, max_size=4))
+def test_compiled_matches_tree_walk(tree, xs):
+    f = exprlang.compile(tree)
+    for x in xs:
+        assert _outcome(f, x) == _outcome(_walk(tree), x)
+
+
+@pytest.mark.parametrize("src, x", [
+    ("exp(x)+1", 1e6),           # overflow in a function
+    ("x^x", 1e3),                # overflow in pow
+    ("x*1e308*10", 1.0),         # a non-finite product raises nothing itself
+    ("tanh(x*1e308*10)", 1.0),   # nor does a finite value computed from it
+    ("1/x", 0.0),                # division by zero
+    ("2+1/(x-x)", 3.0),
+    ("sqrt(x)", -1.0),           # domain errors
+    ("x^0.5", -2.0),
+    ("cos(x)", math.inf),
+])
+def test_compiled_raises_like_tree_walk(src, x):
+    tree = parse(src)
+    with pytest.raises(NonFiniteResultError) as want:
+        evaluate(tree, x)
+    with pytest.raises(NonFiniteResultError) as got:
+        exprlang.compile(tree)(x)
+    assert (got.value.source, got.value.x) == (want.value.source, want.value.x)
+
+
+def test_compiled_hand_built_literals():
+    # literals are bound, not printed, so inf, nan, -0.0 and ints keep their
+    # values, and the cache tells -0.0 from 0.0 and 1 from 1.0
+    trees = [BinOp("+", Var(), Num(0.0)), BinOp("+", Var(), Num(-0.0)),
+             BinOp("*", Var(), Num(math.inf)), BinOp("-", Var(), Num(math.nan)),
+             BinOp("/", Num(1), Var()), BinOp("/", Num(1.0), Var()),
+             Neg(Num(-0.0)), Num(math.inf), BinOp("/", Num(1.0), Num(0.0)),
+             # abs(inf) raises nothing and tanh hides it: only a check on
+             # the Call node sees it
+             BinOp("+", Var(), Call("tanh", Call("abs", Num(math.inf))))]
+    for tree in trees:
+        f = exprlang.compile(tree)
+        for x in (-0.0, 0.0, 2.0):
+            assert _outcome(f, x) == _outcome(_walk(tree), x)
+
+
+@pytest.mark.parametrize("tree", [
+    BinOp("%", Var(), Num(1.0)),
+    BinOp("+", Num(1.0), BinOp("**", Var(), Num(2.0))),
+    Call("__import__", Var()),
+    Call("eval", Num(1.0)),
+])
+def test_compile_rejects_unknown_operators_and_functions(tree):
+    with pytest.raises(ExprError):
+        exprlang.compile(tree)
 
 
 def test_shipped_expressions_finite_on_grid():

@@ -131,7 +131,7 @@ def test_constant_field_matches_scalar_horner(fisher):
     for c in (-1.5, -0.3, 0.0, 0.4, 1.0, 2.5):
         got = fisher.apply_P_values(np.full(fisher.grid.m, c))
         assert np.allclose(got, scalar_p(c), atol=1e-14)
-        assert fisher.scalar_P(c, 0.0) == pytest.approx(scalar_p(c), abs=1e-14)
+        assert fisher.scalar_P(c, fisher.coeffs_at(0.0)) == pytest.approx(scalar_p(c), abs=1e-14)
 
 
 def test_overflow_reported(pure_cubic):
@@ -210,8 +210,9 @@ def test_scalar_and_vector_forms_agree(case, signed, seed):
     for j, (x, u) in enumerate(zip(nl.grid.nodes, v)):
         scale = abs(u) ** n + sum(abs(a[j]) * abs(u) ** i
                                   for i, a in enumerate(nl.coeff_samples))
-        assert abs(nl.scalar_P(u, x) - p_vec[j]) <= 1e-13 * scale
-        assert abs(nl.scalar_potential(u, x) - q_vec[j]) <= 1e-13 * scale * abs(u)
+        coeffs = nl.coeffs_at(x)
+        assert abs(nl.scalar_P(u, coeffs) - p_vec[j]) <= 1e-13 * scale
+        assert abs(nl.scalar_potential(u, coeffs) - q_vec[j]) <= 1e-13 * scale * abs(u)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradflow1d.grid import SpatialGrid, laplacian_values
 from gradflow1d.tridiag import (
@@ -90,3 +92,18 @@ def test_implicit_diffusion_vs_dense():
     rhs = rng.standard_normal(g.m)
     x = ImplicitDiffusionSolver(g, dt).solve(rhs)
     assert np.allclose(x, np.linalg.solve(mat, rhs), atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 128),
+       st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_implicit_diffusion_vs_dense_property(boundary, m, mu, seed):
+    # cond(I - dt Lap_h) <= 1 + 4 mu, so the forward error scales with it
+    g = SpatialGrid(5.0, m, boundary)
+    dt = mu * g.h**2
+    lap = np.column_stack([laplacian_values(col, g) for col in np.eye(m)])
+    rhs = np.random.default_rng(seed).standard_normal(m)
+    ref = np.linalg.solve(np.eye(m) - dt * lap, rhs)
+    x = ImplicitDiffusionSolver(g, dt).solve(rhs)
+    err = np.abs(x - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12 * (1.0 + 4.0 * mu)
