@@ -6,7 +6,7 @@ the reaction.  Step control halves dt when the explicit increment
 dt*sup|P(u)| exceeds its limit or the linear solve degrades (a failed
 factorization counts as degraded), and doubles it back (up to dt_max)
 after ten smooth steps.  Numerical failure modes land in the trajectory
-status, never in exceptions.
+status and its stop_reason, never in exceptions.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
 from . import exprlang, problem
-from .functionals import action_parts, energy_addend
-from .grid import Field, SpatialGrid, laplacian_values, write_field_csv
+from .functionals import action_parts_extended, energy_addend
+from .grid import Field, SpatialGrid, extend, laplacian_extended, write_field_csv
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
 
@@ -37,12 +38,22 @@ __all__ = [
     "CONVERGED",
     "BLOW_UP",
     "T_MAX_REACHED",
+    "STOP_REASONS",
 ]
 
 RUNNING = "running"
 CONVERGED = "converged"
 BLOW_UP = "blow_up"
 T_MAX_REACHED = "t_max_reached"
+
+# Why `run` stopped: the status itself for converged and t_max_reached, else
+# the cause of blow_up.  nonfinite_state is a non-finite right-hand side or
+# solution; nonfinite_reaction a non-finite P, Q or action part after a step;
+# the two dt collapses are halvings below dt_min by the increment guard and
+# by the solve check (a failed factorization included).
+STOP_REASONS = (CONVERGED, T_MAX_REACHED, "initial_out_of_range",
+                "increment_dt_collapse", "solve_dt_collapse", "nonfinite_state",
+                "nonfinite_reaction", "sup_guard")
 
 _SMOOTH_STEPS_BEFORE_DOUBLING = 10
 _LINEAR_SOLVE_TOL = 1e-12
@@ -92,6 +103,10 @@ class DiagnosticSeries:
         r["energy_cum"].append(energy_cum)
         r["ut_sup"].append(ut_sup)
 
+    def appenders(self) -> tuple:
+        """One bound list `append` per column, in COLUMNS order."""
+        return tuple(self._rows[c].append for c in self.COLUMNS)
+
     def __len__(self):
         return len(self._rows["t"])
 
@@ -118,11 +133,13 @@ class Trajectory:
     final_time: float
     steps: int
     escape_sign: int = 0  # sign of the extremum when status is blow_up
+    stop_reason: str = ""  # see STOP_REASONS
 
     def summary_dict(self) -> dict:
         d = self.diagnostics
         out = {
             "status": self.status,
+            "stop_reason": self.stop_reason,
             "final_time": self.final_time,
             "steps": self.steps,
             "final_sup_norm": float(d.sup_norm[-1]) if len(d) else None,
@@ -166,6 +183,12 @@ def run(
     forcing, when given, is a callable t -> ndarray added to P(u); a value
     that does not broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
+
+    Every finite check tests a reduction the step takes anyway: max|rhs|
+    (the solve residual's scale), max|x| (the sup_norm column), max|P(u)|
+    (the next increment guard) and the potential sum (inside the action);
+    max and sum propagate inf and nan.  P and Q are evaluated unchecked
+    under one np.errstate for the whole run.
     """
     if not t_max > 0:
         raise ValueError("t_max > 0 required")
@@ -178,6 +201,7 @@ def run(
         nl = Nonlinearity(spec, g)
 
     diag = DiagnosticSeries()
+    add_t, add_dt, add_sup, add_action, add_energy, add_ut = diag.appenders()
     snaps = [(0.0, u0)]
     snap_step = 0  # steps taken when snaps[-1] was recorded
     u = u0.values
@@ -186,108 +210,126 @@ def run(
     energy = 0.0
     steps = 0
     smooth = 0
-    status = RUNNING
-    escape_sign = 0
+    reason = ""  # set by every exit of the loop
     limit = ctrl.safety * ctrl.increment_limit
+    dt_min, dt_max, sup_guard = ctrl.dt_min, ctrl.dt_max, ctrl.sup_guard
+    tol_eq = stop.tol_eq
+    h, boundary = g.h, g.boundary
+    reaction = nl.apply_P_unchecked
+    absolute = np.abs
     solvers = {}  # dt -> factored solver, in front of the process-wide cache
 
-    try:
-        p_now = nl.apply_P_values(u)
-        resid_now = laplacian_values(u, g) + p_now
-        a_now = action_parts(nl, u)[0]
-    except RangeOverflowError:
-        # initial data already beyond polynomial range
-        return Trajectory([(0.0, u0)], diag, BLOW_UP, u0, u0, 0.0, 0,
-                          escape_sign=_extreme_sign(u))
-    ut_sup = float(np.abs(resid_now).max())
-    diag.append(0.0, 0.0, float(np.abs(u).max()), a_now, energy, ut_sup)
-    if ut_sup < stop.tol_eq:
-        status = CONVERGED
-
-    t_end_tol = 1e-12 * max(1.0, t_max)
-    while status == RUNNING:
-        if t >= t_max - t_end_tol:
-            status = T_MAX_REACHED
-            break
-        dt = min(dt, t_max - t)
-
-        # explicit-increment guard; collapse of dt counts as blow-up evidence
-        p_sup = float(np.abs(p_now).max())
-        while dt * p_sup > limit:
-            dt *= 0.5
-            smooth = 0
-            if dt < ctrl.dt_min:
-                status = BLOW_UP
-                escape_sign = _extreme_sign(u)
-                break
-        if status != RUNNING:
-            break
-
-        forcing_now = forcing(t) if forcing is not None else None
-        rhs = u + dt * (p_now if forcing_now is None else p_now + forcing_now)
-        if not np.isfinite(rhs).all():
-            status = BLOW_UP
-            escape_sign = _extreme_sign(u)
-            break
-        solver = solvers.get(dt)
-        if solver is None:
-            try:
-                solver = solvers[dt] = _solver(g, float(dt))
-            except np.linalg.LinAlgError:
-                pass  # not positive definite in floating point at this dt
-        if solver is not None:
-            x = solver.solve(rhs)
-            lap_x = laplacian_values(x, g)
-        if solver is None or solver.relative_residual(x, rhs, lap_x) > _LINEAR_SOLVE_TOL:
-            # degraded solve or no factor at this dt: retry with half the step
-            dt *= 0.5
-            smooth = 0
-            if dt < ctrl.dt_min:
-                status = BLOW_UP
-                escape_sign = _extreme_sign(u)
-                break
-            continue
-        if not np.isfinite(x).all():
-            status = BLOW_UP
-            escape_sign = _extreme_sign(u)
-            break
-
-        # windowed energy, accumulated every step regardless of stride
-        energy += energy_addend(u, x, resid_now, dt, g.h)
-
-        t += dt
-        steps += 1
-        u = x
-        sup_u = float(np.abs(u).max())
-
-        if sup_u > ctrl.sup_guard:
-            status = BLOW_UP
-            escape_sign = _extreme_sign(u)
-            break
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_now = reaction(u)
+        p_sup = float(absolute(p_now).max())
+        e = extend(u, boundary)
         try:
-            p_now = nl.apply_P_values(u)
-            resid_now = lap_x + p_now
-            a_now = action_parts(nl, u)[0]
+            a_now = action_parts_extended(nl, u, e)[0]
         except RangeOverflowError:
-            status = BLOW_UP
-            escape_sign = _extreme_sign(u)
-            break
-        ut_sup = float(np.abs(resid_now).max())
-        diag.append(t, dt, sup_u, a_now, energy, ut_sup)
-        if steps % snapshot_stride == 0:
-            snaps.append((t, Field(g, u)))
-            snap_step = steps
+            p_sup = math.nan  # fails the check below, as a non-finite P does
+        if not isfinite(p_sup):  # initial data already beyond polynomial range
+            return Trajectory([(0.0, u0)], diag, BLOW_UP, u0, u0, 0.0, 0,
+                              escape_sign=_extreme_sign(u),
+                              stop_reason="initial_out_of_range")
+        resid_now = laplacian_extended(e, g) + p_now
+        ut_sup = float(absolute(resid_now).max())
+        add_t(0.0)
+        add_dt(0.0)
+        add_sup(float(absolute(u).max()))
+        add_action(a_now)
+        add_energy(energy)
+        add_ut(ut_sup)
+        if ut_sup < tol_eq:
+            reason = CONVERGED
 
-        if ut_sup < stop.tol_eq:
-            status = CONVERGED
-            break
+        t_end = t_max - 1e-12 * max(1.0, t_max)
+        while not reason:
+            if t >= t_end:
+                reason = T_MAX_REACHED
+                break
+            dt = min(dt, t_max - t)
 
-        smooth += 1
-        if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
-            dt = min(dt * 2.0, ctrl.dt_max)
-            smooth = 0
+            # explicit-increment guard; collapse of dt counts as blow-up evidence
+            while dt * p_sup > limit:
+                dt *= 0.5
+                smooth = 0
+                if dt < dt_min:
+                    reason = "increment_dt_collapse"
+                    break
+            if reason:
+                break
 
+            rhs = u + dt * (p_now if forcing is None else p_now + forcing(t))
+            rhs_sup = float(absolute(rhs).max())
+            if not isfinite(rhs_sup):
+                reason = "nonfinite_state"
+                break
+            solver = solvers.get(dt)
+            if solver is None:
+                try:
+                    solver = solvers[dt] = _solver(g, float(dt))
+                except np.linalg.LinAlgError:
+                    pass  # not positive definite in floating point at this dt
+            if solver is not None:
+                x = solver.solve(rhs)
+                e = extend(x, boundary)  # serves the Laplacian and the action
+                lap_x = laplacian_extended(e, g)
+            if (solver is None
+                    or solver.relative_residual(x, rhs, lap_x, rhs_sup) > _LINEAR_SOLVE_TOL):
+                # degraded solve or no factor at this dt: retry with half the step
+                dt *= 0.5
+                smooth = 0
+                if dt < dt_min:
+                    reason = "solve_dt_collapse"
+                    break
+                continue
+            sup_u = float(absolute(x).max())
+            if not isfinite(sup_u):
+                reason = "nonfinite_state"
+                break
+
+            # windowed energy, accumulated every step regardless of stride
+            energy += energy_addend(u, x, resid_now, dt, h)
+
+            t += dt
+            steps += 1
+            u = x
+
+            if sup_u > sup_guard:
+                reason = "sup_guard"
+                break
+
+            p_now = reaction(u)
+            p_sup = float(absolute(p_now).max())
+            try:
+                a_now = action_parts_extended(nl, u, e)[0]
+            except RangeOverflowError:
+                p_sup = math.nan  # fails the check below, as a non-finite P does
+            if not isfinite(p_sup):
+                reason = "nonfinite_reaction"
+                break
+            resid_now = lap_x + p_now
+            ut_sup = float(absolute(resid_now).max())
+            add_t(t)
+            add_dt(dt)
+            add_sup(sup_u)
+            add_action(a_now)
+            add_energy(energy)
+            add_ut(ut_sup)
+            if steps % snapshot_stride == 0:
+                snaps.append((t, Field(g, u)))
+                snap_step = steps
+
+            if ut_sup < tol_eq:
+                reason = CONVERGED
+                break
+
+            smooth += 1
+            if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
+                dt = min(dt * 2.0, dt_max)
+                smooth = 0
+
+    status = reason if reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP
     final = snaps[-1][1] if snap_step == steps else Field(g, u)
     if snaps[-1][0] != t:
         snaps.append((t, final))
@@ -299,7 +341,8 @@ def run(
         final_field=final,
         final_time=t,
         steps=steps,
-        escape_sign=escape_sign,
+        escape_sign=_extreme_sign(u) if status == BLOW_UP else 0,
+        stop_reason=reason,
     )
 
 

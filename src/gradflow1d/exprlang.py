@@ -247,7 +247,9 @@ def evaluate(e: Expr, x: float) -> float:
     """Evaluate e at the point x.
 
     Overflow, division by zero, and domain errors raise
-    NonFiniteResultError carrying the offending subexpression.
+    NonFiniteResultError carrying the offending subexpression.  An operator
+    or function the language does not have (only a hand-built tree can
+    hold one) raises ExprError, as `compile` does.
     """
     if isinstance(e, Num):
         return e.value
@@ -256,6 +258,8 @@ def evaluate(e: Expr, x: float) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.operand, x)
     if isinstance(e, BinOp):
+        if e.op not in _OPERATORS:
+            raise ExprError(f"cannot evaluate operator {e.op!r}")
         a = evaluate(e.left, x)
         b = evaluate(e.right, x)
         try:
@@ -275,6 +279,8 @@ def evaluate(e: Expr, x: float) -> float:
             raise NonFiniteResultError(to_source(e), x)
         return r
     if isinstance(e, Call):
+        if e.func not in FUNCTIONS:
+            raise ExprError(f"cannot evaluate function {e.func!r}")
         a = evaluate(e.arg, x)
         try:
             r = FUNCTIONS[e.func](a)

@@ -23,13 +23,14 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, dirichlet_energy_values
+from .grid import Field, dirichlet_energy_extended, extend
 from .nonlinearity import Nonlinearity, RangeOverflowError
 
 __all__ = [
     "ActionValue",
     "action",
     "action_parts",
+    "action_parts_extended",
     "energy_addend",
     "identity_residual",
 ]
@@ -48,9 +49,22 @@ def action(nl: Nonlinearity, u: Field) -> ActionValue:
 
 def action_parts(nl: Nonlinearity, v: np.ndarray) -> tuple[float, float, float]:
     """(value, dirichlet_part, potential_part) of the action at samples v."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return action_parts_extended(nl, v, extend(v, nl.grid.boundary))
+
+
+def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
+                          e: np.ndarray) -> tuple[float, float, float]:
+    """`action_parts` with e = grid.extend(v), for a caller that also takes
+    the Laplacian of v.
+
+    Q is evaluated unchecked: the caller holds np.errstate(over="ignore",
+    invalid="ignore"), and a non-finite Q shows in the potential sum, so a
+    non-finite part raises RangeOverflowError.
+    """
     g = nl.grid
-    dir_part = dirichlet_energy_values(v, g)
-    pot_part = g.h * float(nl.potential_values(v).sum())  # grid.integrate's rule
+    dir_part = dirichlet_energy_extended(e, g)
+    pot_part = g.h * float(nl.potential_unchecked(v).sum())  # grid.integrate's rule
     value = -dir_part + pot_part
     if not (isfinite(dir_part) and isfinite(pot_part)):
         raise RangeOverflowError("non-finite action integrand")
@@ -65,8 +79,8 @@ def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
     spacing.  The time stepper adds this once per accepted step.
     """
     udot = (u_after - u_before) / dt
-    return 0.5 * dt * h * (float(np.dot(udot, udot))
-                           + float(np.dot(resid_before, resid_before)))
+    return 0.5 * dt * h * (float(udot.dot(udot))
+                           + float(resid_before.dot(resid_before)))
 
 
 def identity_residual(traj, nl: Nonlinearity) -> float:

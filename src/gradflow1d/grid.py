@@ -93,8 +93,12 @@ class Field:
         return f"Field({self.grid!r}, sup={sup_norm(self):.6g})"
 
 
-def _extend(values: np.ndarray, boundary: str) -> np.ndarray:
-    """Values with one ghost node appended on each side."""
+def extend(values: np.ndarray, boundary: str) -> np.ndarray:
+    """Values with one ghost node appended on each side.
+
+    `laplacian_extended` and `dirichlet_energy_extended` read the result, so
+    a caller that needs both stencils of one field extends it once.
+    """
     e = np.empty(len(values) + 2)
     e[1:-1] = values
     if boundary == "periodic":
@@ -112,13 +116,17 @@ def laplacian(u: Field) -> Field:
 
 
 def laplacian_values(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    e = _extend(values, grid.boundary)
-    return (e[:-2] - 2.0 * values + e[2:]) / grid.h**2
+    return laplacian_extended(extend(values, grid.boundary), grid)
+
+
+def laplacian_extended(e: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """The Laplacian stencil on e = extend(values, grid.boundary)."""
+    return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / grid.h**2
 
 
 def gradient_sq(u: Field) -> Field:
     """Centered first difference squared per node (diagnostic |grad u|^2)."""
-    e = _extend(u.values, u.grid.boundary)
+    e = extend(u.values, u.grid.boundary)
     d = (e[2:] - e[:-2]) / (2.0 * u.grid.h)
     return Field(u.grid, d * d)
 
@@ -130,14 +138,18 @@ def dirichlet_energy(u: Field) -> float:
 
 
 def dirichlet_energy_values(values: np.ndarray, grid: SpatialGrid) -> float:
-    e = _extend(values, grid.boundary)
+    return dirichlet_energy_extended(extend(values, grid.boundary), grid)
+
+
+def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid) -> float:
+    """The Dirichlet energy stencil on e = extend(values, grid.boundary)."""
     if grid.boundary == "periodic":
-        d = e[2:] - values
+        d = e[2:] - e[1:-1]
     elif grid.boundary == "dirichlet0":
         d = e[1:] - e[:-1]
     else:
-        d = values[1:] - values[:-1]
-    return 0.5 * float(np.dot(d, d)) / grid.h
+        d = e[2:-1] - e[1:-2]
+    return 0.5 * float(d.dot(d)) / grid.h
 
 
 def integrate(u: Field) -> float:
@@ -153,7 +165,7 @@ def integrate(u: Field) -> float:
 
 def forward_difference(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """(u_{j+1} - u_j)/h with one right ghost per the boundary closure."""
-    return (_extend(values, grid.boundary)[2:] - values) / grid.h
+    return (extend(values, grid.boundary)[2:] - values) / grid.h
 
 
 def sobolev_norm(u: Field, k: int, p: float) -> float:

@@ -54,6 +54,8 @@ class Nonlinearity:
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
         self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
+        self._n = spec.N
+        self._signed = spec.signed_power
 
     @property
     def degree(self) -> int:
@@ -77,14 +79,20 @@ class Nonlinearity:
         return out
 
     def apply_P_values(self, v: np.ndarray) -> np.ndarray:
-        n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = horner(self.coeff_samples, v)
-            if self.signed_power:
-                acc = acc - v * np.abs(v) ** (n - 1)
-            else:
-                acc = acc - v**n
-        return self._check(acc, "P(u)")
+            return self._check(self.apply_P_unchecked(v), "P(u)")
+
+    def apply_P_unchecked(self, v: np.ndarray) -> np.ndarray:
+        """P at samples v with no finite check.
+
+        The caller holds np.errstate(over="ignore", invalid="ignore") and
+        tests the result through a reduction it takes anyway (max or sum
+        propagate inf and nan).
+        """
+        acc = horner(self.coeff_samples, v)
+        if self._signed:
+            return acc - v * np.abs(v) ** (self._n - 1)
+        return acc - v**self._n
 
     def apply_dP(self, u: Field) -> Field:
         """Pointwise derivative of P in u (the Jacobian diagonal)."""
@@ -103,12 +111,17 @@ class Nonlinearity:
         return Field(self.grid, self.potential_values(u.values))
 
     def potential_values(self, v: np.ndarray) -> np.ndarray:
-        n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = horner(self._Q_coeffs, v) * v
-            acc = acc - np.abs(v) ** (n + 1) / (n + 1) if self.signed_power \
-                else acc - v ** (n + 1) / (n + 1)
-        return self._check(acc, "potential(u)")
+            return self._check(self.potential_unchecked(v), "potential(u)")
+
+    def potential_unchecked(self, v: np.ndarray) -> np.ndarray:
+        """The potential Q at samples v with no finite check, on the terms
+        of `apply_P_unchecked`."""
+        n = self._n
+        acc = horner(self._Q_coeffs, v) * v
+        if self._signed:
+            return acc - np.abs(v) ** (n + 1) / (n + 1)
+        return acc - v ** (n + 1) / (n + 1)
 
     def coeffs_at(self, xval: float):
         """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""

@@ -106,30 +106,36 @@ class ImplicitDiffusionSolver:
         cb[0, 1:] = -mu
         cb[1, :] = diag
         self._factor = cholesky_banded(cb, check_finite=False)
-        if grid.boundary == "periodic":
+        self._periodic = grid.boundary == "periodic"
+        if self._periodic:
             u = np.zeros(m)
             u[0] = gamma
             u[-1] = -mu
             z = self._band_solve(u)
             self._z = z
-            self._vz = z[0] + (-mu / gamma) * z[-1]
+            self._corner = -mu / gamma
+            self._vz = z[0] + self._corner * z[-1]
+            self._denom = float(1.0 + self._vz)
 
     def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(self._factor, rhs, lower=0)
+        x, info = dpbtrs(self._factor, rhs)  # upper factor, lower=0
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._band_solve(rhs)
-        if self.grid.boundary != "periodic":
+        if not self._periodic:
             return y
-        vy = y[0] + (-self._mu / self._gamma) * y[-1]
-        return y - self._z * (vy / (1.0 + self._vz))
+        vy = y.item(0) + self._corner * y.item(-1)
+        return y - self._z * (vy / self._denom)
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,
-                          lap_x: np.ndarray) -> float:
-        """max|(I - dt*Lap_h) x - rhs| / max|rhs|; lap_x is laplacian_values(x)."""
+                          lap_x: np.ndarray, rhs_sup: float) -> float:
+        """max|(I - dt*Lap_h) x - rhs| / max|rhs|.
+
+        lap_x is laplacian_values(x) and rhs_sup is max|rhs|, both of which
+        the time stepper has already computed.
+        """
         r = (x - self.dt * lap_x) - rhs
-        scale = float(np.abs(rhs).max()) + 1e-300
-        return float(np.abs(r).max()) / scale
+        return float(np.abs(r).max()) / (rhs_sup + 1e-300)

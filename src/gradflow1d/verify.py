@@ -36,7 +36,7 @@ __all__ = [
 
 
 SUITES = ("mms", "action_monotonicity", "identity_residual", "reaction_bound",
-          "blowup_timing")
+          "blowup_timing", "gradient_consistency")
 
 
 @dataclass
@@ -300,14 +300,16 @@ def default_suites(seed: int = 0,
                    names=SUITES) -> list[SuiteResult]:
     """The suites run by the CLI `verify` subcommand, in `SUITES` order.
 
-    Only the suites in names are built.  ctrl and t_max override the
+    Only the suites in names are built.  seed seeds the randomized runs and
+    the gradient-consistency pairs.  ctrl and t_max override the
     randomized-runs suite only (they exist so a deliberately out-of-range
     step size can be shown to break monotonicity).
     """
     mono_kwargs = {"seed": seed, "ctrl": ctrl}
     if t_max is not None:
         mono_kwargs["t_max"] = t_max
-    kwargs = {"action_monotonicity": mono_kwargs}
+    kwargs = {"action_monotonicity": mono_kwargs,
+              "gradient_consistency": {"seed": seed}}
     # looked up per call, so a rebound module attribute is the one that runs
     return [globals()[f"suite_{name}"](**kwargs.get(name, {}))
             for name in SUITES if name in names]

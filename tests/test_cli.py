@@ -44,7 +44,7 @@ def test_simulate_converged(tmp_path):
     cfg = _write(tmp_path, _fisher_config(tmp_path / "out"))
     assert main(["simulate", cfg, "--quiet"]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
-    assert summary["status"] == "converged"
+    assert summary["status"] == summary["stop_reason"] == "converged"
     assert summary["final_ut_sup"] < 1e-8
     assert "coefficient_norms" in summary
     assert (tmp_path / "out" / "diagnostics.csv").exists()
@@ -67,6 +67,8 @@ def test_simulate_blowup_exit_code(tmp_path):
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["status"] == "blow_up"
     assert summary["escape_sign"] == -1
+    # |u| reaches about 950, where dt*u^2 <= 0.09 needs dt below dt_min
+    assert summary["stop_reason"] == "increment_dt_collapse"
 
 
 def test_missing_config_file(tmp_path):
@@ -261,6 +263,18 @@ def test_verify_subset_passes(tmp_path):
     assert report["all_passed"] is True
     assert {s["name"] for s in report["suites"]} == {"blowup_timing",
                                                      "reaction_bound"}
+
+
+def test_verify_gradient_consistency_suite(tmp_path):
+    data = _fisher_config(tmp_path / "out")
+    data["verify"] = {"suites": ["gradient_consistency"]}
+    assert main(["verify", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["all_passed"] is True
+    [suite] = report["suites"]
+    assert suite["name"] == "gradient_consistency"
+    assert suite["details"]["pairs"] == 100
+    assert suite["details"]["worst_abs_error"] <= 1e-6
 
 
 def test_verify_builds_only_requested_suites(tmp_path, monkeypatch):

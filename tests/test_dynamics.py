@@ -7,6 +7,7 @@ from gradflow1d import problem, verify
 from gradflow1d.dynamics import (
     BLOW_UP,
     CONVERGED,
+    STOP_REASONS,
     T_MAX_REACHED,
     DiagnosticSeries,
     StepControl,
@@ -119,11 +120,59 @@ def test_run_halves_dt_when_factorization_fails():
     assert traj.steps == 0
 
 
+def _blow_up_case(reason):
+    """(spec, u0, ctrl, t_max, forcing) of a run that stops for `reason`."""
+    spec, g = _zero_reaction(m=16)  # P = -u^2
+    fixed = dict(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3)
+    if reason == "initial_out_of_range":
+        spec, g = _zero_reaction(m=16, n=4)  # (1e100)^4 overflows
+        return spec, Field.constant(g, 1e100), StepControl(), 1.0, None
+    if reason == "increment_dt_collapse":
+        # dt*|P| = 1e-3*1e4 needs dt <= 9e-6, below dt_min
+        ctrl = StepControl(dt_init=1e-3, dt_min=1e-4, dt_max=1e-3)
+        return spec, Field.constant(g, -100.0), ctrl, 1.0, None
+    if reason == "solve_dt_collapse":
+        # every factorization fails down to dt_min (see the test above)
+        spec, nl = _fisher(m=256, boundary="neumann0")
+        ctrl = StepControl(dt_init=1e15, dt_min=1e14, dt_max=1e15,
+                           increment_limit=1e30)
+        return spec, Field.constant(nl.grid, 0.5), ctrl, 1e16, None
+    if reason == "nonfinite_state":
+        return (spec, Field.constant(g, 0.5), StepControl(**fixed), 1.0,
+                lambda t: np.full(g.m, np.inf))
+    if reason == "nonfinite_reaction":
+        # P(u0) = -1e204 and Q(u0) are finite; one unguarded step lands
+        # near -1e201, where u^2 overflows
+        ctrl = StepControl(**fixed, safety=1.0, increment_limit=1e300,
+                           sup_guard=1e307)
+        return spec, Field.constant(g, -1e102), ctrl, 1.0, None
+    assert reason == "sup_guard"
+    # u' = -u^2 from -1 passes -20 at t = 0.95, long before dt collapses
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-3, sup_guard=20.0)
+    return spec, Field.constant(g, -1.0), ctrl, 2.0, None
+
+
+@pytest.mark.parametrize("reason", [r for r in STOP_REASONS
+                                    if r not in (CONVERGED, T_MAX_REACHED)])
+def test_run_names_each_blow_up_cause(reason):
+    spec, u0, ctrl, t_max, forcing = _blow_up_case(reason)
+    traj = run(spec, u0, ctrl, t_max, forcing=forcing)
+    assert traj.status == BLOW_UP
+    assert traj.stop_reason == reason
+    if reason == "sup_guard":
+        assert sup_norm(traj.final_field) > 20.0
+    else:
+        assert traj.steps == (1 if reason == "nonfinite_reaction" else 0)
+    summary = traj.summary_dict()
+    assert (summary["status"], summary["stop_reason"]) == (BLOW_UP, reason)
+
+
 def test_run_converges_immediately_at_equilibrium():
     spec, nl = _fisher()
     ctrl = StepControl()
     traj = run(spec, Field.constant(nl.grid, 1.0), ctrl, 5.0, nl=nl)
     assert traj.status == CONVERGED
+    assert traj.stop_reason == CONVERGED
     assert traj.steps == 0
     assert traj.diagnostics.ut_sup[0] == 0.0
 
@@ -152,6 +201,7 @@ def test_run_tmax_reached():
     ctrl = StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-3)
     traj = run(spec, Field.constant(nl.grid, 0.5), ctrl, 0.5, nl=nl)
     assert traj.status == T_MAX_REACHED
+    assert traj.stop_reason == T_MAX_REACHED
     assert traj.final_time == pytest.approx(0.5, abs=1e-9)
 
 

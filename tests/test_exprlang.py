@@ -218,15 +218,29 @@ def test_compiled_hand_built_literals():
             assert _outcome(f, x) == _outcome(_walk(tree), x)
 
 
-@pytest.mark.parametrize("tree", [
+_UNKNOWN_NODES = [
     BinOp("%", Var(), Num(1.0)),
     BinOp("+", Num(1.0), BinOp("**", Var(), Num(2.0))),
     Call("__import__", Var()),
     Call("eval", Num(1.0)),
-])
+    BinOp("%", Num(2.0), Num(3.0)),
+    Call("log", Var()),
+]
+
+
+@pytest.mark.parametrize("tree", _UNKNOWN_NODES)
 def test_compile_rejects_unknown_operators_and_functions(tree):
     with pytest.raises(ExprError):
         exprlang.compile(tree)
+
+
+@pytest.mark.parametrize("tree", _UNKNOWN_NODES)
+def test_evaluate_rejects_unknown_operators_and_functions(tree):
+    # the walk used to take any operator for "^" (2 % 3 gave 8.0) and raised
+    # KeyError for an unknown function
+    with pytest.raises(ExprError) as exc:
+        evaluate(tree, 1.0)
+    assert not isinstance(exc.value, NonFiniteResultError)
 
 
 def test_shipped_expressions_finite_on_grid():

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_nonlinearity import _coefficient_exprs
 
 from gradflow1d import dynamics, problem, verify
 from gradflow1d.functionals import action, energy_addend, identity_residual
-from gradflow1d.grid import Field, laplacian_values
+from gradflow1d.grid import BOUNDARIES, Field, dirichlet_energy_values, laplacian_values
 from gradflow1d.nonlinearity import Nonlinearity
+
+_EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -148,3 +153,53 @@ def test_identity_residual_positive_for_non_solution(fisher):
 def test_gradient_consistency_suite():
     res = verify.suite_gradient_consistency(n_pairs=40)
     assert res.passed, res.details
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficient_exprs(), st.booleans(), st.sampled_from(BOUNDARIES),
+       st.integers(8, 128), st.integers(0, 2**32 - 1))
+def test_action_gradient_is_laplacian_plus_P(case, signed, boundary, m, seed):
+    # the matched stencils make h*(laplacian(u) + P(u)) the exact gradient of
+    # the discrete action, so a central difference along v differs from the
+    # inner product only by its truncation and by rounding
+    n, exprs = case
+    spec = problem.spec_from_dict({
+        "N": n, "coeffs": exprs, "box_half_length": 5.0, "grid_points": m,
+        "boundary": boundary, "signed_power": signed,
+    })
+    g = problem.make_grid(spec)
+    nl = Nonlinearity(spec, g)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.5, 1.5, m)
+    v = rng.uniform(-1.0, 1.0, m)
+    step = 1e-4
+    plus, minus = u + step * v, u - step * v
+    fd = (action(nl, Field(g, plus)).value
+          - action(nl, Field(g, minus)).value) / (2.0 * step)
+    lap, p = laplacian_values(u, g), nl.apply_P_values(u)
+    inner = g.h * float(np.dot(lap + p, v))
+
+    # the Dirichlet part is quadratic, so only Q truncates: at most
+    # step^2/6 * h * sum |P''| |v|^3 on the segment, and |P''| is at most
+    # S''(|u| + step|v|) with S(r) = r^N + sum |a_i| r^i the majorant of P
+    a = [np.abs(c) for c in nl.coeff_samples]
+    r = np.abs(u) + step * np.abs(v)
+    s2 = n * (n - 1) * r ** (n - 2) + sum(i * (i - 1) * a[i] * r ** (i - 2)
+                                          for i in range(2, n))
+    truncation = step**2 / 6.0 * g.h * float(np.sum(s2 * np.abs(v) ** 3))
+
+    # each action carries at most (m + 4N + 16) eps of its term size (the dot
+    # product's worst case m eps, Horner's 2N + 3, the node sum and the final
+    # combination); the difference divides that by 2 step; the inner product
+    # carries (m + 8) eps of its own term size
+    def term_size(w):
+        aw = np.abs(w)
+        q = aw ** (n + 1) / (n + 1) + sum(c * aw ** (i + 1) / (i + 1)
+                                          for i, c in enumerate(a))
+        return dirichlet_energy_values(w, g) + g.h * float(np.sum(q))
+
+    pmaj = r**n + sum(c * r**i for i, c in enumerate(a))
+    rounding = ((m + 4 * n + 16) * _EPS * (term_size(plus) + term_size(minus))
+                / (2.0 * step)
+                + (m + 8) * _EPS * g.h * float(np.sum((np.abs(lap) + pmaj) * np.abs(v))))
+    assert abs(fd - inner) <= truncation + rounding

@@ -60,13 +60,14 @@ def _extreme_sign(u):
 
 
 def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
-    """(diagnostics, snapshots, status, final_field, final_time, steps, escape_sign)."""
+    """(diagnostics, snapshots, status, final_field, final_time, steps,
+    escape_sign, stop_reason)."""
     g = u0.grid
     solvers = {}
     diag = DiagnosticSeries()
     snaps = [(0.0, u0)]
     u, t, dt, energy, steps, smooth = u0, 0.0, ctrl.dt_init, 0.0, 0, 0
-    status, escape_sign = RUNNING, 0
+    status, escape_sign, reason = RUNNING, 0, ""
     limit = ctrl.safety * ctrl.increment_limit
 
     def reaction_and_residual(f):
@@ -77,16 +78,17 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
         p_now, resid_now = reaction_and_residual(u)
         a_now = action(nl, u).value
     except RangeOverflowError:
-        return diag, [(0.0, u0)], BLOW_UP, u0, 0.0, 0, _extreme_sign(u0)
+        return (diag, [(0.0, u0)], BLOW_UP, u0, 0.0, 0, _extreme_sign(u0),
+                "initial_out_of_range")
     ut_sup = float(np.max(np.abs(resid_now)))
     diag.append(0.0, 0.0, sup_norm(u), a_now, energy, ut_sup)
     if ut_sup < stop.tol_eq:
-        status = CONVERGED
+        status = reason = CONVERGED
 
     t_end_tol = 1e-12 * max(1.0, t_max)
     while status == RUNNING:
         if t >= t_max - t_end_tol:
-            status = T_MAX_REACHED
+            status = reason = T_MAX_REACHED
             break
         dt = min(dt, t_max - t)
         p_sup = float(np.max(np.abs(p_now)))
@@ -95,6 +97,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
             smooth = 0
             if dt < ctrl.dt_min:
                 status, escape_sign = BLOW_UP, _extreme_sign(u)
+                reason = "increment_dt_collapse"
                 break
         if status != RUNNING:
             break
@@ -103,6 +106,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
                                else p_now + forcing_now)
         if not np.all(np.isfinite(rhs)):
             status, escape_sign = BLOW_UP, _extreme_sign(u)
+            reason = "nonfinite_state"
             break
         if dt not in solvers:
             solvers[dt] = ImplicitDiffusionSolver(g, dt)
@@ -112,10 +116,12 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
             smooth = 0
             if dt < ctrl.dt_min:
                 status, escape_sign = BLOW_UP, _extreme_sign(u)
+                reason = "solve_dt_collapse"
                 break
             continue
         if not np.all(np.isfinite(x)):
             status, escape_sign = BLOW_UP, _extreme_sign(u)
+            reason = "nonfinite_state"
             break
         u_next = Field(g, x)
         energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h)
@@ -125,19 +131,21 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
         sup_u = sup_norm(u)
         if sup_u > ctrl.sup_guard:
             status, escape_sign = BLOW_UP, _extreme_sign(u)
+            reason = "sup_guard"
             break
         try:
             p_now, resid_now = reaction_and_residual(u)
             a_now = action(nl, u).value
         except RangeOverflowError:
             status, escape_sign = BLOW_UP, _extreme_sign(u)
+            reason = "nonfinite_reaction"
             break
         ut_sup = float(np.max(np.abs(resid_now)))
         diag.append(t, dt, sup_u, a_now, energy, ut_sup)
         if steps % snapshot_stride == 0:
             snaps.append((t, u))
         if ut_sup < stop.tol_eq:
-            status = CONVERGED
+            status = reason = CONVERGED
             break
         smooth += 1
         if smooth >= 10:
@@ -146,7 +154,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
 
     if snaps[-1][0] != t:
         snaps.append((t, u))
-    return diag, snaps, status, u, t, steps, escape_sign
+    return diag, snaps, status, u, t, steps, escape_sign, reason
 
 
 @st.composite
@@ -192,18 +200,24 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-@settings(max_examples=30, deadline=None)
+# 30 cases in a tier-1 run; a profile that asks for more than hypothesis's
+# default of 100 examples (ci-deep in tests/conftest.py) sets the count
+_EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 30
+
+
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(_cases())
 def test_run_matches_reference_stepper_bit_for_bit(case):
     spec, u0, ctrl, t_max, stop, forcing, stride = case
     nl = Nonlinearity(spec, u0.grid)
-    diag, snaps, status, final, t, steps, sign = reference_run(
+    diag, snaps, status, final, t, steps, sign, reason = reference_run(
         u0, nl, ctrl, t_max, stop, forcing, stride)
     traj = run(spec, u0, ctrl, t_max, stop, forcing=forcing,
                snapshot_stride=stride, nl=nl)
     for c in DiagnosticSeries.COLUMNS:
         assert _bits(getattr(traj.diagnostics, c)) == _bits(getattr(diag, c)), c
     assert (traj.status, traj.steps, traj.escape_sign) == (status, steps, sign)
+    assert traj.stop_reason == reason
     assert traj.final_time == t
     assert _bits(traj.final_field.values) == _bits(final.values)
     assert [s for s, _ in traj.snapshots] == [s for s, _ in snaps]
