@@ -24,7 +24,7 @@ from .equilibria import (
     unstable_direction,
 )
 from .functionals import ActionValue, action, energy_addend, identity_residual
-from .grid import Field, SpatialGrid, gradient_sq, integrate, laplacian, sobolev_norm, sup_norm
+from .grid import Field, SpatialGrid, integrate, sobolev_norm, sup_norm
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .problem import ProblemSpec, SpecValidationError, coefficient_norms, load_spec, make_grid
 

@@ -36,6 +36,14 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys each optional section may hold; `control` is checked by StepControl
+SECTION_KEYS = {
+    "equilibria": {"constant_roots", "newton_guesses", "shooting"},
+    "connect": {"match_tol", "tail_tol", "launches"},
+    "verify": {"control", "suites", "t_max"},
+}
+
+
 @dataclass
 class RunConfig:
     spec: problem.ProblemSpec
@@ -65,41 +73,92 @@ def load_config(path: str) -> RunConfig:
         spec = problem.spec_from_dict(data["spec"])
     except problem.SpecValidationError as e:
         raise ConfigError(str(e)) from e
-    ctrl_data = dict(data.get("control", {}))
+    ctrl_data = dict(_object(data.get("control", {}), "control"))
     ctrl_data.setdefault("sup_guard", spec.sup_guard)
     try:
         ctrl = dynamics.StepControl(**ctrl_data)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad control section: {e}") from e
     known = {"spec", "control", "initial_condition", "t_max", "snapshot_stride",
-             "output_dir", "seed", "tol_eq", "equilibria", "connect", "verify"}
+             "output_dir", "seed", "tol_eq", *SECTION_KEYS}
     unknown = data.keys() - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    try:
-        t_max = float(data.get("t_max", 10.0))
-        seed = int(data.get("seed", 0))
-        tol_eq = float(data.get("tol_eq", 1e-8))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad run field: {e}") from e
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ConfigError(f"t_max must be a finite number > 0, got {t_max!r}")
-    stride = data.get("snapshot_stride", 64)
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-        raise ConfigError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
+    t_max = _positive(data, "t_max", 10.0, "run")
+    tol_eq = _number(data, "tol_eq", 1e-8, "run")
+    if not tol_eq >= 0:
+        raise ConfigError(f"tol_eq must be >= 0, got {tol_eq!r}")
+    seed = _integer(data, "seed", 0, 0)
+    stride = _integer(data, "snapshot_stride", 64, 1)
+    initial_condition = _string(data.get("initial_condition", "0"), "initial_condition")
+    output_dir = _string(data.get("output_dir", "out"), "output_dir")
+    sections = {}
+    for name, keys in SECTION_KEYS.items():
+        section = sections[name] = _object(data.get(name, {}), name)
+        unknown = section.keys() - keys
+        if unknown:
+            raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    for src in _list(sections["equilibria"], "newton_guesses", "equilibria"):
+        _string(src, "newton_guesses entry")
+    for shot in _list(sections["equilibria"], "shooting", "equilibria"):
+        _object(shot, "shooting entry")
+    _list(sections["connect"], "launches", "connect")
+    if "control" in sections["verify"]:
+        _object(sections["verify"]["control"], "verify.control")
     return RunConfig(
         spec=spec,
         control=ctrl,
-        initial_condition=data.get("initial_condition", "0"),
+        initial_condition=initial_condition,
         t_max=t_max,
         snapshot_stride=stride,
-        output_dir=data.get("output_dir", "out"),
+        output_dir=output_dir,
         seed=seed,
         tol_eq=tol_eq,
-        equilibria=data.get("equilibria", {}),
-        connect=data.get("connect", {}),
-        verify=data.get("verify", {}),
+        **sections,
     )
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _list(section: dict, key: str, where: str) -> list:
+    value = section.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _integer(section: dict, key: str, default: int, least: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(section: dict, key: str, default: float, where: str) -> float:
+    try:
+        value = float(section.get(key, default))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {where} field {key!r}: {e}") from e
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} field {key!r} must be finite, got {value!r}")
+    return value
+
+
+def _positive(section: dict, key: str, default: float, where: str) -> float:
+    value = _number(section, key, default, where)
+    if not value > 0:
+        raise ConfigError(f"{where} field {key!r} must be > 0, got {value!r}")
+    return value
 
 
 def _say(quiet: bool, *args) -> None:
@@ -171,7 +230,7 @@ def build_catalog(cfg: RunConfig):
                     and all(sup_norm(Field(g, eq.field.values - c.field.values)) > 1e-8
                             for c in catalog)):
                 catalog.append(eq)
-        except (KeyError, ValueError, ArithmeticError) as e:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             errors.append({"source": "shooting", "start": shot, "error": str(e)})
     return catalog, errors
 
@@ -198,23 +257,6 @@ def cmd_equilibria(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _launch_number(entry: dict, key: str, default: float) -> float:
-    try:
-        value = float(entry.get(key, default))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad launch field {key!r}: {e}") from e
-    if not math.isfinite(value):
-        raise ConfigError(f"launch field {key!r} must be finite, got {value!r}")
-    return value
-
-
-def _launch_t_max(entry: dict, default: float) -> float:
-    t_max = _launch_number(entry, "t_max", default)
-    if not t_max > 0:
-        raise ConfigError(f"launch t_max must be > 0, got {t_max!r}")
-    return t_max
-
-
 def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
     plan = []
     for entry in cfg.connect.get("launches", []):
@@ -226,8 +268,9 @@ def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
                 raise ConfigError("front entry needs initial_condition")
             plan.append(connections.LaunchSpec(
                 kind="front",
-                initial_condition=entry["initial_condition"],
-                t_max=_launch_t_max(entry, cfg.t_max),
+                initial_condition=_string(entry["initial_condition"],
+                                          "front initial_condition"),
+                t_max=_positive(entry, "t_max", cfg.t_max, "launch"),
             ))
             continue
         if "from_index" in entry:
@@ -235,7 +278,7 @@ def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise ConfigError(f"from_index must be an integer, got {idx!r}")
         elif "from_value" in entry:
-            want = _launch_number(entry, "from_value", 0.0)
+            want = _number(entry, "from_value", 0.0, "launch")
             if not catalog:
                 raise ConfigError("from_value needs a non-empty catalog")
             idx = min(range(len(catalog)),
@@ -247,22 +290,22 @@ def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
         plan.append(connections.LaunchSpec(
             kind="launch",
             from_index=idx,
-            amplitude=_launch_number(entry, "amplitude", 1e-3),
-            t_max=_launch_t_max(entry, cfg.t_max),
+            amplitude=_number(entry, "amplitude", 1e-3, "launch"),
+            t_max=_positive(entry, "t_max", cfg.t_max, "launch"),
             seed=cfg.seed,
         ))
     return plan
 
 
 def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
+    opts = cfg.connect
+    match_tol = _number(opts, "match_tol", connections.DEFAULT_MATCH_TOL, "connect")
+    tail_tol = _number(opts, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect")
     catalog, _ = build_catalog(cfg)
     plan = _parse_plan(cfg, catalog)
     table = connections.connection_energy_audit(
         cfg.spec, catalog, plan, cfg.control,
-        stop=dynamics.StopRule(cfg.tol_eq),
-        match_tol=float(cfg.connect.get("match_tol", connections.DEFAULT_MATCH_TOL)),
-        tail_tol=float(cfg.connect.get("tail_tol", connections.DEFAULT_TAIL_TOL)),
-    )
+        stop=dynamics.StopRule(cfg.tol_eq), match_tol=match_tol, tail_tol=tail_tol)
     os.makedirs(out_dir, exist_ok=True)
     table.write_csv(os.path.join(out_dir, "connections.csv"))
     for row in table.rows:
@@ -288,10 +331,10 @@ def cmd_verify(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     if unknown:
         raise ConfigError(f"unknown verify suites {unknown}; "
                           f"known: {list(verify.SUITES)}")
-    t_max = cfg.verify.get("t_max")
-    results = verify.default_suites(seed=cfg.seed, ctrl=ctrl,
-                                    t_max=None if t_max is None else float(t_max),
-                                    names=names)
+    t_max = None
+    if cfg.verify.get("t_max") is not None:
+        t_max = _positive(cfg.verify, "t_max", None, "verify")
+    results = verify.default_suites(seed=cfg.seed, ctrl=ctrl, t_max=t_max, names=names)
     for res in results:
         _say(quiet, f"{res.name}: {'pass' if res.passed else 'FAIL'}")
     os.makedirs(out_dir, exist_ok=True)

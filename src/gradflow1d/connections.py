@@ -28,8 +28,6 @@ __all__ = [
     "AuditTable",
     "launch_connection",
     "energy_growth_diagnostic",
-    "front_position",
-    "front_speed",
     "connection_energy_audit",
 ]
 
@@ -40,6 +38,7 @@ DEFAULT_MATCH_TOL = 1e-4
 DEFAULT_TAIL_TOL = 1e-8
 TAIL_WINDOW_FRACTION = 0.1
 GROWTH_MIN_ROWS = 100
+GROWTH_FIT_MIN = 0.99  # a front row needs a linear-fit R^2 above this
 
 
 @dataclass
@@ -91,7 +90,6 @@ def launch_connection(
     stop: dynamics.StopRule = dynamics.StopRule(),
     match_tol: float = DEFAULT_MATCH_TOL,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    snapshot_stride: int = 64,
     nl: Nonlinearity | None = None,
 ) -> ConnectionReport:
     """Run from eq_from + amplitude*direction and account for the energy."""
@@ -99,59 +97,44 @@ def launch_connection(
     if nl is None:
         nl = Nonlinearity(spec, g)
     u0 = Field(g, eq_from.field.values + amplitude * direction.values)
-    traj = dynamics.run(spec, u0, ctrl, t_max, stop,
-                        snapshot_stride=snapshot_stride, nl=nl)
+    traj = dynamics.run(spec, u0, ctrl, t_max, stop, nl=nl)
     total_energy = float(traj.diagnostics.energy_cum[-1]) if len(traj.diagnostics) else 0.0
     from_index, _ = _match_catalog(catalog, eq_from.field, match_tol)
     tail = _tail_rate(traj.diagnostics, TAIL_WINDOW_FRACTION)
     ident = functionals.identity_residual(traj, nl)
 
+    to_index, action_gap = None, math.nan
     if traj.status == dynamics.BLOW_UP:
-        return ConnectionReport(
-            status=dynamics.BLOW_UP, from_index=from_index, to_index=None,
-            total_energy=total_energy, action_gap=math.nan,
-            identity_residual=ident, tail_energy_rate=tail,
-            note="blow-up before any limit formed", trajectory=traj)
-
-    if traj.status != dynamics.CONVERGED:
-        return ConnectionReport(
-            status=UNDECIDED, from_index=from_index, to_index=None,
-            total_energy=total_energy, action_gap=math.nan,
-            identity_residual=ident, tail_energy_rate=tail,
-            note="t_max reached before convergence", trajectory=traj)
-
-    # polish the final state before matching it against the catalog
-    try:
-        polished = equilibria.newton_refine(nl, traj.final_field)
-        final = polished.field
-    except (equilibria.NewtonNoConvergenceError, equilibria.SingularJacobianError):
-        final = traj.final_field
-    to_index, dist = _match_catalog(catalog, final, match_tol)
-    if to_index is None:
-        return ConnectionReport(
-            status=UNDECIDED, from_index=from_index, to_index=None,
-            total_energy=total_energy, action_gap=math.nan,
-            identity_residual=ident, tail_energy_rate=tail,
-            note=f"converged but no catalog member within {match_tol:g} "
-                 f"(closest {dist:.3g})", trajectory=traj)
-
-    action_gap = catalog[to_index].action - eq_from.action
-    dt_scale = float(np.max(traj.diagnostics.dt)) if len(traj.diagnostics) else 0.0
-    a_scale = max(1.0, abs(catalog[to_index].action), abs(eq_from.action))
-    identity_tol = max(0.02 * max(abs(total_energy), abs(action_gap)),
-                       10.0 * dt_scale * a_scale)
-    ok = tail < tail_tol and abs(total_energy - action_gap) <= identity_tol
-    if not ok:
-        return ConnectionReport(
-            status=UNDECIDED, from_index=from_index, to_index=to_index,
-            total_energy=total_energy, action_gap=action_gap,
-            identity_residual=ident, tail_energy_rate=tail,
-            note="matched but energy identity or tail rate out of tolerance",
-            trajectory=traj)
+        status, note = dynamics.BLOW_UP, "blow-up before any limit formed"
+    elif traj.status != dynamics.CONVERGED:
+        status, note = UNDECIDED, "t_max reached before convergence"
+    else:
+        # polish the final state before matching it against the catalog
+        try:
+            final = equilibria.newton_refine(nl, traj.final_field).field
+        except (equilibria.NewtonNoConvergenceError, equilibria.SingularJacobianError):
+            final = traj.final_field
+        to_index, dist = _match_catalog(catalog, final, match_tol)
+        if to_index is None:
+            status = UNDECIDED
+            note = (f"converged but no catalog member within {match_tol:g} "
+                    f"(closest {dist:.3g})")
+        else:
+            action_gap = catalog[to_index].action - eq_from.action
+            dt_scale = float(np.max(traj.diagnostics.dt)) if len(traj.diagnostics) else 0.0
+            a_scale = max(1.0, abs(catalog[to_index].action), abs(eq_from.action))
+            identity_tol = max(0.02 * max(abs(total_energy), abs(action_gap)),
+                               10.0 * dt_scale * a_scale)
+            if tail < tail_tol and abs(total_energy - action_gap) <= identity_tol:
+                status, note = CONNECTED, ""
+            else:
+                status = UNDECIDED
+                note = "matched but energy identity or tail rate out of tolerance"
     return ConnectionReport(
-        status=CONNECTED, from_index=from_index, to_index=to_index,
+        status=status, from_index=from_index, to_index=to_index,
         total_energy=total_energy, action_gap=action_gap,
-        identity_residual=ident, tail_energy_rate=tail, trajectory=traj)
+        identity_residual=ident, tail_energy_rate=tail, note=note,
+        trajectory=traj)
 
 
 @dataclass
@@ -183,36 +166,6 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
     ss_tot = float(np.sum((ew - ew.mean()) ** 2))
     quality = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
     return GrowthDiagnostic(rate=float(slope), fit_quality=quality)
-
-
-def front_position(u: Field, level: float = 0.5) -> float | None:
-    """x of the first downward crossing of `level`, by linear interpolation."""
-    v = u.values
-    x = u.grid.nodes
-    above = v >= level
-    for j in range(len(v) - 1):
-        if above[j] and not above[j + 1]:
-            frac = (v[j] - level) / (v[j] - v[j + 1])
-            return float(x[j] + frac * (x[j + 1] - x[j]))
-    return None
-
-
-def front_speed(traj: dynamics.Trajectory, level: float = 0.5,
-                window_fraction: float = 0.5) -> float | None:
-    """Front speed from the level-set positions of the trailing snapshots."""
-    pts = [(t, front_position(f, level)) for t, f in traj.snapshots]
-    pts = [(t, p) for t, p in pts if p is not None]
-    if len(pts) < 3:
-        return None
-    t_end = pts[-1][0]
-    t_from = t_end - window_fraction * (t_end - pts[0][0])
-    window = [(t, p) for t, p in pts if t >= t_from]
-    if len(window) < 3:
-        window = pts
-    ts = np.array([t for t, _ in window])
-    ps = np.array([p for _, p in window])
-    slope, _ = np.polyfit(ts, ps, 1)
-    return float(slope)
 
 
 @dataclass
@@ -284,7 +237,6 @@ def connection_energy_audit(
     stop: dynamics.StopRule = dynamics.StopRule(),
     match_tol: float = DEFAULT_MATCH_TOL,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    growth_fit_min: float = 0.99,
 ) -> AuditTable:
     """Run a batch of launches and audit the finite-energy dichotomy.
 
@@ -314,7 +266,7 @@ def connection_energy_audit(
             if traj.status == dynamics.BLOW_UP:
                 passed = None  # outside the audit: not a global solution
             else:
-                passed = (growth.rate > 0.0 and growth.fit_quality > growth_fit_min
+                passed = (growth.rate > 0.0 and growth.fit_quality > GROWTH_FIT_MIN
                           and to_index is None)
             rows.append(AuditRow(
                 launch_id=i, status="growth" if passed else traj.status,

@@ -15,14 +15,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
 from . import exprlang, problem
 from .functionals import action_parts_extended, energy_addend
-from .grid import Field, SpatialGrid, extend, laplacian_extended, write_field_csv
+from .grid import Field, extend, laplacian_extended, write_field_csv
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
 
@@ -57,6 +56,8 @@ STOP_REASONS = (CONVERGED, T_MAX_REACHED, "initial_out_of_range",
 
 _SMOOTH_STEPS_BEFORE_DOUBLING = 10
 _LINEAR_SOLVE_TOL = 1e-12
+# share of increment_limit that the explicit increment dt*sup|P(u)| may use
+_INCREMENT_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,12 @@ class StepControl:
     dt_init: float = 1e-3
     dt_min: float = 1e-9
     dt_max: float = 1e-2
-    safety: float = 0.9
     sup_guard: float = 1e6
     increment_limit: float = 0.1
 
     def __post_init__(self):
         if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
         if not self.sup_guard > 0:
             raise ValueError("sup_guard > 0 required")
         if not self.increment_limit > 0:
@@ -162,11 +160,6 @@ class Trajectory:
             f.write("\n")
 
 
-@lru_cache(maxsize=128)
-def _solver(grid: SpatialGrid, dt: float) -> ImplicitDiffusionSolver:
-    return ImplicitDiffusionSolver(grid, dt)
-
-
 def run(
     spec: problem.ProblemSpec,
     u0: Field,
@@ -211,13 +204,13 @@ def run(
     steps = 0
     smooth = 0
     reason = ""  # set by every exit of the loop
-    limit = ctrl.safety * ctrl.increment_limit
+    limit = _INCREMENT_SAFETY * ctrl.increment_limit
     dt_min, dt_max, sup_guard = ctrl.dt_min, ctrl.dt_max, ctrl.sup_guard
     tol_eq = stop.tol_eq
     h, boundary = g.h, g.boundary
     reaction = nl.apply_P_unchecked
     absolute = np.abs
-    solvers = {}  # dt -> factored solver, in front of the process-wide cache
+    solvers = {}  # dt -> factored solver
 
     with np.errstate(over="ignore", invalid="ignore"):
         p_now = reaction(u)
@@ -267,7 +260,7 @@ def run(
             solver = solvers.get(dt)
             if solver is None:
                 try:
-                    solver = solvers[dt] = _solver(g, float(dt))
+                    solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt))
                 except np.linalg.LinAlgError:
                     pass  # not positive definite in floating point at this dt
             if solver is not None:
@@ -428,8 +421,7 @@ def mms_verify(
 
         u0 = Field(g, x_samples * t_fun(0.0))
         ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt,
-                           safety=1.0, increment_limit=1e9,
-                           sup_guard=spec.sup_guard)
+                           increment_limit=1e9, sup_guard=spec.sup_guard)
         traj = run(spec_l, u0, ctrl, t_max=t_final, stop=StopRule(tol_eq=0.0),
                    forcing=forcing, snapshot_stride=10**9, nl=nl)
         if traj.status != T_MAX_REACHED:

@@ -29,7 +29,6 @@ from .nonlinearity import Nonlinearity, RangeOverflowError
 __all__ = [
     "ActionValue",
     "action",
-    "action_parts",
     "action_parts_extended",
     "energy_addend",
     "identity_residual",
@@ -44,19 +43,15 @@ class ActionValue:
 
 
 def action(nl: Nonlinearity, u: Field) -> ActionValue:
-    return ActionValue(*action_parts(nl, u.values))
-
-
-def action_parts(nl: Nonlinearity, v: np.ndarray) -> tuple[float, float, float]:
-    """(value, dirichlet_part, potential_part) of the action at samples v."""
+    v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
-        return action_parts_extended(nl, v, extend(v, nl.grid.boundary))
+        return ActionValue(*action_parts_extended(nl, v, extend(v, nl.grid.boundary)))
 
 
 def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
                           e: np.ndarray) -> tuple[float, float, float]:
-    """`action_parts` with e = grid.extend(v), for a caller that also takes
-    the Laplacian of v.
+    """(value, dirichlet_part, potential_part) of the action at samples v,
+    with e = grid.extend(v), for a caller that also takes the Laplacian of v.
 
     Q is evaluated unchecked: the caller holds np.errstate(over="ignore",
     invalid="ignore"), and a non-finite Q shows in the potential sum, so a

@@ -6,9 +6,10 @@ Boundary closures use one ghost node per side:
     dirichlet0  ghost value 0 at the walls
     neumann0    ghost mirrors the adjacent interior value (zero flux)
 
-`laplacian` and `dirichlet_energy` form a matched pair: for every boundary
-closure, <-laplacian(u), u> equals the forward-difference gradient sum
-exactly, so the discrete action gradient is exactly laplacian(u) + P(u).
+`laplacian_extended` and `dirichlet_energy_extended` form a matched pair:
+for every boundary closure, <-laplacian(u), u> equals twice the
+forward-difference Dirichlet energy exactly, so the discrete action gradient
+is exactly laplacian(u) + P(u).
 """
 
 from __future__ import annotations
@@ -110,12 +111,8 @@ def extend(values: np.ndarray, boundary: str) -> np.ndarray:
     return e
 
 
-def laplacian(u: Field) -> Field:
-    """Second central difference with the grid's boundary closure."""
-    return Field(u.grid, laplacian_values(u.values, u.grid))
-
-
 def laplacian_values(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Second central difference with the grid's boundary closure."""
     return laplacian_extended(extend(values, grid.boundary), grid)
 
 
@@ -124,25 +121,10 @@ def laplacian_extended(e: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / grid.h**2
 
 
-def gradient_sq(u: Field) -> Field:
-    """Centered first difference squared per node (diagnostic |grad u|^2)."""
-    e = extend(u.values, u.grid.boundary)
-    d = (e[2:] - e[:-2]) / (2.0 * u.grid.h)
-    return Field(u.grid, d * d)
-
-
-def dirichlet_energy(u: Field) -> float:
-    """(1/2) integral of |grad u|^2 in the forward-difference convention
-    matched to `laplacian` (exact summation by parts for every closure)."""
-    return dirichlet_energy_values(u.values, u.grid)
-
-
-def dirichlet_energy_values(values: np.ndarray, grid: SpatialGrid) -> float:
-    return dirichlet_energy_extended(extend(values, grid.boundary), grid)
-
-
 def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid) -> float:
-    """The Dirichlet energy stencil on e = extend(values, grid.boundary)."""
+    """(1/2) integral of |grad u|^2 on e = extend(values, grid.boundary), in
+    the forward-difference convention matched to the Laplacian stencil
+    (exact summation by parts for every closure)."""
     if grid.boundary == "periodic":
         d = e[2:] - e[1:-1]
     elif grid.boundary == "dirichlet0":

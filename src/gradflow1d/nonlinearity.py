@@ -108,11 +108,9 @@ class Nonlinearity:
 
     def potential(self, u: Field) -> Field:
         """Antiderivative in u of P, sampled pointwise (the action integrand)."""
-        return Field(self.grid, self.potential_values(u.values))
-
-    def potential_values(self, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._check(self.potential_unchecked(v), "potential(u)")
+            q = self._check(self.potential_unchecked(u.values), "potential(u)")
+        return Field(self.grid, q)
 
     def potential_unchecked(self, v: np.ndarray) -> np.ndarray:
         """The potential Q at samples v with no finite check, on the terms

@@ -9,6 +9,7 @@ integrability hypothesis, checked numerically on the truncated box).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,12 +93,16 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     spatial_dim = d.get("spatial_dim", 1)
     if spatial_dim != 1:
         raise SpecValidationError("spatial_dim = 1 required")
-    sup_guard = float(d.get("sup_guard", 1e6))
+    try:
+        sup_guard = float(d.get("sup_guard", 1e6))
+        box_half_length = float(d["box_half_length"])
+    except (TypeError, ValueError) as e:
+        raise SpecValidationError(
+            f"sup_guard and box_half_length must be numbers: {e}") from e
     if not sup_guard > 0:
         raise SpecValidationError("sup_guard > 0 required")
-    box_half_length = float(d["box_half_length"])
-    if not box_half_length > 0:
-        raise SpecValidationError("box_half_length > 0 required")
+    if not (math.isfinite(box_half_length) and box_half_length > 0):
+        raise SpecValidationError("box_half_length must be finite and > 0")
     grid_points = d["grid_points"]
     if not isinstance(grid_points, int) or grid_points < 8:
         raise SpecValidationError("grid_points M >= 8 required")

@@ -95,6 +95,65 @@ def test_bad_run_field_is_config_error(tmp_path, override):
     assert not (tmp_path / "out").exists()
 
 
+_BAD_CONFIGS = {
+    # sections of the wrong type
+    "control-str": ("simulate", ("control",), "fast"),
+    "equilibria-list": ("equilibria", ("equilibria",), []),
+    "connect-str": ("connect", ("connect",), "all"),
+    "verify-list": ("verify", ("verify",), [1]),
+    "verify.control-list": ("verify", ("verify", "control"), [1]),
+    "launches-object": ("connect", ("connect", "launches"), {}),
+    "newton_guesses-str": ("equilibria", ("equilibria", "newton_guesses"), "0.9"),
+    "shooting-object": ("equilibria", ("equilibria", "shooting"),
+                        {"u_left": 0.0, "slope": 0.5}),
+    "shooting-entry-list": ("equilibria", ("equilibria", "shooting"), [[0.0, 0.5]]),
+    # scalar fields
+    "match_tol-abc": ("connect", ("connect", "match_tol"), "abc"),
+    "tail_tol-abc": ("connect", ("connect", "tail_tol"), "abc"),
+    "verify.t_max-abc": ("verify", ("verify", "t_max"), "abc"),
+    "verify.t_max-0": ("verify", ("verify", "t_max"), 0.0),
+    "initial_condition-number": ("simulate", ("initial_condition",), 0.5),
+    "newton_guess-number": ("equilibria", ("equilibria", "newton_guesses"), [5]),
+    "front-initial_condition-number": (
+        "connect", ("connect", "launches"),
+        [{"kind": "front", "initial_condition": 5, "t_max": 1.0}]),
+    "seed-1.5": ("verify", ("seed",), 1.5),
+    "seed-negative": ("verify", ("seed",), -1),
+    "tol_eq-nan": ("simulate", ("tol_eq",), float("nan")),
+    "tol_eq-negative": ("simulate", ("tol_eq",), -1.0),
+    "output_dir-number": ("simulate", ("output_dir",), 5),
+    "box_half_length-abc": ("simulate", ("spec", "box_half_length"), "abc"),
+    "box_half_length-inf": ("simulate", ("spec", "box_half_length"), float("inf")),
+    # unknown keys
+    "equilibria-unknown": ("equilibria", ("equilibria", "newton_guess"), ["0.9"]),
+    "connect-unknown": ("connect", ("connect", "launch"), []),
+    "verify-unknown": ("verify", ("verify", "suite"), ["mms"]),
+    "control-safety": ("simulate", ("control", "safety"), 0.9),
+}
+
+
+@pytest.mark.parametrize("command, path, value", _BAD_CONFIGS.values(),
+                         ids=_BAD_CONFIGS.keys())
+def test_bad_config_exits_1_without_output(tmp_path, capsys, command, path, value):
+    data = json.loads((CONFIGS / "fisher.json").read_text())
+    data["output_dir"] = str(tmp_path / "out")
+    section = data
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    assert main([command, _write(tmp_path, data), "--quiet"]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_equilibria_shooting_start_of_wrong_type_is_error_entry(tmp_path):
+    data = _fisher_config(tmp_path / "out")
+    data["equilibria"] = {"shooting": [{"u_left": [0.0], "slope": 0.5}]}
+    assert main(["equilibria", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    catalog = json.loads((tmp_path / "out" / "equilibria.json").read_text())
+    assert [e["source"] for e in catalog["errors"]] == ["shooting"]
+
+
 def test_equilibria_catalog_fisher(tmp_path):
     data = _fisher_config(tmp_path / "out")
     data["equilibria"] = {"constant_roots": True}

@@ -7,8 +7,6 @@ from gradflow1d.connections import (
     LaunchSpec,
     connection_energy_audit,
     energy_growth_diagnostic,
-    front_position,
-    front_speed,
     launch_connection,
 )
 from gradflow1d.grid import Field
@@ -102,6 +100,24 @@ def front_traj():
     return spec, nl, traj
 
 
+def front_speed(traj, level=0.5, window_fraction=0.5):
+    """Slope of a least-squares line through the positions of the first
+    downward crossing of `level` (linearly interpolated) over the trailing
+    window_fraction of the snapshots' time span."""
+    pts = []
+    for t, f in traj.snapshots:
+        v, x = f.values, f.grid.nodes
+        crossings = np.flatnonzero((v[:-1] >= level) & (v[1:] < level))
+        if crossings.size:
+            j = crossings[0]
+            frac = (v[j] - level) / (v[j] - v[j + 1])
+            pts.append((t, x[j] + frac * (x[j + 1] - x[j])))
+    ts, ps = np.array(pts).T
+    keep = ts >= ts[-1] - window_fraction * (ts[-1] - ts[0])
+    slope, _ = np.polyfit(ts[keep], ps[keep], 1)
+    return float(slope)
+
+
 def test_front_energy_grows_linearly(front_traj):
     _, _, traj = front_traj
     growth = energy_growth_diagnostic(traj, window_fraction=0.5)
@@ -113,7 +129,6 @@ def test_front_speed_tracks_level_set(front_traj):
     # pulled Fisher front approaches speed 2 from below
     _, _, traj = front_traj
     c = front_speed(traj)
-    assert c is not None
     assert 1.5 <= c <= 2.1
 
 
@@ -165,15 +180,6 @@ def test_too_few_rows_error(fisher_setup):
     traj = dynamics.run(spec, Field.constant(nl.grid, 0.5), ctrl, 0.01, nl=nl)
     with pytest.raises(ValueError, match="fewer than 100"):
         energy_growth_diagnostic(traj)
-
-
-def test_front_position_interpolation():
-    g = problem.make_grid(verify.fisher_spec(grid_points=64))
-    u = Field(g, 0.5 * (1 + np.tanh(-(g.nodes - 1.25))))
-    pos = front_position(u, 0.5)
-    assert pos == pytest.approx(1.25, abs=g.h)
-    flat = Field.constant(g, 0.9)
-    assert front_position(flat, 0.5) is None
 
 
 def test_audit_empty_plan(fisher_setup):

@@ -40,15 +40,12 @@ def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(dt_init=1e-3, dt_min=1e-2, dt_max=1e-1)
     with pytest.raises(ValueError):
-        StepControl(safety=0.0)
-    with pytest.raises(ValueError):
         StepControl(sup_guard=-1.0)
 
 
 def _one_step(spec, u, dt, nl=None):
     """The field after exactly one IMEX step of size dt."""
-    ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt, safety=1.0,
-                       increment_limit=1e9)
+    ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt, increment_limit=1e9)
     traj = run(spec, u, ctrl, dt, StopRule(tol_eq=0.0), nl=nl)
     assert traj.steps == 1
     return traj.final_field.values
@@ -143,8 +140,7 @@ def _blow_up_case(reason):
     if reason == "nonfinite_reaction":
         # P(u0) = -1e204 and Q(u0) are finite; one unguarded step lands
         # near -1e201, where u^2 overflows
-        ctrl = StepControl(**fixed, safety=1.0, increment_limit=1e300,
-                           sup_guard=1e307)
+        ctrl = StepControl(**fixed, increment_limit=1e300, sup_guard=1e307)
         return spec, Field.constant(g, -1e102), ctrl, 1.0, None
     assert reason == "sup_guard"
     # u' = -u^2 from -1 passes -20 at t = 0.95, long before dt collapses

@@ -6,7 +6,7 @@ from test_nonlinearity import _coefficient_exprs
 
 from gradflow1d import dynamics, problem, verify
 from gradflow1d.functionals import action, energy_addend, identity_residual
-from gradflow1d.grid import BOUNDARIES, Field, dirichlet_energy_values, laplacian_values
+from gradflow1d.grid import BOUNDARIES, Field, dirichlet_energy_extended, extend, laplacian_values
 from gradflow1d.nonlinearity import Nonlinearity
 
 _EPS = np.finfo(float).eps
@@ -196,7 +196,7 @@ def test_action_gradient_is_laplacian_plus_P(case, signed, boundary, m, seed):
         aw = np.abs(w)
         q = aw ** (n + 1) / (n + 1) + sum(c * aw ** (i + 1) / (i + 1)
                                           for i, c in enumerate(a))
-        return dirichlet_energy_values(w, g) + g.h * float(np.sum(q))
+        return dirichlet_energy_extended(extend(w, g.boundary), g) + g.h * float(np.sum(q))
 
     pmaj = r**n + sum(c * r**i for i, c in enumerate(a))
     rounding = ((m + 4 * n + 16) * _EPS * (term_size(plus) + term_size(minus))

@@ -10,11 +10,10 @@ from gradflow1d.grid import (
     BOUNDARIES,
     Field,
     SpatialGrid,
-    dirichlet_energy,
+    dirichlet_energy_extended,
+    extend,
     forward_difference,
-    gradient_sq,
     integrate,
-    laplacian,
     laplacian_values,
     read_field_csv,
     sobolev_norm,
@@ -66,7 +65,7 @@ def test_field_immutable():
 def test_laplacian_of_constant_is_zero():
     for b in BOUNDARIES:
         g = SpatialGrid(5.0, 32, b)
-        lap = laplacian(Field.constant(g, 3.7)).values
+        lap = laplacian_values(np.full(g.m, 3.7), g)
         if b == "dirichlet0":
             # walls see the zero ghost; interior rows vanish
             assert np.all(lap[1:-1] == 0.0)
@@ -76,8 +75,7 @@ def test_laplacian_of_constant_is_zero():
 
 def test_laplacian_exact_for_quadratic_interior():
     g = SpatialGrid(5.0, 63, "dirichlet0")
-    u = Field(g, g.nodes**2)
-    lap = laplacian(u).values
+    lap = laplacian_values(g.nodes**2, g)
     assert np.allclose(lap[1:-1], 2.0, rtol=0, atol=1e-11)
 
 
@@ -87,30 +85,9 @@ def test_laplacian_periodic_eigenmode():
     g = SpatialGrid(5.0, 64, "periodic")
     L = g.length
     k = 2.0 * math.pi / L
-    u = Field(g, np.sin(k * g.nodes))
+    u = np.sin(k * g.nodes)
     lam = -(2.0 / g.h**2) * (1.0 - math.cos(k * g.h))
-    assert np.allclose(laplacian(u).values, lam * u.values, atol=1e-12)
-
-
-def test_gradient_sq_constant_zero():
-    g = SpatialGrid(5.0, 32, "periodic")
-    assert np.all(gradient_sq(Field.constant(g, 2.0)).values == 0.0)
-
-
-def test_gradient_sq_linear_interior():
-    g = SpatialGrid(5.0, 63, "dirichlet0")
-    u = Field(g, g.nodes.copy())
-    gs = gradient_sq(u).values
-    assert np.allclose(gs[1:-1], 1.0, atol=1e-12)
-
-
-def test_gradient_sq_sin_second_order():
-    errs = []
-    for m in (64, 128):
-        g = SpatialGrid(math.pi, m, "periodic")
-        gs = gradient_sq(Field(g, np.sin(g.nodes))).values
-        errs.append(np.max(np.abs(gs - np.cos(g.nodes) ** 2)))
-    assert errs[1] < errs[0] / 3.0  # ~ h^2
+    assert np.allclose(laplacian_values(u, g), lam * u, atol=1e-12)
 
 
 def test_integrate_trivial():
@@ -179,10 +156,10 @@ def test_laplacian_self_adjoint_periodic():
     rng = np.random.default_rng(3)
     g = SpatialGrid(5.0, 128, "periodic")
     for _ in range(10):
-        u = Field(g, rng.standard_normal(g.m))
-        v = Field(g, rng.standard_normal(g.m))
-        lhs = integrate(Field(g, laplacian(u).values * v.values))
-        rhs = integrate(Field(g, u.values * laplacian(v).values))
+        u = rng.standard_normal(g.m)
+        v = rng.standard_normal(g.m)
+        lhs = integrate(Field(g, laplacian_values(u, g) * v))
+        rhs = integrate(Field(g, u * laplacian_values(v, g)))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
@@ -192,9 +169,10 @@ def test_summation_by_parts_exact(boundary):
     rng = np.random.default_rng(11)
     g = SpatialGrid(5.0, 96, boundary)
     for _ in range(10):
-        u = Field(g, rng.standard_normal(g.m))
-        quad_form = -integrate(Field(g, laplacian(u).values * u.values))
-        assert quad_form == pytest.approx(2.0 * dirichlet_energy(u), rel=1e-12)
+        u = rng.standard_normal(g.m)
+        quad_form = -integrate(Field(g, laplacian_values(u, g) * u))
+        energy = dirichlet_energy_extended(extend(u, boundary), g)
+        assert quad_form == pytest.approx(2.0 * energy, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,16 +194,7 @@ def test_stencils_match_concatenate_and_roll_forms_bitwise(boundary, m, seed):
     lap = (e[:-2] - 2.0 * v + e[2:]) / g.h**2
     assert laplacian_values(v, g).tobytes() == lap.tobytes()
     assert forward_difference(v, g).tobytes() == ((e[2:] - v) / g.h).tobytes()
-    assert dirichlet_energy(Field(g, v)) == 0.5 * float(np.dot(d, d)) / g.h
-
-
-def test_summation_by_parts_centered_consistency():
-    # centered gradient_sq agrees with the quadratic form to O(h) on smooth data
-    g = SpatialGrid(math.pi, 512, "periodic")
-    u = Field(g, np.sin(g.nodes) + 0.3 * np.cos(2 * g.nodes))
-    quad_form = -integrate(Field(g, laplacian(u).values * u.values))
-    centered = integrate(gradient_sq(u))
-    assert quad_form == pytest.approx(centered, rel=20 * g.h)
+    assert dirichlet_energy_extended(extend(v, boundary), g) == 0.5 * float(np.dot(d, d)) / g.h
 
 
 def test_field_csv_roundtrip(tmp_path):

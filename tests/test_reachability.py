@@ -1,0 +1,94 @@
+"""Every definition in the package is reached from the program, not only
+from tests.
+
+A top-level function or class, or a method other than a dunder, passes when
+its name is referenced from another definition in `src/gradflow1d` or from a
+`bench/*.py` file.  References are names and attribute names; in `bench/`
+each part of a dotted string counts too, since the tracer names its targets
+that way (`"Nonlinearity.apply_P_values"`).  `verify.suite_<name>` is
+reached through `verify.SUITES`.  Code outside any definition (imports,
+`__all__`, the `__main__` block) reaches nothing.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from gradflow1d import verify
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gradflow1d"
+
+# kept for the run provenance record (a hash of the canonical spec text)
+ALLOWED = {"load_spec", "canonical_text"}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(node) -> set[str]:
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def _definitions(tree):
+    """(name, qualified name, owners, node) per top-level function, class and
+    method; owners are the qualified names of node and of its class."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top.name, {top.name}, top
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    qual = f"{top.name}.{item.name}"
+                    yield item.name, qual, {top.name, qual}, item
+
+
+def _unreached(package: Path = PACKAGE) -> list[str]:
+    defined = []  # (module, name, qualified name)
+    scopes = []   # (owners, referenced names)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, qual, owners, node in _definitions(tree):
+            defined.append((path.stem, name, qual))
+            if isinstance(node, ast.ClassDef):
+                # class-body statements other than methods (fields, constants)
+                rest = [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+                scopes.append((owners, set().union(*map(_names, rest))))
+            else:
+                scopes.append((owners, _names(node)))
+    bench = set(f"suite_{s}" for s in verify.SUITES)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bench |= _names(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and _DOTTED.fullmatch(n.value)):
+                bench.update(n.value.split("."))
+    unreached = []
+    for module, name, qual in defined:
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name in ALLOWED or name in bench:
+            continue
+        # references from the definition itself (for a class, its body) do not count
+        if not any(name in names for owners, names in scopes if qual not in owners):
+            unreached.append(f"{module}.{qual}")
+    return unreached
+
+
+def test_every_definition_is_reached_from_the_program():
+    assert _unreached() == []
+
+
+def test_guard_sees_a_definition_only_tests_reach(tmp_path):
+    # a copy of the package with one extra, unreferenced function fails
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    grid = tmp_path / "grid.py"
+    grid.write_text(grid.read_text() + "\n\ndef only_tests_call_this(u):\n    return u\n")
+    assert _unreached(tmp_path) == ["grid.only_tests_call_this"]

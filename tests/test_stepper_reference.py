@@ -68,7 +68,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
     snaps = [(0.0, u0)]
     u, t, dt, energy, steps, smooth = u0, 0.0, ctrl.dt_init, 0.0, 0, 0
     status, escape_sign, reason = RUNNING, 0, ""
-    limit = ctrl.safety * ctrl.increment_limit
+    limit = 0.9 * ctrl.increment_limit
 
     def reaction_and_residual(f):
         p = nl.apply_P_values(f.values)
