@@ -42,6 +42,11 @@ SECTION_KEYS = {
     "connect": {"match_tol", "tail_tol", "launches"},
     "verify": {"control", "suites", "t_max"},
 }
+SHOOTING_KEYS = {"u_left", "slope"}
+LAUNCH_KEYS = {
+    "launch": {"kind", "from_index", "from_value", "amplitude", "t_max"},
+    "front": {"kind", "initial_condition", "t_max"},
+}
 
 
 @dataclass
@@ -98,10 +103,16 @@ def load_config(path: str) -> RunConfig:
         unknown = section.keys() - keys
         if unknown:
             raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    constant_roots = sections["equilibria"].get("constant_roots", True)
+    if not isinstance(constant_roots, bool):
+        raise ConfigError(f"equilibria.constant_roots must be true or false, "
+                          f"got {constant_roots!r}")
     for src in _list(sections["equilibria"], "newton_guesses", "equilibria"):
         _string(src, "newton_guesses entry")
     for shot in _list(sections["equilibria"], "shooting", "equilibria"):
-        _object(shot, "shooting entry")
+        unknown = _object(shot, "shooting entry").keys() - SHOOTING_KEYS
+        if unknown:
+            raise ConfigError(f"unknown shooting entry fields: {sorted(unknown)}")
     _list(sections["connect"], "launches", "connect")
     if "control" in sections["verify"]:
         _object(sections["verify"]["control"], "verify.control")
@@ -263,6 +274,12 @@ def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
         if not isinstance(entry, dict):
             raise ConfigError(f"launch entry must be an object, got {entry!r}")
         kind = entry.get("kind", "launch")
+        if not isinstance(kind, str) or kind not in LAUNCH_KEYS:
+            raise ConfigError(f"launch kind must be one of {sorted(LAUNCH_KEYS)}, "
+                              f"got {kind!r}")
+        unknown = entry.keys() - LAUNCH_KEYS[kind]
+        if unknown:
+            raise ConfigError(f"unknown {kind} entry fields: {sorted(unknown)}")
         if kind == "front":
             if "initial_condition" not in entry:
                 raise ConfigError("front entry needs initial_condition")

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from .functionals import action
-from .grid import Field, SpatialGrid, laplacian_values
+from .grid import Field, laplacian_values
 from .nonlinearity import Nonlinearity, RangeOverflowError, horner
-from .tridiag import SingularSystemError, cyclic_thomas_solve, thomas_solve
+from .tridiag import SingularJacobianError, ring_band, thomas_solve
 
 __all__ = [
     "Equilibrium",
@@ -41,7 +41,6 @@ log = logging.getLogger(__name__)
 RESIDUAL_TOL_CONSTANT = 1e-10
 RESIDUAL_TOL_NEWTON = 1e-10
 RESIDUAL_TOL_SHOOTING = 1e-8
-_PIVOT_FLOOR = 1e-14
 
 
 class NonConstantCoefficientsError(ValueError):
@@ -50,10 +49,6 @@ class NonConstantCoefficientsError(ValueError):
 
 class NewtonNoConvergenceError(ArithmeticError):
     pass
-
-
-class SingularJacobianError(ArithmeticError):
-    """A Jacobian pivot fell below the 1e-14 floor."""
 
 
 class PowerIterationError(ArithmeticError):
@@ -224,25 +219,6 @@ def constant_equilibria(nl: Nonlinearity, tol: float = RESIDUAL_TOL_CONSTANT,
 # -- Newton refinement -------------------------------------------------------
 
 
-def _jacobian_solve(grid: SpatialGrid, dp: np.ndarray, rhs: np.ndarray):
-    """Solve (Lap_h + diag(dp)) delta = rhs, tracking the smallest pivot."""
-    m = grid.m
-    inv_h2 = 1.0 / grid.h**2
-    diag = -2.0 * inv_h2 + dp
-    sub = np.full(m - 1, inv_h2)
-    sup = np.full(m - 1, inv_h2)
-    if grid.boundary == "periodic":
-        x, _ = cyclic_thomas_solve(sub, diag, sup, inv_h2, inv_h2, rhs,
-                                   pivot_floor=_PIVOT_FLOOR)
-        return x
-    if grid.boundary == "neumann0":
-        diag = diag.copy()
-        diag[0] += inv_h2
-        diag[-1] += inv_h2
-    x, _ = thomas_solve(sub, diag, sup, rhs, pivot_floor=_PIVOT_FLOOR)
-    return x
-
-
 def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
                   tol: float = RESIDUAL_TOL_NEWTON, thresholds=None) -> Equilibrium:
     """Damped Newton on F(u) = Lap(u) + P(u).
@@ -257,10 +233,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
         if r < tol:
             return _make_equilibrium(nl, u, "newton", thresholds)
         dp = nl.apply_dP(Field(nl.grid, u)).values
-        try:
-            delta = _jacobian_solve(nl.grid, dp, -resid)
-        except SingularSystemError as e:
-            raise SingularJacobianError(str(e)) from e
+        delta = thomas_solve(nl.grid, dp, -resid)
         step = 1.0
         for _ in range(9):
             trial = u + step * delta
@@ -380,34 +353,6 @@ class UnstableDirection:
     iterations: int
 
 
-def _ring_band(grid: SpatialGrid, dp: np.ndarray):
-    """Lap_h + diag(dp) as an upper band of width 2, in the ring order.
-
-    The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
-    the periodic wrap included, at most two places apart, so one band holds
-    every closure; the wrap entry is zero off `periodic`.  Returns the band
-    in LAPACK upper storage and the order (band row k is node order[k]).
-    """
-    m = grid.m
-    order = np.empty(m, dtype=np.intp)
-    order[0::2] = np.arange((m + 1) // 2)
-    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
-    pos = np.empty(m, dtype=np.intp)
-    pos[order] = np.arange(m)
-    inv_h2 = 1.0 / grid.h**2
-    diag = -2.0 * inv_h2 + dp
-    if grid.boundary == "neumann0":
-        diag[0] += inv_h2
-        diag[-1] += inv_h2
-    band = np.zeros((3, m))
-    band[2] = diag[order]
-    left, right = pos[:-1], pos[1:]  # band rows of nodes j and j+1
-    band[2 - np.abs(right - left), np.maximum(left, right)] = inv_h2
-    if grid.boundary == "periodic":
-        band[1, 1] = inv_h2  # nodes 0 and m-1 sit at band rows 0 and 1
-    return band, order
-
-
 def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
                        max_iter: int = 10_000, seed: int = 0) -> UnstableDirection:
     """Leading eigenpair of A = Lap_h + diag(dP(u)) by banded inverse iteration.
@@ -426,7 +371,7 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field).values
-    band, order = _ring_band(g, dp)
+    band, order = ring_band(g, dp)
     lam = float(eig_banded(band, eigvals_only=True, select="i",
                            select_range=(g.m - 1, g.m - 1))[0])
     # lam and A w carry rounding of order eps * ||A||_inf, which passes

@@ -106,6 +106,10 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     grid_points = d["grid_points"]
     if not isinstance(grid_points, int) or grid_points < 8:
         raise SpecValidationError("grid_points M >= 8 required")
+    signed_power = d.get("signed_power", False)
+    if not isinstance(signed_power, bool):
+        raise SpecValidationError(
+            f"signed_power must be true or false, got {signed_power!r}")
 
     spec = ProblemSpec(
         N=n,
@@ -113,7 +117,7 @@ def spec_from_dict(d: dict) -> ProblemSpec:
         box_half_length=box_half_length,
         grid_points=grid_points,
         boundary=boundary,
-        signed_power=bool(d.get("signed_power", False)),
+        signed_power=signed_power,
         sup_guard=sup_guard,
         spatial_dim=1,
     )

@@ -1,80 +1,84 @@
-"""Tridiagonal and cyclic-tridiagonal linear solves.
+"""Banded linear solves on the grid.
 
-Two lanes:
-
-  * LAPACK banded routines (via scipy) for the hot stepping loop, with the
-    periodic wrap handled by a rank-one Sherman-Morrison correction;
-  * a plain no-pivot elimination sweep that tracks the smallest pivot, for
-    Newton solves that must report near-singular Jacobians distinctly.
+  * `ring_band` stores A = Lap_h + diag(d) for every closure as one
+    symmetric band of width 2; `thomas_solve` solves with it by banded LU
+    (Newton steps) and `equilibria.unstable_direction` takes A's leading
+    eigenpair from it.
+  * `ImplicitDiffusionSolver` factors I - dt*Lap_h once per (grid, dt) for
+    the time step, with the periodic wrap handled by a rank-one
+    Sherman-Morrison correction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
+
+PIVOT_FLOOR = 1e-14
 
 
-class SingularSystemError(ArithmeticError):
-    """Elimination hit a pivot below the configured floor."""
+class SingularJacobianError(ArithmeticError):
+    """A pivot of the banded LU fell to PIVOT_FLOOR * max|diag A| or below."""
 
 
-def thomas_solve(sub, diag, sup, rhs, pivot_floor: float = 0.0):
-    """No-pivot forward elimination + back substitution.
+def ring_band(grid, d: np.ndarray):
+    """Lap_h + diag(d) as an upper band of width 2, in the ring order.
 
-    Returns (x, min_abs_pivot).  Raises SingularSystemError when any pivot
-    falls at or below pivot_floor * max|diag|.
+    The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
+    the periodic wrap included, at most two places apart, so one band holds
+    every closure; the wrap entry is zero off `periodic`.  Returns the band
+    in LAPACK upper storage and the order (band row k is node order[k]).
     """
-    m = len(diag)
-    d = np.array(diag, dtype=float)
-    b = np.array(rhs, dtype=float)
-    floor = pivot_floor * float(np.max(np.abs(d))) if m else 0.0
-    min_pivot = np.inf
-    for i in range(1, m):
-        piv = d[i - 1]
-        if abs(piv) <= floor or piv == 0.0:
-            raise SingularSystemError(f"pivot {float(piv)!r} at row {i - 1}")
-        min_pivot = min(min_pivot, abs(piv))
-        w = sub[i - 1] / piv
-        d[i] -= w * sup[i - 1]
-        b[i] -= w * b[i - 1]
-    piv = d[m - 1]
-    if abs(piv) <= floor or piv == 0.0:
-        raise SingularSystemError(f"pivot {float(piv)!r} at row {m - 1}")
-    min_pivot = min(min_pivot, abs(piv))
-    x = np.empty(m)
-    x[m - 1] = b[m - 1] / d[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = (b[i] - sup[i] * x[i + 1]) / d[i]
-    return x, float(min_pivot)
+    m = grid.m
+    order = np.empty(m, dtype=np.intp)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    inv_h2 = 1.0 / grid.h**2
+    diag = -2.0 * inv_h2 + d
+    if grid.boundary == "neumann0":
+        diag[0] += inv_h2
+        diag[-1] += inv_h2
+    band = np.zeros((3, m))
+    band[2] = diag[order]
+    left, right = pos[:-1], pos[1:]  # band rows of nodes j and j+1
+    band[2 - np.abs(right - left), np.maximum(left, right)] = inv_h2
+    if grid.boundary == "periodic":
+        band[1, 1] = inv_h2  # nodes 0 and m-1 sit at band rows 0 and 1
+    return band, order
 
 
-def cyclic_thomas_solve(sub, diag, sup, corner_tr, corner_bl, rhs,
-                        pivot_floor: float = 0.0):
-    """Cyclic tridiagonal solve by rank-one correction over `thomas_solve`.
+def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (Lap_h + diag(d)) x = rhs by banded LU with partial pivoting.
 
-    corner_tr is the (0, m-1) entry, corner_bl the (m-1, 0) entry.
-    Returns (x, min_abs_pivot).
+    The name is kept because the benchmark's tracer wraps it by that name.
+    The ring band is copied into LAPACK general-band storage (kl = ku = 2)
+    and factored by dgbtrf.  Raises SingularJacobianError when the factor
+    is exactly singular or its smallest |U_ii| is at or below
+    PIVOT_FLOOR * max|diag A|.  Returns x in node order.
     """
-    m = len(diag)
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    dmod = np.array(diag, dtype=float)
-    dmod[0] -= gamma
-    dmod[m - 1] -= corner_tr * corner_bl / gamma
-    u = np.zeros(m)
-    u[0] = gamma
-    u[m - 1] = corner_bl
-    y, piv_y = thomas_solve(sub, dmod, sup, rhs, pivot_floor)
-    z, piv_z = thomas_solve(sub, dmod, sup, u, pivot_floor)
-    # v = e_0 + (corner_tr/gamma) e_{m-1}
-    vy = y[0] + (corner_tr / gamma) * y[m - 1]
-    vz = z[0] + (corner_tr / gamma) * z[m - 1]
-    denom = 1.0 + vz
-    floor = pivot_floor * float(np.max(np.abs(diag)))
-    if abs(denom) <= floor or denom == 0.0:
-        raise SingularSystemError(f"rank-one correction denominator {float(denom)!r}")
-    x = y - z * (vy / denom)
-    return x, min(piv_y, piv_z, abs(denom))
+    band, order = ring_band(grid, d)
+    m = grid.m
+    ab = np.zeros((7, m))  # A[i, j] at ab[4 + i - j, j]; rows 0-1 take the fill-in
+    ab[2:5] = band
+    ab[5, :-1] = band[1, 1:]  # the lower triangle, by symmetry
+    ab[6, :-2] = band[0, 2:]
+    lu, ipiv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbtrf")
+    pivot = float(np.abs(lu[4]).min())
+    floor = PIVOT_FLOOR * float(np.abs(band[2]).max())
+    if info > 0 or pivot <= floor:
+        raise SingularJacobianError(
+            f"smallest pivot {pivot!r} at or below {floor!r}")
+    x, info = dgbtrs(lu, 2, 2, rhs[order], ipiv)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+    out = np.empty(m)
+    out[order] = x
+    return out
 
 
 class ImplicitDiffusionSolver:

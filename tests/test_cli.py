@@ -129,6 +129,23 @@ _BAD_CONFIGS = {
     "connect-unknown": ("connect", ("connect", "launch"), []),
     "verify-unknown": ("verify", ("verify", "suite"), ["mms"]),
     "control-safety": ("simulate", ("control", "safety"), 0.9),
+    "launch-entry-unknown": (
+        "connect", ("connect", "launches"),
+        [{"kind": "launch", "from_value": 1.0, "amplitud": 0.5, "t_max": 5.0}]),
+    "front-entry-launch-key": (
+        "connect", ("connect", "launches"),
+        [{"kind": "front", "initial_condition": "0.5", "amplitude": 1e-3}]),
+    "launch-kind-typo": (
+        "connect", ("connect", "launches"),
+        [{"kind": "frnt", "from_value": 1.0, "t_max": 5.0}]),
+    "launch-kind-list": ("connect", ("connect", "launches"),
+                         [{"kind": ["launch"], "from_value": 1.0, "t_max": 5.0}]),
+    "shooting-entry-unknown": ("equilibria", ("equilibria", "shooting"),
+                               [{"u_left": 0.0, "slope": 0.5, "slop": 0.1}]),
+    # booleans must be JSON booleans, not truthy values
+    "constant_roots-str": ("equilibria", ("equilibria", "constant_roots"), "no"),
+    "constant_roots-0": ("equilibria", ("equilibria", "constant_roots"), 0),
+    "signed_power-str": ("simulate", ("spec", "signed_power"), "no"),
 }
 
 

@@ -147,10 +147,12 @@ def test_newton_nonfinite_guess_rejected(fisher):
         Field(fisher.grid, [np.nan] * fisher.grid.m)
 
 
-def test_newton_singular_jacobian_distinct(fisher):
-    # dP(0.5) = 0 leaves the bare periodic Laplacian, which is singular
+@pytest.mark.parametrize("boundary", ("periodic", "neumann0"))
+def test_newton_singular_jacobian_distinct(boundary):
+    # dP(0.5) = 0 leaves the bare Laplacian, which is singular on both closures
+    nl = _nl(verify.fisher_spec(grid_points=64, boundary=boundary))
     with pytest.raises(SingularJacobianError):
-        newton_refine(fisher, Field.constant(fisher.grid, 0.5))
+        newton_refine(nl, Field.constant(nl.grid, 0.5))
 
 
 def test_newton_quadratic_convergence(fisher):

@@ -61,6 +61,13 @@ def test_small_grid_rejected():
         spec_from_dict({**FISHER, "grid_points": 4})
 
 
+@pytest.mark.parametrize("value", ("no", 1, None))
+def test_signed_power_must_be_boolean(value):
+    # truthiness would turn "no" on
+    with pytest.raises(SpecValidationError, match="signed_power"):
+        spec_from_dict({**FISHER, "signed_power": value})
+
+
 def test_unknown_field_rejected():
     with pytest.raises(SpecValidationError, match="unknown"):
         spec_from_dict({**FISHER, "extra": 1})
