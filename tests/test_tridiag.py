@@ -7,6 +7,33 @@ from gradflow1d.grid import SpatialGrid, laplacian_values
 from gradflow1d.tridiag import ImplicitDiffusionSolver, SingularJacobianError, thomas_solve
 
 
+def _dense(g, dp):
+    return np.column_stack([laplacian_values(col, g) for col in np.eye(g.m)]) + np.diag(dp)
+
+
+def test_thomas_matches_lapack():
+    # the two closures without a wrap, diagonally dominant: the banded LU
+    # agrees with LAPACK's dense gesv
+    rng = np.random.default_rng(1)
+    for boundary in ("dirichlet0", "neumann0"):
+        g = SpatialGrid(5.0, 50, boundary)
+        dp = -(4.0 / g.h**2 + 5.0 + rng.random(g.m))
+        rhs = rng.standard_normal(g.m)
+        x = thomas_solve(g, dp, rhs)
+        assert np.allclose(x, np.linalg.solve(_dense(g, dp), rhs), atol=1e-12)
+
+
+def test_cyclic_vs_dense():
+    # the periodic wrap, odd and even M, indefinite dP
+    rng = np.random.default_rng(2)
+    for m in (8, 37):
+        g = SpatialGrid(5.0, m, "periodic")
+        dp = 4.0 + rng.standard_normal(m)
+        rhs = rng.standard_normal(m)
+        x = thomas_solve(g, dp, rhs)
+        assert np.allclose(x, np.linalg.solve(_dense(g, dp), rhs), atol=1e-11)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 256),
        st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
