@@ -17,13 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import connections, dynamics, equilibria, problem, verify
 from .exprlang import ExprError
-from .grid import Field, sup_norm, write_field_csv
+from .grid import Field, write_field_csv
 from .nonlinearity import Nonlinearity
 
 EXIT_OK = 0
@@ -36,12 +36,15 @@ class ConfigError(ValueError):
     pass
 
 
-# the keys each optional section may hold; `control` is checked by StepControl
+# the keys each object may hold; `control` and `verify.control` are checked
+# by StepControl, `spec` by problem.spec_from_dict
 SECTION_KEYS = {
     "equilibria": {"constant_roots", "newton_guesses", "shooting"},
     "connect": {"match_tol", "tail_tol", "launches"},
     "verify": {"control", "suites", "t_max"},
 }
+TOP_KEYS = {"spec", "control", "initial_condition", "t_max", "snapshot_stride",
+            "output_dir", "seed", "tol_eq", *SECTION_KEYS}
 SHOOTING_KEYS = {"u_left", "slope"}
 LAUNCH_KEYS = {
     "launch": {"kind", "from_index", "from_value", "amplitude", "t_max"},
@@ -51,20 +54,30 @@ LAUNCH_KEYS = {
 
 @dataclass
 class RunConfig:
+    """A config with every section validated; the subcommands only read it."""
+
     spec: problem.ProblemSpec
     control: dynamics.StepControl
-    initial_condition: str = "0"
-    t_max: float = 10.0
-    snapshot_stride: int = 64
-    output_dir: str = "out"
-    seed: int = 0
-    tol_eq: float = 1e-8
-    equilibria: dict = field(default_factory=dict)
-    connect: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
+    u0: Field  # the initial condition, sampled on the spec's grid
+    t_max: float
+    snapshot_stride: int
+    output_dir: str
+    seed: int
+    tol_eq: float
+    constant_roots: bool
+    newton_guesses: list  # expressions; one that fails is an `errors` entry
+    shooting: list  # {"u_left", "slope"} objects; bad values are `errors` entries
+    match_tol: float
+    tail_tol: float
+    launches: list  # (LaunchSpec, from_value or None) pairs
+    suites: tuple
+    verify_control: dynamics.StepControl | None  # None: the suite's default
+    verify_t_max: float | None
 
 
 def load_config(path: str) -> RunConfig:
+    """Read a config and check every section, whichever subcommand runs;
+    only the launch checks against the catalog are left to `cmd_connect`."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -74,59 +87,111 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict) or "spec" not in data:
         raise ConfigError("config must be an object with a 'spec' section")
+    _keys(data, TOP_KEYS, "config")
     try:
         spec = problem.spec_from_dict(data["spec"])
     except problem.SpecValidationError as e:
         raise ConfigError(str(e)) from e
-    ctrl_data = dict(_object(data.get("control", {}), "control"))
-    ctrl_data.setdefault("sup_guard", spec.sup_guard)
-    try:
-        ctrl = dynamics.StepControl(**ctrl_data)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad control section: {e}") from e
-    known = {"spec", "control", "initial_condition", "t_max", "snapshot_stride",
-             "output_dir", "seed", "tol_eq", *SECTION_KEYS}
-    unknown = data.keys() - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    grid = problem.make_grid(spec)
+    eqs, conn, ver = (_keys(data.get(name, {}), keys, name)
+                      for name, keys in SECTION_KEYS.items())
     t_max = _positive(data, "t_max", 10.0, "run")
     tol_eq = _number(data, "tol_eq", 1e-8, "run")
     if not tol_eq >= 0:
         raise ConfigError(f"tol_eq must be >= 0, got {tol_eq!r}")
     seed = _integer(data, "seed", 0, 0)
-    stride = _integer(data, "snapshot_stride", 64, 1)
-    initial_condition = _string(data.get("initial_condition", "0"), "initial_condition")
-    output_dir = _string(data.get("output_dir", "out"), "output_dir")
-    sections = {}
-    for name, keys in SECTION_KEYS.items():
-        section = sections[name] = _object(data.get(name, {}), name)
-        unknown = section.keys() - keys
-        if unknown:
-            raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
-    constant_roots = sections["equilibria"].get("constant_roots", True)
+    constant_roots = eqs.get("constant_roots", True)
     if not isinstance(constant_roots, bool):
         raise ConfigError(f"equilibria.constant_roots must be true or false, "
                           f"got {constant_roots!r}")
-    for src in _list(sections["equilibria"], "newton_guesses", "equilibria"):
-        _string(src, "newton_guesses entry")
-    for shot in _list(sections["equilibria"], "shooting", "equilibria"):
-        unknown = _object(shot, "shooting entry").keys() - SHOOTING_KEYS
-        if unknown:
-            raise ConfigError(f"unknown shooting entry fields: {sorted(unknown)}")
-    _list(sections["connect"], "launches", "connect")
-    if "control" in sections["verify"]:
-        _object(sections["verify"]["control"], "verify.control")
+    suites = ver.get("suites", list(verify.SUITES))
+    if not isinstance(suites, list):
+        raise ConfigError("verify.suites must be a list of suite names")
+    unknown = [n for n in suites if n not in verify.SUITES]
+    if unknown:
+        raise ConfigError(f"unknown verify suites {unknown}; "
+                          f"known: {list(verify.SUITES)}")
+    verify_control = _object(ver.get("control", {}), "verify.control")
     return RunConfig(
         spec=spec,
-        control=ctrl,
-        initial_condition=initial_condition,
+        control=_control(data.get("control", {}), "control", spec),
+        u0=_sampled(grid, data.get("initial_condition", "0"), "initial_condition"),
         t_max=t_max,
-        snapshot_stride=stride,
-        output_dir=output_dir,
+        snapshot_stride=_integer(data, "snapshot_stride", 64, 1),
+        output_dir=_string(data.get("output_dir", "out"), "output_dir"),
         seed=seed,
         tol_eq=tol_eq,
-        **sections,
+        constant_roots=constant_roots,
+        newton_guesses=[_string(src, "newton_guesses entry")
+                        for src in _list(eqs, "newton_guesses", "equilibria")],
+        shooting=[_keys(shot, SHOOTING_KEYS, "shooting entry")
+                  for shot in _list(eqs, "shooting", "equilibria")],
+        match_tol=_number(conn, "match_tol", connections.DEFAULT_MATCH_TOL, "connect"),
+        tail_tol=_number(conn, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect"),
+        launches=[_launch(entry, grid, t_max, seed)
+                  for entry in _list(conn, "launches", "connect")],
+        suites=tuple(suites),
+        # an empty verify.control keeps the suite's default
+        verify_control=(_control(verify_control, "verify.control", spec)
+                        if verify_control else None),
+        verify_t_max=(None if ver.get("t_max") is None
+                      else _positive(ver, "t_max", None, "verify")),
     )
+
+
+def _launch(entry, grid, t_max: float, seed: int):
+    """One `connect.launches` entry as (LaunchSpec, from_value or None)."""
+    kind = _object(entry, "launch entry").get("kind", "launch")
+    if not isinstance(kind, str) or kind not in LAUNCH_KEYS:
+        raise ConfigError(f"launch kind must be one of {sorted(LAUNCH_KEYS)}, "
+                          f"got {kind!r}")
+    _keys(entry, LAUNCH_KEYS[kind], f"{kind} entry")
+    run_t_max = _positive(entry, "t_max", t_max, "launch")
+    if kind == "front":
+        if "initial_condition" not in entry:
+            raise ConfigError("front entry needs initial_condition")
+        source = entry["initial_condition"]
+        _sampled(grid, source, "front initial_condition")
+        return connections.LaunchSpec(kind="front", initial_condition=source,
+                                      t_max=run_t_max), None
+    from_value = None
+    if "from_index" in entry:
+        idx = entry["from_index"]
+        if isinstance(idx, bool) or not isinstance(idx, int):
+            raise ConfigError(f"from_index must be an integer, got {idx!r}")
+    elif "from_value" in entry:
+        idx, from_value = 0, _number(entry, "from_value", 0.0, "launch")
+    else:
+        raise ConfigError("launch entry needs from_index or from_value")
+    return connections.LaunchSpec(
+        kind="launch", from_index=idx, amplitude=_number(entry, "amplitude", 1e-3, "launch"),
+        t_max=run_t_max, seed=seed), from_value
+
+
+def _control(value, what: str, spec) -> dynamics.StepControl:
+    """A StepControl from a config object; sup_guard defaults to the spec's."""
+    data = {"sup_guard": spec.sup_guard, **_object(value, what)}
+    try:
+        return dynamics.StepControl(**data)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {what} section: {e}") from e
+
+
+def _sampled(grid, value, what: str) -> Field:
+    """An expression string sampled on the grid."""
+    source = _string(value, what)
+    try:
+        return Field.from_expr(grid, source)
+    except (ExprError, ValueError) as e:
+        raise ConfigError(f"bad {what}: {e}") from e
+
+
+def _keys(value, allowed, what: str) -> dict:
+    """value as an object whose keys all lie in allowed."""
+    unknown = _object(value, what).keys() - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return value
 
 
 def _object(value, what: str) -> dict:
@@ -178,13 +243,7 @@ def _say(quiet: bool, *args) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    g = problem.make_grid(cfg.spec)
-    try:
-        u0 = Field.from_expr(g, cfg.initial_condition)
-    except (ExprError, ValueError) as e:
-        print(f"error: bad initial condition: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    traj = dynamics.run(cfg.spec, u0, cfg.control, cfg.t_max,
+    traj = dynamics.run(cfg.spec, cfg.u0, cfg.control, cfg.t_max,
                         dynamics.StopRule(cfg.tol_eq),
                         snapshot_stride=cfg.snapshot_stride)
     summary = traj.summary_dict()
@@ -205,25 +264,27 @@ def build_catalog(cfg: RunConfig):
     """Equilibrium catalog plus per-entry error records."""
     g = problem.make_grid(cfg.spec)
     nl = Nonlinearity(cfg.spec, g)
-    opts = cfg.equilibria
     catalog = []
     errors = []
-    if opts.get("constant_roots", True):
+
+    def is_new(eq) -> bool:
+        return all(np.max(np.abs(eq.field.values - c.field.values)) > 1e-8
+                   for c in catalog)
+
+    if cfg.constant_roots:
         try:
             catalog.extend(equilibria.constant_equilibria(nl))
         except (equilibria.NonConstantCoefficientsError, ArithmeticError) as e:
             errors.append({"source": "constant", "error": str(e)})
-    for src in opts.get("newton_guesses", []):
+    for src in cfg.newton_guesses:
         try:
-            guess = Field.from_expr(g, src)
-            eq = equilibria.newton_refine(nl, guess)
-            if all(sup_norm(Field(g, eq.field.values - c.field.values)) > 1e-8
-                   for c in catalog):
+            eq = equilibria.newton_refine(nl, Field.from_expr(g, src))
+            if is_new(eq):
                 catalog.append(eq)
         except (ExprError, ValueError, ArithmeticError) as e:
             errors.append({"source": "newton", "guess": src, "error": str(e)})
     half = cfg.spec.box_half_length
-    for shot in opts.get("shooting", []):
+    for shot in cfg.shooting:
         try:
             path = equilibria.shoot(nl, float(shot["u_left"]),
                                     float(shot["slope"]), (-half, half))
@@ -232,14 +293,8 @@ def build_catalog(cfg: RunConfig):
                                "error": "path escaped the box"})
                 continue
             guess = Field(g, np.interp(g.nodes, path.xs, path.us))
-            eq = equilibria.newton_refine(nl, guess)
-            eq = equilibria.Equilibrium(
-                field=eq.field, residual=eq.residual, action=eq.action,
-                bounded_below=eq.bounded_below, bounded_above=eq.bounded_above,
-                source="shooting")
-            if (eq.residual <= equilibria.RESIDUAL_TOL_SHOOTING
-                    and all(sup_norm(Field(g, eq.field.values - c.field.values)) > 1e-8
-                            for c in catalog)):
+            eq = replace(equilibria.newton_refine(nl, guess), source="shooting")
+            if eq.residual <= equilibria.RESIDUAL_TOL_SHOOTING and is_new(eq):
                 catalog.append(eq)
         except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             errors.append({"source": "shooting", "start": shot, "error": str(e)})
@@ -268,61 +323,23 @@ def cmd_equilibria(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _parse_plan(cfg: RunConfig, catalog) -> list[connections.LaunchSpec]:
+def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
+    catalog, _ = build_catalog(cfg)
     plan = []
-    for entry in cfg.connect.get("launches", []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"launch entry must be an object, got {entry!r}")
-        kind = entry.get("kind", "launch")
-        if not isinstance(kind, str) or kind not in LAUNCH_KEYS:
-            raise ConfigError(f"launch kind must be one of {sorted(LAUNCH_KEYS)}, "
-                              f"got {kind!r}")
-        unknown = entry.keys() - LAUNCH_KEYS[kind]
-        if unknown:
-            raise ConfigError(f"unknown {kind} entry fields: {sorted(unknown)}")
-        if kind == "front":
-            if "initial_condition" not in entry:
-                raise ConfigError("front entry needs initial_condition")
-            plan.append(connections.LaunchSpec(
-                kind="front",
-                initial_condition=_string(entry["initial_condition"],
-                                          "front initial_condition"),
-                t_max=_positive(entry, "t_max", cfg.t_max, "launch"),
-            ))
-            continue
-        if "from_index" in entry:
-            idx = entry["from_index"]
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise ConfigError(f"from_index must be an integer, got {idx!r}")
-        elif "from_value" in entry:
-            want = _number(entry, "from_value", 0.0, "launch")
+    for launch, want in cfg.launches:
+        if want is not None:
             if not catalog:
                 raise ConfigError("from_value needs a non-empty catalog")
-            idx = min(range(len(catalog)),
-                      key=lambda i: abs(float(catalog[i].field.values.mean()) - want))
-        else:
-            raise ConfigError("launch entry needs from_index or from_value")
-        if not 0 <= idx < len(catalog):
-            raise ConfigError(f"from_index {idx} outside the catalog")
-        plan.append(connections.LaunchSpec(
-            kind="launch",
-            from_index=idx,
-            amplitude=_number(entry, "amplitude", 1e-3, "launch"),
-            t_max=_positive(entry, "t_max", cfg.t_max, "launch"),
-            seed=cfg.seed,
-        ))
-    return plan
-
-
-def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    opts = cfg.connect
-    match_tol = _number(opts, "match_tol", connections.DEFAULT_MATCH_TOL, "connect")
-    tail_tol = _number(opts, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect")
-    catalog, _ = build_catalog(cfg)
-    plan = _parse_plan(cfg, catalog)
+            nearest = min(range(len(catalog)), key=lambda i: abs(
+                float(catalog[i].field.values.mean()) - want))
+            launch = replace(launch, from_index=nearest)
+        elif launch.kind == "launch" and not 0 <= launch.from_index < len(catalog):
+            raise ConfigError(f"from_index {launch.from_index} outside the catalog")
+        plan.append(launch)
     table = connections.connection_energy_audit(
         cfg.spec, catalog, plan, cfg.control,
-        stop=dynamics.StopRule(cfg.tol_eq), match_tol=match_tol, tail_tol=tail_tol)
+        stop=dynamics.StopRule(cfg.tol_eq), match_tol=cfg.match_tol,
+        tail_tol=cfg.tail_tol)
     os.makedirs(out_dir, exist_ok=True)
     table.write_csv(os.path.join(out_dir, "connections.csv"))
     for row in table.rows:
@@ -333,25 +350,8 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    ctrl = None
-    if cfg.verify.get("control"):
-        data = dict(cfg.verify["control"])
-        data.setdefault("sup_guard", cfg.spec.sup_guard)
-        try:
-            ctrl = dynamics.StepControl(**data)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad verify.control section: {e}") from e
-    names = cfg.verify.get("suites", verify.SUITES)
-    if not isinstance(names, (list, tuple)):
-        raise ConfigError("verify.suites must be a list of suite names")
-    unknown = [n for n in names if n not in verify.SUITES]
-    if unknown:
-        raise ConfigError(f"unknown verify suites {unknown}; "
-                          f"known: {list(verify.SUITES)}")
-    t_max = None
-    if cfg.verify.get("t_max") is not None:
-        t_max = _positive(cfg.verify, "t_max", None, "verify")
-    results = verify.default_suites(seed=cfg.seed, ctrl=ctrl, t_max=t_max, names=names)
+    results = verify.default_suites(seed=cfg.seed, ctrl=cfg.verify_control,
+                                    t_max=cfg.verify_t_max, names=cfg.suites)
     for res in results:
         _say(quiet, f"{res.name}: {'pass' if res.passed else 'FAIL'}")
     os.makedirs(out_dir, exist_ok=True)

@@ -92,15 +92,6 @@ class DiagnosticSeries:
     def __init__(self):
         self._rows = {c: [] for c in self.COLUMNS}
 
-    def append(self, t, dt, sup, act, energy_cum, ut_sup):
-        r = self._rows
-        r["t"].append(t)
-        r["dt"].append(dt)
-        r["sup_norm"].append(sup)
-        r["action"].append(act)
-        r["energy_cum"].append(energy_cum)
-        r["ut_sup"].append(ut_sup)
-
     def appenders(self) -> tuple:
         """One bound list `append` per column, in COLUMNS order."""
         return tuple(self._rows[c].append for c in self.COLUMNS)

@@ -232,7 +232,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
     for _ in range(max_iter):
         if r < tol:
             return _make_equilibrium(nl, u, "newton", thresholds)
-        dp = nl.apply_dP(Field(nl.grid, u)).values
+        dp = nl.apply_dP(u)
         delta = thomas_solve(nl.grid, dp, -resid)
         step = 1.0
         for _ in range(9):
@@ -370,7 +370,7 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     solves.
     """
     g = nl.grid
-    dp = nl.apply_dP(eq.field).values
+    dp = nl.apply_dP(eq.field.values)
     band, order = ring_band(g, dp)
     lam = float(eig_banded(band, eigvals_only=True, select="i",
                            select_range=(g.m - 1, g.m - 1))[0])

@@ -46,6 +46,8 @@ class SpatialGrid:
         else:
             self.h = self.length / (self.m + 1)
             start = -box_half_length + self.h
+        if not np.finfo(float).tiny <= self.h * self.h < np.inf:
+            raise ValueError(f"grid spacing h = {self.h!r}: h*h is not a normal float")
         nodes = start + self.h * np.arange(self.m)
         nodes.setflags(write=False)
         self.nodes = nodes

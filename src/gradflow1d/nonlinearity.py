@@ -94,9 +94,8 @@ class Nonlinearity:
             return acc - v * np.abs(v) ** (self._n - 1)
         return acc - v**self._n
 
-    def apply_dP(self, u: Field) -> Field:
-        """Pointwise derivative of P in u (the Jacobian diagonal)."""
-        v = u.values
+    def apply_dP(self, v: np.ndarray) -> np.ndarray:
+        """Pointwise derivative of P at samples v (the Jacobian diagonal)."""
         n = self.degree
         with np.errstate(over="ignore", invalid="ignore"):
             acc = horner(self._dP_coeffs, v)
@@ -104,7 +103,7 @@ class Nonlinearity:
                 acc = acc - n * np.abs(v) ** (n - 1)
             else:
                 acc = acc - n * v ** (n - 1)
-        return Field(self.grid, self._check(acc, "dP(u)"))
+        return self._check(acc, "dP(u)")
 
     def potential(self, u: Field) -> Field:
         """Antiderivative in u of P, sampled pointwise (the action integrand)."""

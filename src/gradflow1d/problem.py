@@ -121,17 +121,20 @@ def spec_from_dict(d: dict) -> ProblemSpec:
         sup_guard=sup_guard,
         spatial_dim=1,
     )
-    _validate_coefficient_samples(spec)
+    try:
+        g = make_grid(spec)  # checks the spacing before any sample is taken
+    except ValueError as e:
+        raise SpecValidationError(str(e)) from e
+    _validate_coefficient_samples(spec, g)
     return spec
 
 
-def _validate_coefficient_samples(spec: ProblemSpec) -> None:
+def _validate_coefficient_samples(spec: ProblemSpec, g: SpatialGrid) -> None:
     """Finite samples, finite L1/Linf, and finite differences up to order 4.
 
     Smoothness of the coefficients cannot be verified symbolically; finite
     sampled differences are the numerical stand-in.
     """
-    g = make_grid(spec)
     for i, e in enumerate(spec.coeffs):
         try:
             samples = exprlang.sample(e, g.nodes)

@@ -16,10 +16,11 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
 
 PIVOT_FLOOR = 1e-14
+EPS = float(np.finfo(float).eps)
 
 
 class SingularJacobianError(ArithmeticError):
-    """A pivot of the banded LU fell to PIVOT_FLOOR * max|diag A| or below."""
+    """A pivot of the banded LU fell to the floor of `thomas_solve` or below."""
 
 
 def ring_band(grid, d: np.ndarray):
@@ -57,7 +58,9 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The ring band is copied into LAPACK general-band storage (kl = ku = 2)
     and factored by dgbtrf.  Raises SingularJacobianError when the factor
     is exactly singular or its smallest |U_ii| is at or below
-    PIVOT_FLOOR * max|diag A|.  Returns x in node order.
+    max(PIVOT_FLOOR, M*eps) * max|diag A|: the rounding pivot of a singular
+    A (the bare periodic Laplacian's last one) grows with M.  Returns x in
+    node order.
     """
     band, order = ring_band(grid, d)
     m = grid.m
@@ -69,7 +72,7 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgbtrf")
     pivot = float(np.abs(lu[4]).min())
-    floor = PIVOT_FLOOR * float(np.abs(band[2]).max())
+    floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(band[2]).max())
     if info > 0 or pivot <= floor:
         raise SingularJacobianError(
             f"smallest pivot {pivot!r} at or below {floor!r}")

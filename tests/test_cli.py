@@ -95,72 +95,97 @@ def test_bad_run_field_is_config_error(tmp_path, override):
     assert not (tmp_path / "out").exists()
 
 
+SUBCOMMANDS = ("simulate", "equilibria", "connect", "verify")
+
+
+def _assert_config_error(tmp_path, capsys, data, commands=SUBCOMMANDS):
+    """Each command exits 1 with `error:` on stderr and writes nothing under
+    tmp_path/out."""
+    out = tmp_path / "out"
+    path = _write(tmp_path, data)
+    for command in commands:
+        assert main([command, path, "--quiet"]) == EXIT_CONFIG, command
+        assert "error:" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def _front(initial_condition):
+    return [{"kind": "front", "initial_condition": initial_condition, "t_max": 1.0}]
+
+
+# every case fails under every subcommand: the whole config is checked at load
 _BAD_CONFIGS = {
     # sections of the wrong type
-    "control-str": ("simulate", ("control",), "fast"),
-    "equilibria-list": ("equilibria", ("equilibria",), []),
-    "connect-str": ("connect", ("connect",), "all"),
-    "verify-list": ("verify", ("verify",), [1]),
-    "verify.control-list": ("verify", ("verify", "control"), [1]),
-    "launches-object": ("connect", ("connect", "launches"), {}),
-    "newton_guesses-str": ("equilibria", ("equilibria", "newton_guesses"), "0.9"),
-    "shooting-object": ("equilibria", ("equilibria", "shooting"),
-                        {"u_left": 0.0, "slope": 0.5}),
-    "shooting-entry-list": ("equilibria", ("equilibria", "shooting"), [[0.0, 0.5]]),
+    "control-str": (("control",), "fast"),
+    "equilibria-list": (("equilibria",), []),
+    "connect-str": (("connect",), "all"),
+    "verify-list": (("verify",), [1]),
+    "verify.control-list": (("verify", "control"), [1]),
+    "launches-object": (("connect", "launches"), {}),
+    "newton_guesses-str": (("equilibria", "newton_guesses"), "0.9"),
+    "shooting-object": (("equilibria", "shooting"), {"u_left": 0.0, "slope": 0.5}),
+    "shooting-entry-list": (("equilibria", "shooting"), [[0.0, 0.5]]),
     # scalar fields
-    "match_tol-abc": ("connect", ("connect", "match_tol"), "abc"),
-    "tail_tol-abc": ("connect", ("connect", "tail_tol"), "abc"),
-    "verify.t_max-abc": ("verify", ("verify", "t_max"), "abc"),
-    "verify.t_max-0": ("verify", ("verify", "t_max"), 0.0),
-    "initial_condition-number": ("simulate", ("initial_condition",), 0.5),
-    "newton_guess-number": ("equilibria", ("equilibria", "newton_guesses"), [5]),
-    "front-initial_condition-number": (
-        "connect", ("connect", "launches"),
-        [{"kind": "front", "initial_condition": 5, "t_max": 1.0}]),
-    "seed-1.5": ("verify", ("seed",), 1.5),
-    "seed-negative": ("verify", ("seed",), -1),
-    "tol_eq-nan": ("simulate", ("tol_eq",), float("nan")),
-    "tol_eq-negative": ("simulate", ("tol_eq",), -1.0),
-    "output_dir-number": ("simulate", ("output_dir",), 5),
-    "box_half_length-abc": ("simulate", ("spec", "box_half_length"), "abc"),
-    "box_half_length-inf": ("simulate", ("spec", "box_half_length"), float("inf")),
+    "match_tol-abc": (("connect", "match_tol"), "abc"),
+    "tail_tol-abc": (("connect", "tail_tol"), "abc"),
+    "verify.t_max-abc": (("verify", "t_max"), "abc"),
+    "verify.t_max-0": (("verify", "t_max"), 0.0),
+    "verify.control-dt": (("verify", "control"), {"dt_init": 1.0, "dt_max": 0.1}),
+    "verify.suites-unknown": (("verify", "suites"), ["bogus"]),
+    "initial_condition-number": (("initial_condition",), 0.5),
+    "newton_guess-number": (("equilibria", "newton_guesses"), [5]),
+    "front-initial_condition-number": (("connect", "launches"), _front(5)),
+    "seed-1.5": (("seed",), 1.5),
+    "seed-negative": (("seed",), -1),
+    "tol_eq-nan": (("tol_eq",), float("nan")),
+    "tol_eq-negative": (("tol_eq",), -1.0),
+    "output_dir-number": (("output_dir",), 5),
+    "box_half_length-abc": (("spec", "box_half_length"), "abc"),
+    "box_half_length-inf": (("spec", "box_half_length"), float("inf")),
+    # grid spacing h whose square underflows, leaves the normal range or overflows
+    "box_half_length-1e-300": (("spec", "box_half_length"), 1e-300),
+    "box_half_length-1e-160": (("spec", "box_half_length"), 1e-160),
+    "box_half_length-1e-155": (("spec", "box_half_length"), 1e-155),
+    "box_half_length-1e300": (("spec", "box_half_length"), 1e300),
+    # expressions are parsed and sampled on the grid at load
+    "initial_condition-syntax": (("initial_condition",), "0.5*("),
+    "initial_condition-nonfinite": (("initial_condition",), "1/(x-x)"),
+    "front-initial_condition-syntax": (("connect", "launches"), _front("0.5*(")),
+    "front-initial_condition-unknown": (("connect", "launches"), _front("foo(x)")),
+    "front-initial_condition-nonfinite": (("connect", "launches"), _front("1/(x-x)")),
     # unknown keys
-    "equilibria-unknown": ("equilibria", ("equilibria", "newton_guess"), ["0.9"]),
-    "connect-unknown": ("connect", ("connect", "launch"), []),
-    "verify-unknown": ("verify", ("verify", "suite"), ["mms"]),
-    "control-safety": ("simulate", ("control", "safety"), 0.9),
+    "equilibria-unknown": (("equilibria", "newton_guess"), ["0.9"]),
+    "connect-unknown": (("connect", "launch"), []),
+    "verify-unknown": (("verify", "suite"), ["mms"]),
+    "control-safety": (("control", "safety"), 0.9),
     "launch-entry-unknown": (
-        "connect", ("connect", "launches"),
+        ("connect", "launches"),
         [{"kind": "launch", "from_value": 1.0, "amplitud": 0.5, "t_max": 5.0}]),
     "front-entry-launch-key": (
-        "connect", ("connect", "launches"),
+        ("connect", "launches"),
         [{"kind": "front", "initial_condition": "0.5", "amplitude": 1e-3}]),
     "launch-kind-typo": (
-        "connect", ("connect", "launches"),
-        [{"kind": "frnt", "from_value": 1.0, "t_max": 5.0}]),
-    "launch-kind-list": ("connect", ("connect", "launches"),
+        ("connect", "launches"), [{"kind": "frnt", "from_value": 1.0, "t_max": 5.0}]),
+    "launch-kind-list": (("connect", "launches"),
                          [{"kind": ["launch"], "from_value": 1.0, "t_max": 5.0}]),
-    "shooting-entry-unknown": ("equilibria", ("equilibria", "shooting"),
+    "shooting-entry-unknown": (("equilibria", "shooting"),
                                [{"u_left": 0.0, "slope": 0.5, "slop": 0.1}]),
     # booleans must be JSON booleans, not truthy values
-    "constant_roots-str": ("equilibria", ("equilibria", "constant_roots"), "no"),
-    "constant_roots-0": ("equilibria", ("equilibria", "constant_roots"), 0),
-    "signed_power-str": ("simulate", ("spec", "signed_power"), "no"),
+    "constant_roots-str": (("equilibria", "constant_roots"), "no"),
+    "constant_roots-0": (("equilibria", "constant_roots"), 0),
+    "signed_power-str": (("spec", "signed_power"), "no"),
 }
 
 
-@pytest.mark.parametrize("command, path, value", _BAD_CONFIGS.values(),
-                         ids=_BAD_CONFIGS.keys())
-def test_bad_config_exits_1_without_output(tmp_path, capsys, command, path, value):
+@pytest.mark.parametrize("path, value", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_bad_config_exits_1_without_output(tmp_path, capsys, path, value):
     data = json.loads((CONFIGS / "fisher.json").read_text())
     data["output_dir"] = str(tmp_path / "out")
     section = data
     for key in path[:-1]:
         section = section.setdefault(key, {})
     section[path[-1]] = value
-    assert main([command, _write(tmp_path, data), "--quiet"]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    _assert_config_error(tmp_path, capsys, data)
 
 
 def test_equilibria_shooting_start_of_wrong_type_is_error_entry(tmp_path):
@@ -268,25 +293,33 @@ def test_connect_blowup_excluded(tmp_path):
     assert rows[0]["status"] == "blow_up"
 
 
-@pytest.mark.parametrize("launch, equilibria", (
-    ({"from_value": 0.0, "t_max": "abc"}, None),
-    ({"from_value": 0.0, "amplitude": "abc"}, None),
-    ({"from_value": 0.0, "t_max": float("nan")}, None),
-    ({"from_value": 0.0, "t_max": 0.0}, None),
-    ({"from_value": 0.0, "t_max": -1.0}, None),
-    ({"from_index": "0"}, None),
-    ({"kind": "front", "t_max": 1.0}, None),
-    ({"from_value": 0.0}, {"constant_roots": False}),
+@pytest.mark.parametrize("launch, equilibria, needs_catalog", (
+    ({"from_value": 0.0, "t_max": "abc"}, None, False),
+    ({"from_value": 0.0, "amplitude": "abc"}, None, False),
+    ({"from_value": 0.0, "t_max": float("nan")}, None, False),
+    ({"from_value": 0.0, "t_max": 0.0}, None, False),
+    ({"from_value": 0.0, "t_max": -1.0}, None, False),
+    ({"from_index": "0"}, None, False),
+    ({"kind": "front", "t_max": 1.0}, None, False),
+    ({"from_value": 0.0}, {"constant_roots": False}, True),
+    ({"from_index": 2}, None, True),
+    ({"from_index": -1}, None, True),
 ), ids=("t_max-abc", "amplitude-abc", "t_max-nan", "t_max-0", "t_max-negative",
-        "from_index-str", "front-no-ic", "from_value-empty-catalog"))
-def test_connect_bad_launch_is_config_error(tmp_path, launch, equilibria):
+        "from_index-str", "front-no-ic", "from_value-empty-catalog",
+        "from_index-outside", "from_index-negative"))
+def test_connect_bad_launch_is_config_error(tmp_path, capsys, launch, equilibria,
+                                            needs_catalog):
+    # only the checks against the catalog (two Fisher constants here) are
+    # left to connect; every other launch error fails every subcommand
     data = _fisher_config(tmp_path / "out")
     data["connect"] = {"launches": [launch]}
     if equilibria is not None:
         data["equilibria"] = equilibria
-    cfg = _write(tmp_path, data)
-    assert main(["connect", cfg, "--quiet"]) == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    _assert_config_error(tmp_path, capsys, data,
+                         ("connect",) if needs_catalog else SUBCOMMANDS)
+    if needs_catalog:
+        for command in ("simulate", "equilibria"):
+            assert main([command, _write(tmp_path, data), "--quiet"]) == EXIT_OK
 
 
 def test_connect_short_front_is_failed_row(tmp_path):
@@ -392,6 +425,21 @@ def test_verify_monotonicity_fails_with_huge_dt(tmp_path):
     assert main(["verify", cfg, "--quiet"]) == EXIT_VERIFY
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_verify_empty_control_is_the_suite_default(tmp_path):
+    # a spec sup_guard of 0.5 would end the Fisher runs (data up to 0.9) as
+    # blow-up if an empty verify.control were built into a StepControl
+    reports = []
+    for name, section in (("none", {}), ("empty", {"control": {}})):
+        data = _fisher_config(tmp_path / name)
+        data["spec"]["sup_guard"] = 0.5
+        data["verify"] = {"suites": ["action_monotonicity"], **section}
+        assert main(["verify", _write(tmp_path, data, f"{name}.json"), "--quiet"]) == EXIT_OK
+        reports.append((tmp_path / name / "verify_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    [suite] = json.loads(reports[0])["suites"]
+    assert "blow_up" not in suite["details"]["statuses"]
 
 
 def test_shipped_configs_load():

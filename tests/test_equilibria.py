@@ -149,10 +149,14 @@ def test_newton_nonfinite_guess_rejected(fisher):
 
 @pytest.mark.parametrize("boundary", ("periodic", "neumann0"))
 def test_newton_singular_jacobian_distinct(boundary):
-    # dP(0.5) = 0 leaves the bare Laplacian, which is singular on both closures
-    nl = _nl(verify.fisher_spec(grid_points=64, boundary=boundary))
-    with pytest.raises(SingularJacobianError):
-        newton_refine(nl, Field.constant(nl.grid, 0.5))
+    # dP(0.5) = 0 leaves the bare Laplacian, which is singular on both
+    # closures; on the finer grids its rounding pivot grows with M, and the
+    # singular test must still see it rather than end in a stalled Newton
+    for half, m in ((5.0, 64), (12.0, 4096), (5.0, 8192), (5.0, 32768)):
+        nl = _nl(verify.fisher_spec(box_half_length=half, grid_points=m,
+                                    boundary=boundary))
+        with pytest.raises(SingularJacobianError):
+            newton_refine(nl, Field.constant(nl.grid, 0.5))
 
 
 def test_newton_quadratic_convergence(fisher):
@@ -339,7 +343,7 @@ def _fisher_linearization(boundary, dp, box_half_length=5.0):
 def _dense_linearization(nl, eq):
     g = nl.grid
     lap = np.column_stack([laplacian_values(col, g) for col in np.eye(g.m)])
-    return lap + np.diag(nl.apply_dP(eq.field).values)
+    return lap + np.diag(nl.apply_dP(eq.field.values))
 
 
 def test_unstable_direction_nearly_constant_dp_not_accepted_early():

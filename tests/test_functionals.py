@@ -136,8 +136,10 @@ def test_identity_residual_positive_for_non_solution(fisher):
     dt = 1e-3
     diag = dynamics.DiagnosticSeries()
     energy = energy_addend(u0.values, u1.values, _resid(nl, u0.values), dt, g.h)
-    diag.append(0.0, 0.0, 0.0, action(nl, u0).value, 0.0, 0.0)
-    diag.append(dt, dt, 0.0, action(nl, u1).value, energy, 0.0)
+    for row in ((0.0, 0.0, 0.0, action(nl, u0).value, 0.0, 0.0),
+                (dt, dt, 0.0, action(nl, u1).value, energy, 0.0)):
+        for add, value in zip(diag.appenders(), row):
+            add(value)
     traj = dynamics.Trajectory(
         snapshots=[(0.0, u0), (dt, u1)], diagnostics=diag, status="t_max_reached",
         first_field=u0, final_field=u1, final_time=dt, steps=1,

@@ -68,6 +68,17 @@ def test_signed_power_must_be_boolean(value):
         spec_from_dict({**FISHER, "signed_power": value})
 
 
+@pytest.mark.parametrize("half", (1e-300, 1e-160, 1e-155, 1e300))
+def test_grid_spacing_square_must_be_normal(half):
+    # h*h underflows to zero, leaves the normal range, or overflows; the
+    # spacing is checked before the coefficients are sampled, so the
+    # non-finite a_1 is never reached
+    d = {**FISHER, "coeffs": ["0", "1/(x-x)"], "box_half_length": half,
+         "grid_points": 256}
+    with pytest.raises(SpecValidationError, match="spacing"):
+        spec_from_dict(d)
+
+
 def test_unknown_field_rejected():
     with pytest.raises(SpecValidationError, match="unknown"):
         spec_from_dict({**FISHER, "extra": 1})

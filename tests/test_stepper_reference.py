@@ -65,6 +65,12 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
     g = u0.grid
     solvers = {}
     diag = DiagnosticSeries()
+    appenders = diag.appenders()
+
+    def record(*row):
+        for add, value in zip(appenders, row):
+            add(value)
+
     snaps = [(0.0, u0)]
     u, t, dt, energy, steps, smooth = u0, 0.0, ctrl.dt_init, 0.0, 0, 0
     status, escape_sign, reason = RUNNING, 0, ""
@@ -81,7 +87,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
         return (diag, [(0.0, u0)], BLOW_UP, u0, 0.0, 0, _extreme_sign(u0),
                 "initial_out_of_range")
     ut_sup = float(np.max(np.abs(resid_now)))
-    diag.append(0.0, 0.0, sup_norm(u), a_now, energy, ut_sup)
+    record(0.0, 0.0, sup_norm(u), a_now, energy, ut_sup)
     if ut_sup < stop.tol_eq:
         status = reason = CONVERGED
 
@@ -141,7 +147,7 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
             reason = "nonfinite_reaction"
             break
         ut_sup = float(np.max(np.abs(resid_now)))
-        diag.append(t, dt, sup_u, a_now, energy, ut_sup)
+        record(t, dt, sup_u, a_now, energy, ut_sup)
         if steps % snapshot_stride == 0:
             snaps.append((t, u))
         if ut_sup < stop.tol_eq:

@@ -54,12 +54,21 @@ def test_thomas_solve_vs_dense_property(boundary, m, dp_scale, seed):
     assert err <= 16 * np.finfo(float).eps * np.linalg.cond(a, np.inf)
 
 
-@pytest.mark.parametrize("m", (8, 256, 4096))
+@pytest.mark.parametrize("half, m", (
+    pytest.param(5.0, 8, id="8"),
+    pytest.param(5.0, 256, id="256"),
+    pytest.param(5.0, 4096, id="4096"),
+    # the periodic rounding pivot grows with M: 1.7e-14 relative here, above
+    # a floor of 1e-14 that does not scale with M
+    pytest.param(12.0, 4096, id="L12-4096"),
+    pytest.param(5.0, 8192, id="8192"),
+    pytest.param(5.0, 32768, id="32768"),
+))
 @pytest.mark.parametrize("boundary", ("periodic", "neumann0", "dirichlet0"))
-def test_thomas_solve_zero_dp(boundary, m):
+def test_thomas_solve_zero_dp(boundary, half, m):
     # the bare periodic and neumann0 Laplacians hold the constants in their
     # null space; the dirichlet0 one is negative definite
-    g = SpatialGrid(5.0, m, boundary)
+    g = SpatialGrid(half, m, boundary)
     rhs = np.ones(m)
     if boundary == "dirichlet0":
         x = thomas_solve(g, np.zeros(m), rhs)
