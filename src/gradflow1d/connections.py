@@ -244,7 +244,8 @@ def connection_energy_audit(
     rows must show linear energy growth and no catalog match (a front run
     with fewer than GROWTH_MIN_ROWS diagnostic rows fails, with a NaN rate
     and fit).  A run of either kind that blows up is excluded from the audit
-    (passed None) and keeps the status blow_up.
+    (passed None) and keeps the status blow_up.  A launch from an equilibrium
+    with no leading eigenpair fails with the status no_direction and no run.
     """
     from . import problem as problem_mod
 
@@ -276,7 +277,15 @@ def connection_energy_audit(
             continue
 
         eq = catalog[entry.from_index]
-        ud = equilibria.unstable_direction(nl, eq, seed=entry.seed)
+        try:
+            ud = equilibria.unstable_direction(nl, eq, seed=entry.seed)
+        except equilibria.PowerIterationError:
+            rows.append(AuditRow(
+                launch_id=i, status="no_direction", from_index=entry.from_index,
+                to_index=None, total_energy=math.nan, action_gap=math.nan,
+                identity_residual=math.nan, tail_rate=math.nan,
+                fit_quality=math.nan, passed=False))
+            continue
         report = launch_connection(
             eq, ud.direction, entry.amplitude, spec, ctrl, entry.t_max,
             catalog=catalog, stop=stop, match_tol=match_tol,

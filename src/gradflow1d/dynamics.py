@@ -3,10 +3,11 @@
 First-order IMEX stepping: backward Euler on the diffusion (one
 symmetric-positive-definite tridiagonal solve per step), forward Euler on
 the reaction.  Step control halves dt when the explicit increment
-dt*sup|P(u)| exceeds its limit or the linear solve degrades (a failed
-factorization counts as degraded), and doubles it back (up to dt_max)
-after ten smooth steps.  Numerical failure modes land in the trajectory
-status and its stop_reason, never in exceptions.
+dt*sup|P(u)| exceeds its limit or I - dt*Lap_h has no Cholesky factor, and
+doubles it back (up to dt_max) after ten smooth steps.  The solve has no
+residual guard: banded Cholesky is backward stable at every dt.  Numerical
+failure modes land in the trajectory status and stop_reason, never in
+exceptions.
 """
 
 from __future__ import annotations
@@ -46,16 +47,15 @@ BLOW_UP = "blow_up"
 T_MAX_REACHED = "t_max_reached"
 
 # Why `run` stopped: the status itself for converged and t_max_reached, else
-# the cause of blow_up.  nonfinite_state is a non-finite right-hand side or
-# solution; nonfinite_reaction a non-finite P, Q or action part after a step;
-# the two dt collapses are halvings below dt_min by the increment guard and
-# by the solve check (a failed factorization included).
+# the cause of blow_up.  nonfinite_state is a non-finite solution (as a
+# non-finite right-hand side gives); nonfinite_reaction a non-finite P, Q or
+# action part after a step; the two dt collapses are halvings below dt_min by
+# the increment guard and by failed factorizations, the only solve failure.
 STOP_REASONS = (CONVERGED, T_MAX_REACHED, "initial_out_of_range",
                 "increment_dt_collapse", "solve_dt_collapse", "nonfinite_state",
                 "nonfinite_reaction", "sup_guard")
 
 _SMOOTH_STEPS_BEFORE_DOUBLING = 10
-_LINEAR_SOLVE_TOL = 1e-12
 # share of increment_limit that the explicit increment dt*sup|P(u)| may use
 _INCREMENT_SAFETY = 0.9
 
@@ -69,12 +69,13 @@ class StepControl:
     increment_limit: float = 0.1
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.dt_init, self.dt_min, self.dt_max,
+                                  self.sup_guard, self.increment_limit))):
+            raise ValueError("step control values must be finite")
         if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not self.sup_guard > 0:
-            raise ValueError("sup_guard > 0 required")
-        if not self.increment_limit > 0:
-            raise ValueError("increment_limit > 0 required")
+        if not (self.sup_guard > 0 and self.increment_limit > 0):
+            raise ValueError("sup_guard > 0 and increment_limit > 0 required")
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def run(
     that does not broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
 
-    Every finite check tests a reduction the step takes anyway: max|rhs|
-    (the solve residual's scale), max|x| (the sup_norm column), max|P(u)|
+    Every finite check tests a reduction the step takes anyway: max|x| (the
+    sup_norm column; the solve carries a non-finite rhs into x), max|P(u)|
     (the next increment guard) and the potential sum (inside the action);
     max and sum propagate inf and nan.  P and Q are evaluated unchecked
     under one np.errstate for the whole run.
@@ -191,6 +192,7 @@ def run(
     u = u0.values
     t = 0.0
     dt = ctrl.dt_init
+    dt_taken = 0.0  # the dt column; the initial row has 0.0
     energy = 0.0
     steps = 0
     smooth = 0
@@ -199,35 +201,46 @@ def run(
     dt_min, dt_max, sup_guard = ctrl.dt_min, ctrl.dt_max, ctrl.sup_guard
     tol_eq = stop.tol_eq
     h, boundary = g.h, g.boundary
+    t_end = t_max - 1e-12 * max(1.0, t_max)
     reaction = nl.apply_P_unchecked
     absolute = np.abs
     solvers = {}  # dt -> factored solver
 
     with np.errstate(over="ignore", invalid="ignore"):
-        p_now = reaction(u)
-        p_sup = float(absolute(p_now).max())
-        e = extend(u, boundary)
-        try:
-            a_now = action_parts_extended(nl, u, e)[0]
-        except RangeOverflowError:
-            p_sup = math.nan  # fails the check below, as a non-finite P does
-        if not isfinite(p_sup):  # initial data already beyond polynomial range
-            return Trajectory([(0.0, u0)], diag, BLOW_UP, u0, u0, 0.0, 0,
-                              escape_sign=_extreme_sign(u),
-                              stop_reason="initial_out_of_range")
-        resid_now = laplacian_extended(e, g) + p_now
-        ut_sup = float(absolute(resid_now).max())
-        add_t(0.0)
-        add_dt(0.0)
-        add_sup(float(absolute(u).max()))
-        add_action(a_now)
-        add_energy(energy)
-        add_ut(ut_sup)
-        if ut_sup < tol_eq:
-            reason = CONVERGED
-
-        t_end = t_max - 1e-12 * max(1.0, t_max)
-        while not reason:
+        e = extend(u, boundary)  # serves the Laplacian and the action
+        lap_u = laplacian_extended(e, g)
+        sup_u = float(absolute(u).max())
+        while True:
+            # the state after `steps` accepted steps: P, the action, its row
+            p_now = reaction(u)
+            p_sup = float(absolute(p_now).max())
+            try:
+                a_now = action_parts_extended(nl, u, e)[0]
+            except RangeOverflowError:
+                p_sup = math.nan  # fails the check below, as a non-finite P does
+            if not isfinite(p_sup):
+                # at step 0 the initial data is already beyond polynomial range
+                reason = "nonfinite_reaction" if steps else "initial_out_of_range"
+                break
+            resid_now = lap_u + p_now
+            ut_sup = float(absolute(resid_now).max())
+            add_t(t)
+            add_dt(dt_taken)
+            add_sup(sup_u)
+            add_action(a_now)
+            add_energy(energy)
+            add_ut(ut_sup)
+            if steps:
+                if steps % snapshot_stride == 0:
+                    snaps.append((t, Field(g, u)))
+                    snap_step = steps
+                smooth += 1
+                if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
+                    dt = min(dt * 2.0, dt_max)
+                    smooth = 0
+            if ut_sup < tol_eq:
+                reason = CONVERGED
+                break
             if t >= t_end:
                 reason = T_MAX_REACHED
                 break
@@ -240,78 +253,37 @@ def run(
                 if dt < dt_min:
                     reason = "increment_dt_collapse"
                     break
+            solver = solvers.get(dt)
+            while solver is None and not reason:
+                try:
+                    solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt))
+                except np.linalg.LinAlgError:
+                    # not positive definite in floating point at this dt
+                    dt *= 0.5
+                    smooth = 0
+                    solver = solvers.get(dt)
+                    if dt < dt_min:
+                        reason = "solve_dt_collapse"
             if reason:
                 break
 
             rhs = u + dt * (p_now if forcing is None else p_now + forcing(t))
-            rhs_sup = float(absolute(rhs).max())
-            if not isfinite(rhs_sup):
-                reason = "nonfinite_state"
-                break
-            solver = solvers.get(dt)
-            if solver is None:
-                try:
-                    solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt))
-                except np.linalg.LinAlgError:
-                    pass  # not positive definite in floating point at this dt
-            if solver is not None:
-                x = solver.solve(rhs)
-                e = extend(x, boundary)  # serves the Laplacian and the action
-                lap_x = laplacian_extended(e, g)
-            if (solver is None
-                    or solver.relative_residual(x, rhs, lap_x, rhs_sup) > _LINEAR_SOLVE_TOL):
-                # degraded solve or no factor at this dt: retry with half the step
-                dt *= 0.5
-                smooth = 0
-                if dt < dt_min:
-                    reason = "solve_dt_collapse"
-                    break
-                continue
+            x = solver.solve(rhs)
             sup_u = float(absolute(x).max())
-            if not isfinite(sup_u):
+            if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
                 reason = "nonfinite_state"
                 break
-
+            e = extend(x, boundary)
+            lap_u = laplacian_extended(e, g)
             # windowed energy, accumulated every step regardless of stride
             energy += energy_addend(u, x, resid_now, dt, h)
-
             t += dt
+            dt_taken = dt
             steps += 1
             u = x
-
             if sup_u > sup_guard:
                 reason = "sup_guard"
                 break
-
-            p_now = reaction(u)
-            p_sup = float(absolute(p_now).max())
-            try:
-                a_now = action_parts_extended(nl, u, e)[0]
-            except RangeOverflowError:
-                p_sup = math.nan  # fails the check below, as a non-finite P does
-            if not isfinite(p_sup):
-                reason = "nonfinite_reaction"
-                break
-            resid_now = lap_x + p_now
-            ut_sup = float(absolute(resid_now).max())
-            add_t(t)
-            add_dt(dt)
-            add_sup(sup_u)
-            add_action(a_now)
-            add_energy(energy)
-            add_ut(ut_sup)
-            if steps % snapshot_stride == 0:
-                snaps.append((t, Field(g, u)))
-                snap_step = steps
-
-            if ut_sup < tol_eq:
-                reason = CONVERGED
-                break
-
-            smooth += 1
-            if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
-                dt = min(dt * 2.0, dt_max)
-                smooth = 0
 
     status = reason if reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP
     final = snaps[-1][1] if snap_step == steps else Field(g, u)

@@ -365,15 +365,17 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
     the solves.  A has nonnegative off-diagonals and is irreducible, so by
     Perron-Frobenius the direction is strictly positive; it is scaled to
-    maximum 1.  Raises PowerIterationError when the shifted band is not
-    positive definite or the residual bound is not met within max_iter
-    solves.
+    maximum 1.  Raises PowerIterationError when dsbevx fails, the shifted
+    band is not positive definite or max_iter solves miss the bound.
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field.values)
     band, order = ring_band(g, dp)
-    lam = float(eig_banded(band, eigvals_only=True, select="i",
-                           select_range=(g.m - 1, g.m - 1))[0])
+    try:
+        lam = float(eig_banded(band, eigvals_only=True, select="i",
+                               select_range=(g.m - 1, g.m - 1))[0])
+    except LinAlgError as e:
+        raise PowerIterationError(f"leading eigenvalue not found: {e}") from e
     # lam and A w carry rounding of order eps * ||A||_inf, which passes
     # 1e-8 max(1, |lam|) once 4/h^2 nears 1e8; the floor keeps the shifted
     # band positive definite and the residual bound reachable there

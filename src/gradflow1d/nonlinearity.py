@@ -26,11 +26,14 @@ def horner(coeffs, v):
     """sum_i coeffs[i] * v^i by Horner's rule, coefficients in ascending order.
 
     v is a float or an ndarray; each coefficient is a float or an ndarray
-    broadcastable against v.  The loop starts from 0.0, so every caller
-    rounds in the same order.
+    broadcastable against v.  The loop starts at the leading coefficient,
+    and every caller goes through it, so all round in the same order.
+    Empty coeffs give 0.0; one coefficient is returned as is, not broadcast
+    against v.
     """
-    acc = 0.0
-    for a in reversed(coeffs):
+    rest = reversed(coeffs)
+    acc = next(rest, 0.0)
+    for a in rest:
         acc = acc * v + a
     return acc
 
@@ -54,16 +57,8 @@ class Nonlinearity:
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
         self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
-        self._n = spec.N
-        self._signed = spec.signed_power
-
-    @property
-    def degree(self) -> int:
-        return self.spec.N
-
-    @property
-    def signed_power(self) -> bool:
-        return self.spec.signed_power
+        self.degree = spec.N
+        self.signed_power = spec.signed_power
 
     def spatially_constant(self) -> bool:
         return self._constant is not None
@@ -90,9 +85,9 @@ class Nonlinearity:
         propagate inf and nan).
         """
         acc = horner(self.coeff_samples, v)
-        if self._signed:
-            return acc - v * np.abs(v) ** (self._n - 1)
-        return acc - v**self._n
+        if self.signed_power:
+            return acc - v * np.abs(v) ** (self.degree - 1)
+        return acc - v**self.degree
 
     def apply_dP(self, v: np.ndarray) -> np.ndarray:
         """Pointwise derivative of P at samples v (the Jacobian diagonal)."""
@@ -114,9 +109,9 @@ class Nonlinearity:
     def potential_unchecked(self, v: np.ndarray) -> np.ndarray:
         """The potential Q at samples v with no finite check, on the terms
         of `apply_P_unchecked`."""
-        n = self._n
+        n = self.degree
         acc = horner(self._Q_coeffs, v) * v
-        if self._signed:
+        if self.signed_power:
             return acc - np.abs(v) ** (n + 1) / (n + 1)
         return acc - v ** (n + 1) / (n + 1)
 

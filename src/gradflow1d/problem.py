@@ -82,6 +82,10 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     sources = d["coeffs"]
     if not isinstance(sources, (list, tuple)) or len(sources) != n:
         raise SpecValidationError(f"coeffs must list exactly N={n} expressions")
+    for i, source in enumerate(sources):
+        if not isinstance(source, str):
+            raise SpecValidationError(
+                f"coefficient a_{i} must be an expression string, got {source!r}")
     try:
         coeffs = tuple(exprlang.parse(s) for s in sources)
     except exprlang.ExprError as e:
@@ -99,8 +103,8 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     except (TypeError, ValueError) as e:
         raise SpecValidationError(
             f"sup_guard and box_half_length must be numbers: {e}") from e
-    if not sup_guard > 0:
-        raise SpecValidationError("sup_guard > 0 required")
+    if not (math.isfinite(sup_guard) and sup_guard > 0):
+        raise SpecValidationError("sup_guard must be finite and > 0")
     if not (math.isfinite(box_half_length) and box_half_length > 0):
         raise SpecValidationError("box_half_length must be finite and > 0")
     grid_points = d["grid_points"]

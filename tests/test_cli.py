@@ -142,6 +142,16 @@ _BAD_CONFIGS = {
     "output_dir-number": (("output_dir",), 5),
     "box_half_length-abc": (("spec", "box_half_length"), "abc"),
     "box_half_length-inf": (("spec", "box_half_length"), float("inf")),
+    # JSON Infinity is a number that is not finite
+    "sup_guard-inf": (("spec", "sup_guard"), float("inf")),
+    "control.dt_max-inf": (("control", "dt_max"), float("inf")),
+    "control.increment_limit-inf": (("control", "increment_limit"), float("inf")),
+    "control.sup_guard-inf": (("control", "sup_guard"), float("inf")),
+    # coefficients are expression strings, never JSON numbers
+    "coeffs-int": (("spec", "coeffs"), [-1, "1"]),
+    "coeffs-float": (("spec", "coeffs"), [1.5, "1"]),
+    "coeffs-last-int": (("spec", "coeffs"), ["0", 2]),
+    "coeffs-zero-one": (("spec", "coeffs"), [0, 1]),
     # grid spacing h whose square underflows, leaves the normal range or overflows
     "box_half_length-1e-300": (("spec", "box_half_length"), 1e-300),
     "box_half_length-1e-160": (("spec", "box_half_length"), 1e-160),
@@ -335,6 +345,21 @@ def test_connect_short_front_is_failed_row(tmp_path):
     assert len(rows) == 1
     assert rows[0]["status"] != "growth"
     assert rows[0]["fit_quality"] == "nan"
+
+
+def test_connect_without_eigenpair_is_failed_row(tmp_path):
+    # at half-length 1e100 LAPACK's dsbevx does not converge on the u = 0
+    # launch's band; that row fails with no run, and the other still runs
+    data = json.loads((CONFIGS / "fisher.json").read_text())
+    data["spec"]["box_half_length"] = 1e100
+    for launch in data["connect"]["launches"]:
+        launch["t_max"] = 1.0
+    data["output_dir"] = str(tmp_path / "out")
+    assert main(["connect", _write(tmp_path, data), "--quiet"]) == EXIT_VERIFY
+    with open(tmp_path / "out" / "connections.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["status"] for r in rows] == ["no_direction", "undecided"]
+    assert rows[0]["from"] == "0" and rows[0]["total_energy"] == "nan"
 
 
 def test_equilibria_shooting_scan(tmp_path):

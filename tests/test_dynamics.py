@@ -41,6 +41,9 @@ def test_step_control_validation():
         StepControl(dt_init=1e-3, dt_min=1e-2, dt_max=1e-1)
     with pytest.raises(ValueError):
         StepControl(sup_guard=-1.0)
+    for field in ("dt_init", "dt_min", "dt_max", "sup_guard", "increment_limit"):
+        with pytest.raises(ValueError, match="finite"):
+            StepControl(**{field: math.inf})
 
 
 def _one_step(spec, u, dt, nl=None):
@@ -102,19 +105,46 @@ def test_run_rejects_snapshot_stride_below_one():
 
 def test_run_halves_dt_when_factorization_fails():
     # at dt ~ 1e15 on neumann0, cholesky_banded finds the matrix not positive
-    # definite in floating point; that is a degraded solve, not an exception
+    # definite in floating point; that halves dt, it raises no exception
     spec, nl = _fisher(m=256, boundary="neumann0")
     u0 = Field.constant(nl.grid, 0.5)
-    ctrl = StepControl(dt_init=1e15, dt_max=1e15, increment_limit=1e30)
+    ctrl = StepControl(dt_init=1e15, dt_max=1e15, increment_limit=1e30,
+                       sup_guard=1e300)
     traj = run(spec, u0, ctrl, 1e16, nl=nl)
-    assert traj.status == CONVERGED
     assert 0.0 < traj.diagnostics.dt[1] < 1e15
+    # the first dt with a factor takes the step; with an increment limit this
+    # loose the forward-Euler reaction then escapes, until the increment
+    # guard's halvings pass dt_min
+    assert traj.status == BLOW_UP
+    assert traj.stop_reason == "increment_dt_collapse"
     # halving past dt_min while every factorization fails is blow-up evidence
     ctrl = StepControl(dt_init=1e15, dt_min=1e14, dt_max=1e15,
                        increment_limit=1e30)
     traj = run(spec, u0, ctrl, 1e16, nl=nl)
     assert traj.status == BLOW_UP
     assert traj.steps == 0
+
+
+def test_fine_grid_fixed_dt_is_not_blow_up():
+    # mu = dt/h^2 is about 1e6 here; the solve is backward stable and the
+    # run is bounded, so it reaches t_max at the fixed dt
+    spec = verify.fisher_spec(grid_points=32768)
+    g = problem.make_grid(spec)
+    u0 = Field(g, 0.5 + 0.1 * np.sin(0.2 * np.pi * g.nodes))
+    traj = run(spec, u0, StepControl(dt_init=0.1, dt_min=0.1, dt_max=0.1), 1.0)
+    assert (traj.status, traj.steps) == (T_MAX_REACHED, 10)
+
+
+def test_dt_reaches_dt_max_on_a_fine_grid():
+    # only the increment guard and the doubling rule set dt: nothing caps it
+    # below dt_max as M grows
+    spec = verify.cubic_spec(grid_points=4096)
+    g = problem.make_grid(spec)
+    u0 = Field(g, 0.5 * np.sin(0.2 * np.pi * g.nodes))
+    traj = run(spec, u0, StepControl(dt_max=1e-2), 1.0)
+    assert traj.status == T_MAX_REACHED
+    assert traj.diagnostics.dt.max() == 1e-2
+    assert traj.steps == 125
 
 
 def _blow_up_case(reason):

@@ -132,6 +132,25 @@ def test_constant_field_matches_scalar_horner(fisher):
         assert fisher.scalar_P(c, fisher.coeffs_at(0.0)) == pytest.approx(scalar_p(c), abs=1e-14)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+                min_size=1, max_size=5),
+       st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+       st.booleans())
+def test_horner_matches_a_start_from_zero(coeffs, v, arrays):
+    # starting at the leading coefficient skips 0.0*v + a, which is a for
+    # finite v; every later product and sum is the same operation
+    c = [np.array(a) if arrays else a[0] for a in coeffs]
+    v = np.array(v)
+    want = 0.0
+    for a in reversed(c):
+        want = want * v + a
+    assert np.array_equal(np.broadcast_to(horner(c, v), want.shape), want)
+    if not arrays:  # the scalar path of shooting, scalar_P and the root finder
+        assert [horner(c, float(x)) for x in v] == list(want)
+    assert horner((), v) == 0.0
+
+
 def test_overflow_reported(pure_cubic):
     with pytest.raises(RangeOverflowError):
         pure_cubic.apply_P_values(np.full(pure_cubic.grid.m, 1e200))

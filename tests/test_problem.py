@@ -40,6 +40,13 @@ def test_wrong_coeff_count_rejected():
         spec_from_dict({**FISHER, "coeffs": ["0", "1", "2"]})
 
 
+@pytest.mark.parametrize("coeffs, index", (([-1, "1"], 0), (["0", 2], 1), ([0, 1], 0),
+                                           (["0", None], 1)))
+def test_coefficient_must_be_a_string(coeffs, index):
+    with pytest.raises(SpecValidationError, match=f"a_{index} must be an expression string"):
+        spec_from_dict({**FISHER, "coeffs": coeffs})
+
+
 def test_nonfinite_coefficient_sample_rejected():
     # 1/x blows up at the node x=0 of an even periodic grid
     with pytest.raises(SpecValidationError, match="non-finite"):

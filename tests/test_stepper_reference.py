@@ -2,7 +2,8 @@
 
 `reference_run` is the earlier form of the IMEX loop in `dynamics.run`: a
 `Field` per step, `cho_solve_banded` through scipy's checks, the Laplacian
-built with `np.concatenate` and computed twice per step, and the action
+built with `np.concatenate`, an explicit finite check of the right-hand
+side (`run` lets the solve carry a non-finite one into x), and the action
 through `functionals.action`.  `run` must reproduce every recorded number
 exactly, so any reordering of floating-point work in the lean loop shows
 up here.
@@ -46,11 +47,6 @@ def _solve(s, rhs):
         return y
     vy = y[0] + (-s._mu / s._gamma) * y[-1]
     return y - s._z * (vy / (1.0 + s._vz))
-
-
-def _relative_residual(s, x, rhs):
-    r = (x - s.dt * _laplacian(x, s.grid)) - rhs
-    return float(np.max(np.abs(r))) / (float(np.max(np.abs(rhs))) + 1e-300)
 
 
 def _extreme_sign(u):
@@ -117,14 +113,6 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
         if dt not in solvers:
             solvers[dt] = ImplicitDiffusionSolver(g, dt)
         x = _solve(solvers[dt], rhs)
-        if _relative_residual(solvers[dt], x, rhs) > 1e-12:
-            dt *= 0.5
-            smooth = 0
-            if dt < ctrl.dt_min:
-                status, escape_sign = BLOW_UP, _extreme_sign(u)
-                reason = "solve_dt_collapse"
-                break
-            continue
         if not np.all(np.isfinite(x)):
             status, escape_sign = BLOW_UP, _extreme_sign(u)
             reason = "nonfinite_state"

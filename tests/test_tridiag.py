@@ -126,3 +126,21 @@ def test_implicit_diffusion_vs_dense_property(boundary, m, mu, seed):
     x = ImplicitDiffusionSolver(g, dt).solve(rhs)
     err = np.abs(x - ref).max() / np.abs(ref).max()
     assert err <= 1e-12 * (1.0 + 4.0 * mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 128),
+       st.floats(-3.0, 15.0), st.integers(0, 2**32 - 1))
+def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
+    # banded Cholesky is backward stable with a bound free of mu = dt/h^2,
+    # and the Sherman-Morrison wrap keeps that, so the normwise backward
+    # error |r|/(|A| |x| + |b|), |A|_inf = 1 + 4 mu, stays a few eps at
+    # every mu, while |r|/|b| grows like mu * eps
+    g = SpatialGrid(5.0, m, boundary)
+    mu = 10.0**log_mu
+    dt = mu * g.h**2
+    rhs = np.random.default_rng(seed).standard_normal(m)
+    x = ImplicitDiffusionSolver(g, dt).solve(rhs)
+    r = (x - dt * laplacian_values(x, g)) - rhs
+    backward = np.abs(r).max() / ((1.0 + 4.0 * mu) * np.abs(x).max() + np.abs(rhs).max())
+    assert backward <= 8 * np.finfo(float).eps
