@@ -268,8 +268,7 @@ def build_catalog(cfg: RunConfig):
     errors = []
 
     def is_new(eq) -> bool:
-        return all(np.max(np.abs(eq.field.values - c.field.values)) > 1e-8
-                   for c in catalog)
+        return equilibria.nearest(catalog, eq.field)[1] > 1e-8
 
     if cfg.constant_roots:
         try:
@@ -342,9 +341,9 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
         tail_tol=cfg.tail_tol)
     os.makedirs(out_dir, exist_ok=True)
     table.write_csv(os.path.join(out_dir, "connections.csv"))
-    for row in table.rows:
+    for launch_id, row in enumerate(table.rows):
         verdict = "excluded" if row.passed is None else ("pass" if row.passed else "FAIL")
-        _say(quiet, f"launch {row.launch_id}: {row.status} "
+        _say(quiet, f"launch {launch_id}: {row.status} "
                     f"[{row.from_index}->{row.to_index}] {verdict}")
     return EXIT_OK if table.all_passed else EXIT_VERIFY
 

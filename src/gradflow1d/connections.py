@@ -7,6 +7,9 @@ run is matched against the equilibrium catalog; connected reports satisfy
 the energy/action-gap identity within tolerance and have a decaying tail
 energy rate.  Runs whose windowed energy keeps growing linearly are the
 operational stand-in for infinite-energy (travelling-front) behaviour.
+
+An audit row, of a launch or a front, is one `ConnectionReport` whose
+`passed` follows from its status; both kinds share one energy accounting.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, equilibria, functionals
+from . import dynamics, equilibria, functionals, problem
 from .grid import Field
 from .nonlinearity import Nonlinearity
 
@@ -24,7 +27,6 @@ __all__ = [
     "ConnectionReport",
     "GrowthDiagnostic",
     "LaunchSpec",
-    "AuditRow",
     "AuditTable",
     "launch_connection",
     "energy_growth_diagnostic",
@@ -33,6 +35,8 @@ __all__ = [
 
 CONNECTED = "connected"
 UNDECIDED = "undecided"
+GROWTH = "growth"
+NO_DIRECTION = "no_direction"
 
 DEFAULT_MATCH_TOL = 1e-4
 DEFAULT_TAIL_TOL = 1e-8
@@ -43,15 +47,36 @@ GROWTH_FIT_MIN = 0.99  # a front row needs a linear-fit R^2 above this
 
 @dataclass
 class ConnectionReport:
-    status: str  # connected | blow_up | undecided
-    from_index: int | None
-    to_index: int | None
-    total_energy: float
-    action_gap: float
-    identity_residual: float
-    tail_energy_rate: float
+    """One launch or front run: a row of an audit's connections.csv.
+
+    status: connected | undecided | no_direction (launch), growth |
+    converged | t_max_reached (front), blow_up (either).  A number that the
+    row's kind does not have is NaN.
+    """
+
+    status: str
+    from_index: int | None = None
+    to_index: int | None = None
+    total_energy: float = math.nan
+    action_gap: float = math.nan
+    identity_residual: float = math.nan
+    tail_energy_rate: float = math.nan
+    fit_quality: float = math.nan
     note: str = ""
     trajectory: dynamics.Trajectory | None = None
+
+    @property
+    def passed(self) -> bool | None:
+        """None for a blow-up: excluded from the audit, not a global solution."""
+        if self.status == dynamics.BLOW_UP:
+            return None
+        return self.status in (CONNECTED, GROWTH)
+
+
+def _window_start(t: np.ndarray, fraction: float) -> int:
+    """First row of the trailing fraction of t's span, at most len(t) - 2."""
+    i = int(np.searchsorted(t, t[-1] - fraction * (t[-1] - t[0])))
+    return min(i, len(t) - 2)
 
 
 def _tail_rate(diag: dynamics.DiagnosticSeries, fraction: float) -> float:
@@ -60,22 +85,24 @@ def _tail_rate(diag: dynamics.DiagnosticSeries, fraction: float) -> float:
     e = diag.energy_cum
     if len(t) < 2 or t[-1] <= t[0]:
         return 0.0
-    t_from = t[-1] - fraction * (t[-1] - t[0])
-    i = int(np.searchsorted(t, t_from))
-    i = min(max(i, 0), len(t) - 2)
+    i = _window_start(t, fraction)
     return float((e[-1] - e[i]) / (t[-1] - t[i]))
 
 
 def _match_catalog(catalog, field: Field, match_tol: float):
     """Index of the closest catalog member within match_tol, else None."""
-    best, best_d = None, math.inf
-    for i, eq in enumerate(catalog):
-        d = float(np.max(np.abs(eq.field.values - field.values)))
-        if d < best_d:
-            best, best_d = i, d
-    if best is not None and best_d < match_tol:
-        return best, best_d
-    return None, best_d
+    best, best_d = equilibria.nearest(catalog, field)
+    return (best if best_d < match_tol else None), best_d
+
+
+def _run(spec, u0: Field, ctrl: dynamics.StepControl, t_max: float,
+         stop: dynamics.StopRule, nl: Nonlinearity):
+    """(trajectory, total energy, tail rate) of a run from u0; a run that
+    stops before its first diagnostic row carries zero energy."""
+    traj = dynamics.run(spec, u0, ctrl, t_max, stop, nl=nl)
+    diag = traj.diagnostics
+    total_energy = float(diag.energy_cum[-1]) if len(diag) else 0.0
+    return traj, total_energy, _tail_rate(diag, TAIL_WINDOW_FRACTION)
 
 
 def launch_connection(
@@ -97,10 +124,8 @@ def launch_connection(
     if nl is None:
         nl = Nonlinearity(spec, g)
     u0 = Field(g, eq_from.field.values + amplitude * direction.values)
-    traj = dynamics.run(spec, u0, ctrl, t_max, stop, nl=nl)
-    total_energy = float(traj.diagnostics.energy_cum[-1]) if len(traj.diagnostics) else 0.0
+    traj, total_energy, tail = _run(spec, u0, ctrl, t_max, stop, nl)
     from_index, _ = _match_catalog(catalog, eq_from.field, match_tol)
-    tail = _tail_rate(traj.diagnostics, TAIL_WINDOW_FRACTION)
     ident = functionals.identity_residual(traj, nl)
 
     to_index, action_gap = None, math.nan
@@ -121,7 +146,7 @@ def launch_connection(
                     f"(closest {dist:.3g})")
         else:
             action_gap = catalog[to_index].action - eq_from.action
-            dt_scale = float(np.max(traj.diagnostics.dt)) if len(traj.diagnostics) else 0.0
+            dt_scale = float(np.max(traj.diagnostics.dt))  # converged: rows exist
             a_scale = max(1.0, abs(catalog[to_index].action), abs(eq_from.action))
             identity_tol = max(0.02 * max(abs(total_energy), abs(action_gap)),
                                10.0 * dt_scale * a_scale)
@@ -154,12 +179,8 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
     if len(diag) < GROWTH_MIN_ROWS:
         raise ValueError(
             f"trajectory has fewer than {GROWTH_MIN_ROWS} diagnostic rows")
-    t = diag.t
-    e = diag.energy_cum
-    t_from = t[-1] - window_fraction * (t[-1] - t[0])
-    i = int(np.searchsorted(t, t_from))
-    i = min(max(i, 0), len(t) - 2)
-    tw, ew = t[i:], e[i:]
+    i = _window_start(diag.t, window_fraction)
+    tw, ew = diag.t[i:], diag.energy_cum[i:]
     slope, intercept = np.polyfit(tw, ew, 1)
     fitted = slope * tw + intercept
     ss_res = float(np.sum((ew - fitted) ** 2))
@@ -187,20 +208,6 @@ class LaunchSpec:
 
 
 @dataclass
-class AuditRow:
-    launch_id: int
-    status: str
-    from_index: int | None
-    to_index: int | None
-    total_energy: float
-    action_gap: float
-    identity_residual: float
-    tail_rate: float
-    fit_quality: float
-    passed: bool | None  # None: excluded from the audit (blow-up)
-
-
-@dataclass
 class AuditTable:
     rows: list
 
@@ -213,19 +220,12 @@ class AuditTable:
                 "action_gap", "identity_residual", "tail_rate", "fit_quality")
         with open(path, "w") as f:
             f.write(",".join(cols) + "\n")
-            for r in self.rows:
-                cells = [
-                    str(r.launch_id),
-                    r.status,
-                    "" if r.from_index is None else str(r.from_index),
-                    "" if r.to_index is None else str(r.to_index),
-                    f"{r.total_energy:.17g}",
-                    f"{r.action_gap:.17g}",
-                    f"{r.identity_residual:.17g}",
-                    f"{r.tail_rate:.17g}",
-                    f"{r.fit_quality:.17g}",
-                ]
-                f.write(",".join(cells) + "\n")
+            for launch_id, r in enumerate(self.rows):
+                ends = ("" if k is None else str(k) for k in (r.from_index, r.to_index))
+                numbers = (f"{x:.17g}" for x in (
+                    r.total_energy, r.action_gap, r.identity_residual,
+                    r.tail_energy_rate, r.fit_quality))
+                f.write(",".join((str(launch_id), r.status, *ends, *numbers)) + "\n")
 
 
 def connection_energy_audit(
@@ -242,63 +242,42 @@ def connection_energy_audit(
 
     Connected rows must carry finite energy with a small tail rate; front
     rows must show linear energy growth and no catalog match (a front run
-    with fewer than GROWTH_MIN_ROWS diagnostic rows fails, with a NaN rate
-    and fit).  A run of either kind that blows up is excluded from the audit
-    (passed None) and keeps the status blow_up.  A launch from an equilibrium
-    with no leading eigenpair fails with the status no_direction and no run.
+    with fewer than GROWTH_MIN_ROWS diagnostic rows fails, with a NaN fit).
+    A run of either kind that blows up, at step 0 included, is excluded from
+    the audit (passed None) and keeps the status blow_up.  A launch from an
+    equilibrium with no leading eigenpair fails with the status no_direction
+    and no run.
     """
-    from . import problem as problem_mod
-
-    g = problem_mod.make_grid(spec)
+    g = problem.make_grid(spec)
     nl = Nonlinearity(spec, g)
     rows = []
-    for i, entry in enumerate(plan):
+    for entry in plan:
         if entry.kind == "front":
             u0 = Field.from_expr(g, entry.initial_condition)
-            traj = dynamics.run(spec, u0, ctrl, entry.t_max, stop, nl=nl)
-            total = float(traj.diagnostics.energy_cum[-1])
-            tail = _tail_rate(traj.diagnostics, TAIL_WINDOW_FRACTION)
+            traj, total, tail = _run(spec, u0, ctrl, entry.t_max, stop, nl)
             if len(traj.diagnostics) < GROWTH_MIN_ROWS:
                 # too short to fit a growth rate: reported, not passed
                 growth = GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
             else:
                 growth = energy_growth_diagnostic(traj)
             to_index, _ = _match_catalog(catalog, traj.final_field, match_tol)
-            if traj.status == dynamics.BLOW_UP:
-                passed = None  # outside the audit: not a global solution
-            else:
-                passed = (growth.rate > 0.0 and growth.fit_quality > GROWTH_FIT_MIN
-                          and to_index is None)
-            rows.append(AuditRow(
-                launch_id=i, status="growth" if passed else traj.status,
-                from_index=None, to_index=to_index, total_energy=total,
-                action_gap=math.nan, identity_residual=math.nan,
-                tail_rate=tail, fit_quality=growth.fit_quality, passed=passed))
+            grows = (traj.status != dynamics.BLOW_UP and growth.rate > 0.0
+                     and growth.fit_quality > GROWTH_FIT_MIN and to_index is None)
+            rows.append(ConnectionReport(
+                status=GROWTH if grows else traj.status, to_index=to_index,
+                total_energy=total, tail_energy_rate=tail,
+                fit_quality=growth.fit_quality, trajectory=traj))
             continue
 
         eq = catalog[entry.from_index]
         try:
             ud = equilibria.unstable_direction(nl, eq, seed=entry.seed)
         except equilibria.PowerIterationError:
-            rows.append(AuditRow(
-                launch_id=i, status="no_direction", from_index=entry.from_index,
-                to_index=None, total_energy=math.nan, action_gap=math.nan,
-                identity_residual=math.nan, tail_rate=math.nan,
-                fit_quality=math.nan, passed=False))
+            rows.append(ConnectionReport(status=NO_DIRECTION,
+                                         from_index=entry.from_index))
             continue
-        report = launch_connection(
+        rows.append(launch_connection(
             eq, ud.direction, entry.amplitude, spec, ctrl, entry.t_max,
             catalog=catalog, stop=stop, match_tol=match_tol,
-            tail_tol=tail_tol, nl=nl)
-        if report.status == dynamics.BLOW_UP:
-            passed = None  # outside the audit: not a global solution
-        else:
-            passed = report.status == CONNECTED
-        rows.append(AuditRow(
-            launch_id=i, status=report.status,
-            from_index=report.from_index, to_index=report.to_index,
-            total_energy=report.total_energy, action_gap=report.action_gap,
-            identity_residual=report.identity_residual,
-            tail_rate=report.tail_energy_rate,
-            fit_quality=math.nan, passed=passed))
+            tail_tol=tail_tol, nl=nl))
     return AuditTable(rows=rows)

@@ -32,6 +32,7 @@ __all__ = [
     "newton_refine",
     "shoot",
     "classify_boundedness",
+    "nearest",
     "unstable_direction",
     "real_polynomial_roots",
 ]
@@ -75,6 +76,17 @@ def classify_boundedness(eq_or_field, thresholds: tuple[float, float]):
     f = eq_or_field.field if isinstance(eq_or_field, Equilibrium) else eq_or_field
     lo, hi = thresholds
     return bool(f.values.min() >= lo), bool(f.values.max() <= hi)
+
+
+def nearest(catalog, field: Field) -> tuple[int | None, float]:
+    """(index, sup-norm distance) of the catalog member closest to field;
+    (None, inf) for an empty catalog."""
+    best, best_d = None, math.inf
+    for i, eq in enumerate(catalog):
+        d = float(np.max(np.abs(eq.field.values - field.values)))
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
 
 
 def _make_equilibrium(nl, values, source, thresholds=None) -> Equilibrium:

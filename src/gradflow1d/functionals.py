@@ -19,7 +19,7 @@ up to the time-discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, nan
 
 import numpy as np
 
@@ -81,11 +81,15 @@ def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
 def identity_residual(traj, nl: Nonlinearity) -> float:
     """|E_window - (A(end) - A(start))| over a recorded trajectory.
 
-    Zero for an exact flow; strictly positive for non-solutions.
+    Zero for an exact flow; strictly positive for non-solutions; NaN when
+    an end state is beyond polynomial range, with no finite action.
     """
     if len(traj.diagnostics) == 0:
         return 0.0
     e_window = traj.diagnostics.energy_cum[-1] - traj.diagnostics.energy_cum[0]
-    a_start = action(nl, traj.first_field).value
-    a_end = action(nl, traj.final_field).value
+    try:
+        a_start = action(nl, traj.first_field).value
+        a_end = action(nl, traj.final_field).value
+    except RangeOverflowError:
+        return nan
     return abs(e_window - (a_end - a_start))

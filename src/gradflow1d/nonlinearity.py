@@ -38,6 +38,21 @@ def horner(coeffs, v):
     return acc
 
 
+def _with_leading_P(lower, v, n: int, signed_power: bool):
+    """lower - v^N, or lower - v|v|^(N-1) in signed_power mode; builtin abs
+    and ** serve floats (which raise OverflowError) and ndarrays alike."""
+    if signed_power:
+        return lower - v * abs(v) ** (n - 1)
+    return lower - v**n
+
+
+def _with_leading_Q(lower, v, n: int, signed_power: bool):
+    """lower - v^(N+1)/(N+1), or lower - |v|^(N+1)/(N+1) in signed_power mode."""
+    if signed_power:
+        return lower - abs(v) ** (n + 1) / (n + 1)
+    return lower - v ** (n + 1) / (n + 1)
+
+
 class Nonlinearity:
     def __init__(self, spec, grid: SpatialGrid):
         self.spec = spec
@@ -84,10 +99,8 @@ class Nonlinearity:
         tests the result through a reduction it takes anyway (max or sum
         propagate inf and nan).
         """
-        acc = horner(self.coeff_samples, v)
-        if self.signed_power:
-            return acc - v * np.abs(v) ** (self.degree - 1)
-        return acc - v**self.degree
+        return _with_leading_P(horner(self.coeff_samples, v), v, self.degree,
+                               self.signed_power)
 
     def apply_dP(self, v: np.ndarray) -> np.ndarray:
         """Pointwise derivative of P at samples v (the Jacobian diagonal)."""
@@ -109,11 +122,8 @@ class Nonlinearity:
     def potential_unchecked(self, v: np.ndarray) -> np.ndarray:
         """The potential Q at samples v with no finite check, on the terms
         of `apply_P_unchecked`."""
-        n = self.degree
-        acc = horner(self._Q_coeffs, v) * v
-        if self.signed_power:
-            return acc - np.abs(v) ** (n + 1) / (n + 1)
-        return acc - v ** (n + 1) / (n + 1)
+        return _with_leading_Q(horner(self._Q_coeffs, v) * v, v, self.degree,
+                               self.signed_power)
 
     def coeffs_at(self, xval: float):
         """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""
@@ -123,23 +133,13 @@ class Nonlinearity:
 
     def scalar_P(self, uval: float, coeffs) -> float:
         """P at a single u, with coeffs = coeffs_at(x); used by phase-plane shooting."""
-        acc = horner(coeffs, uval)
-        n = self.degree
-        if self.signed_power:
-            acc -= uval * abs(uval) ** (n - 1)
-        else:
-            acc -= uval**n
-        return acc
+        return _with_leading_P(horner(coeffs, uval), uval, self.degree,
+                               self.signed_power)
 
     def scalar_potential(self, uval: float, coeffs) -> float:
         """The potential Q at a single u, with coeffs = coeffs_at(x)."""
-        acc = horner([a / (i + 1) for i, a in enumerate(coeffs)], uval) * uval
-        n = self.degree
-        if self.signed_power:
-            acc -= abs(uval) ** (n + 1) / (n + 1)
-        else:
-            acc -= uval ** (n + 1) / (n + 1)
-        return acc
+        lower = horner([a / (i + 1) for i, a in enumerate(coeffs)], uval) * uval
+        return _with_leading_Q(lower, uval, self.degree, self.signed_power)
 
     def reaction_norm_ratio(self, u: Field, k: int, p: float) -> float:
         """||P(u) - a_0||_{k,p} / ||u||_{k,p}.

@@ -303,6 +303,43 @@ def test_connect_blowup_excluded(tmp_path):
     assert rows[0]["status"] == "blow_up"
 
 
+def test_connect_blowup_through_nonfinite_reaction_is_excluded(tmp_path, capsys):
+    # with guards this loose the run stops only when P overflows; the final
+    # field has no finite action, so its identity residual is NaN
+    data = {
+        "spec": {"N": 2, "coeffs": ["0", "0"], "box_half_length": 5,
+                 "grid_points": 16, "sup_guard": 1e300},
+        "control": {"dt_init": 1e-3, "dt_min": 1e-6, "dt_max": 1e-3,
+                    "increment_limit": 1e300},
+        "output_dir": str(tmp_path / "out"),
+        "connect": {"launches": [{"from_index": 0, "amplitude": -0.5, "t_max": 50}]},
+    }
+    assert main(["connect", _write(tmp_path, data)]) == EXIT_OK
+    with open(tmp_path / "out" / "connections.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    assert (rows[0]["status"], rows[0]["identity_residual"]) == ("blow_up", "nan")
+    assert "launch 0: blow_up [0->None] excluded" in capsys.readouterr().out
+
+
+def test_connect_front_out_of_range_at_step_0_is_excluded(tmp_path, capsys):
+    # the run stops before its first diagnostic row: zero energy and tail
+    # rate, as for a launch, and a NaN fit
+    data = json.loads((CONFIGS / "front.json").read_text())
+    data["spec"]["grid_points"] = 64
+    data["connect"]["launches"][0]["initial_condition"] = "1e200"
+    data["output_dir"] = str(tmp_path / "out")
+    assert main(["connect", _write(tmp_path, data)]) == EXIT_OK
+    with open(tmp_path / "out" / "connections.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["status"] == "blow_up"
+    assert (row["from"], row["to"]) == ("", "")
+    assert (row["total_energy"], row["tail_rate"], row["fit_quality"]) == ("0", "0", "nan")
+    assert "launch 0: blow_up [None->None] excluded" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("launch, equilibria, needs_catalog", (
     ({"from_value": 0.0, "t_max": "abc"}, None, False),
     ({"from_value": 0.0, "amplitude": "abc"}, None, False),

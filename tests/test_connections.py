@@ -4,6 +4,7 @@ import pytest
 from gradflow1d import connections, dynamics, equilibria, problem, verify
 from gradflow1d.connections import (
     CONNECTED,
+    ConnectionReport,
     LaunchSpec,
     connection_energy_audit,
     energy_growth_diagnostic,
@@ -182,6 +183,20 @@ def test_too_few_rows_error(fisher_setup):
         energy_growth_diagnostic(traj)
 
 
+@pytest.mark.parametrize("status, passed", (
+    ("connected", True),
+    ("growth", True),
+    ("blow_up", None),
+    ("undecided", False),
+    ("no_direction", False),
+    ("converged", False),
+    ("t_max_reached", False),
+))
+def test_report_passed_follows_status(status, passed):
+    # every status the audit writes; blow-up rows are excluded, not failed
+    assert ConnectionReport(status=status).passed is passed
+
+
 def test_audit_empty_plan(fisher_setup):
     spec, nl, catalog, ctrl = fisher_setup
     table = connection_energy_audit(spec, catalog, [], ctrl)
@@ -204,6 +219,7 @@ def test_audit_batch(fisher_setup, tmp_path):
     assert lines[0] == ("launch_id,status,from,to,total_energy,action_gap,"
                         "identity_residual,tail_rate,fit_quality")
     assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
 def test_audit_excludes_blowup():

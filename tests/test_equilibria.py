@@ -14,6 +14,7 @@ from gradflow1d.equilibria import (
     SingularJacobianError,
     classify_boundedness,
     constant_equilibria,
+    nearest,
     newton_refine,
     real_polynomial_roots,
     shoot,
@@ -296,6 +297,16 @@ def test_classify_thresholds():
     f = Field(g, np.linspace(-2.0, 3.0, 16))
     assert classify_boundedness(f, (-1.0, 10.0)) == (False, True)
     assert classify_boundedness(f, (-10.0, 1.0)) == (True, False)
+
+
+def test_nearest_catalog_member(fisher):
+    eqs = constant_equilibria(fisher)  # u = 0 and u = 1
+    g = fisher.grid
+    assert nearest([], Field.constant(g, 0.3)) == (None, math.inf)
+    assert nearest(eqs, Field.constant(g, 0.75)) == (1, 0.25)
+    assert nearest(eqs, eqs[0].field) == (0, 0.0)
+    # a tie goes to the first member
+    assert nearest(eqs, Field.constant(g, 0.5)) == (0, 0.5)
 
 
 # -- leading eigendirection --------------------------------------------------------

@@ -10,6 +10,7 @@ up here.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded
@@ -103,6 +104,20 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
                 break
         if status != RUNNING:
             break
+        # a factorization that fails halves dt; a solver for a dt met before
+        # is reused
+        while dt not in solvers:
+            try:
+                solvers[dt] = ImplicitDiffusionSolver(g, dt)
+            except np.linalg.LinAlgError:
+                dt *= 0.5
+                smooth = 0
+                if dt < ctrl.dt_min:
+                    status, escape_sign = BLOW_UP, _extreme_sign(u)
+                    reason = "solve_dt_collapse"
+                    break
+        if status != RUNNING:
+            break
         forcing_now = forcing(t) if forcing is not None else None
         rhs = u.values + dt * (p_now if forcing_now is None
                                else p_now + forcing_now)
@@ -110,8 +125,6 @@ def reference_run(u0, nl, ctrl, t_max, stop, forcing, snapshot_stride):
             status, escape_sign = BLOW_UP, _extreme_sign(u)
             reason = "nonfinite_state"
             break
-        if dt not in solvers:
-            solvers[dt] = ImplicitDiffusionSolver(g, dt)
         x = _solve(solvers[dt], rhs)
         if not np.all(np.isfinite(x)):
             status, escape_sign = BLOW_UP, _extreme_sign(u)
@@ -199,10 +212,7 @@ def _bits(a):
 _EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 30
 
 
-@settings(max_examples=_EXAMPLES, deadline=None)
-@given(_cases())
-def test_run_matches_reference_stepper_bit_for_bit(case):
-    spec, u0, ctrl, t_max, stop, forcing, stride = case
+def _assert_run_matches_reference(spec, u0, ctrl, t_max, stop, forcing, stride):
     nl = Nonlinearity(spec, u0.grid)
     diag, snaps, status, final, t, steps, sign, reason = reference_run(
         u0, nl, ctrl, t_max, stop, forcing, stride)
@@ -217,3 +227,36 @@ def test_run_matches_reference_stepper_bit_for_bit(case):
     assert [s for s, _ in traj.snapshots] == [s for s, _ in snaps]
     for (_, got), (_, want) in zip(traj.snapshots, snaps):
         assert _bits(got.values) == _bits(want.values)
+    return traj
+
+
+@settings(max_examples=_EXAMPLES, deadline=None)
+@given(_cases())
+def test_run_matches_reference_stepper_bit_for_bit(case):
+    _assert_run_matches_reference(*case)
+
+
+@pytest.mark.parametrize("u, dt_min, reason", (
+    # the first dt whose factorization succeeds takes the step; with an
+    # increment limit this loose the reaction then escapes
+    (0.5, 1e-9, "increment_dt_collapse"),
+    # u = 0 stays put: every doubling fails to factor again, and the halved
+    # dt reuses its solver
+    (0.0, 1e-9, T_MAX_REACHED),
+    # every factorization fails until dt passes dt_min
+    (0.5, 1e14, "solve_dt_collapse"),
+))
+def test_run_matches_reference_when_factorization_fails(u, dt_min, reason):
+    # at dt ~ 1e15 on neumann0, M = 256, cholesky_banded finds the step
+    # matrix not positive definite in floating point
+    spec = verify.fisher_spec(grid_points=256, boundary="neumann0")
+    u0 = Field.constant(problem.make_grid(spec), u)
+    ctrl = StepControl(dt_init=1e15, dt_min=dt_min, dt_max=1e15,
+                       increment_limit=1e30, sup_guard=1e300)
+    traj = _assert_run_matches_reference(spec, u0, ctrl, 1e16, StopRule(0.0),
+                                         None, 64)
+    assert traj.stop_reason == reason
+    if reason == "solve_dt_collapse":
+        assert traj.steps == 0
+    else:
+        assert traj.steps > 0 and 0.0 < traj.diagnostics.dt[1] < 1e15
