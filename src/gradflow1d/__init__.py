@@ -8,10 +8,8 @@ audits connecting orbits by their energy accounting, and detects blow-up.
 from .dynamics import (
     BLOW_UP,
     CONVERGED,
-    RUNNING,
     T_MAX_REACHED,
     StepControl,
-    StopRule,
     Trajectory,
     mms_verify,
     run,
@@ -23,7 +21,7 @@ from .equilibria import (
     shoot,
     unstable_direction,
 )
-from .functionals import ActionValue, action, energy_addend, identity_residual
+from .functionals import action, energy_addend, identity_residual
 from .grid import Field, SpatialGrid, integrate, sobolev_norm, sup_norm
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .problem import ProblemSpec, SpecValidationError, coefficient_norms, load_spec, make_grid

@@ -96,7 +96,7 @@ def load_config(path: str) -> RunConfig:
     eqs, conn, ver = (_keys(data.get(name, {}), keys, name)
                       for name, keys in SECTION_KEYS.items())
     t_max = _positive(data, "t_max", 10.0, "run")
-    tol_eq = _number(data, "tol_eq", 1e-8, "run")
+    tol_eq = _number(data, "tol_eq", dynamics.DEFAULT_TOL_EQ, "run")
     if not tol_eq >= 0:
         raise ConfigError(f"tol_eq must be >= 0, got {tol_eq!r}")
     seed = _integer(data, "seed", 0, 0)
@@ -171,6 +171,7 @@ def _launch(entry, grid, t_max: float, seed: int):
 def _control(value, what: str, spec) -> dynamics.StepControl:
     """A StepControl from a config object; sup_guard defaults to the spec's."""
     data = {"sup_guard": spec.sup_guard, **_object(value, what)}
+    data = {key: _number(data, key, None, what) for key in data}
     try:
         return dynamics.StepControl(**data)
     except (TypeError, ValueError) as e:
@@ -221,10 +222,13 @@ def _integer(section: dict, key: str, default: int, least: int) -> int:
 
 
 def _number(section: dict, key: str, default: float, where: str) -> float:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} field {key!r} must be a number, got {value!r}")
     try:
-        value = float(section.get(key, default))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {where} field {key!r}: {e}") from e
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{where} field {key!r} must be finite, got {value!r}")
     return value
@@ -243,8 +247,7 @@ def _say(quiet: bool, *args) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    traj = dynamics.run(cfg.spec, cfg.u0, cfg.control, cfg.t_max,
-                        dynamics.StopRule(cfg.tol_eq),
+    traj = dynamics.run(cfg.spec, cfg.u0, cfg.control, cfg.t_max, cfg.tol_eq,
                         snapshot_stride=cfg.snapshot_stride)
     summary = traj.summary_dict()
     summary["coefficient_norms"] = [
@@ -285,8 +288,10 @@ def build_catalog(cfg: RunConfig):
     half = cfg.spec.box_half_length
     for shot in cfg.shooting:
         try:
-            path = equilibria.shoot(nl, float(shot["u_left"]),
-                                    float(shot["slope"]), (-half, half))
+            # a ConfigError is a ValueError: a bad start is an `errors` entry
+            u_left, slope = (_number(shot, key, None, "shooting")
+                             for key in ("u_left", "slope"))
+            path = equilibria.shoot(nl, u_left, slope, (-half, half))
             if path.escaped:
                 errors.append({"source": "shooting", "start": shot,
                                "error": "path escaped the box"})
@@ -295,7 +300,7 @@ def build_catalog(cfg: RunConfig):
             eq = replace(equilibria.newton_refine(nl, guess), source="shooting")
             if eq.residual <= equilibria.RESIDUAL_TOL_SHOOTING and is_new(eq):
                 catalog.append(eq)
-        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        except (ValueError, ArithmeticError) as e:
             errors.append({"source": "shooting", "start": shot, "error": str(e)})
     return catalog, errors
 
@@ -337,7 +342,7 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
         plan.append(launch)
     table = connections.connection_energy_audit(
         cfg.spec, catalog, plan, cfg.control,
-        stop=dynamics.StopRule(cfg.tol_eq), match_tol=cfg.match_tol,
+        tol_eq=cfg.tol_eq, match_tol=cfg.match_tol,
         tail_tol=cfg.tail_tol)
     os.makedirs(out_dir, exist_ok=True)
     table.write_csv(os.path.join(out_dir, "connections.csv"))
@@ -408,6 +413,9 @@ def main(argv=None) -> int:
         return handler(cfg, out_dir, args.quiet)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:  # the config was read in load_config
+        print(f"error: cannot write outputs: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

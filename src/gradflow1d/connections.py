@@ -96,10 +96,10 @@ def _match_catalog(catalog, field: Field, match_tol: float):
 
 
 def _run(spec, u0: Field, ctrl: dynamics.StepControl, t_max: float,
-         stop: dynamics.StopRule, nl: Nonlinearity):
+         tol_eq: float, nl: Nonlinearity):
     """(trajectory, total energy, tail rate) of a run from u0; a run that
     stops before its first diagnostic row carries zero energy."""
-    traj = dynamics.run(spec, u0, ctrl, t_max, stop, nl=nl)
+    traj = dynamics.run(spec, u0, ctrl, t_max, tol_eq, nl=nl)
     diag = traj.diagnostics
     total_energy = float(diag.energy_cum[-1]) if len(diag) else 0.0
     return traj, total_energy, _tail_rate(diag, TAIL_WINDOW_FRACTION)
@@ -114,17 +114,15 @@ def launch_connection(
     t_max: float,
     *,
     catalog,
-    stop: dynamics.StopRule = dynamics.StopRule(),
+    nl: Nonlinearity,
+    tol_eq: float = dynamics.DEFAULT_TOL_EQ,
     match_tol: float = DEFAULT_MATCH_TOL,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    nl: Nonlinearity | None = None,
 ) -> ConnectionReport:
     """Run from eq_from + amplitude*direction and account for the energy."""
     g = eq_from.field.grid
-    if nl is None:
-        nl = Nonlinearity(spec, g)
     u0 = Field(g, eq_from.field.values + amplitude * direction.values)
-    traj, total_energy, tail = _run(spec, u0, ctrl, t_max, stop, nl)
+    traj, total_energy, tail = _run(spec, u0, ctrl, t_max, tol_eq, nl)
     from_index, _ = _match_catalog(catalog, eq_from.field, match_tol)
     ident = functionals.identity_residual(traj, nl)
 
@@ -234,7 +232,7 @@ def connection_energy_audit(
     plan,
     ctrl: dynamics.StepControl,
     *,
-    stop: dynamics.StopRule = dynamics.StopRule(),
+    tol_eq: float = dynamics.DEFAULT_TOL_EQ,
     match_tol: float = DEFAULT_MATCH_TOL,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> AuditTable:
@@ -254,7 +252,7 @@ def connection_energy_audit(
     for entry in plan:
         if entry.kind == "front":
             u0 = Field.from_expr(g, entry.initial_condition)
-            traj, total, tail = _run(spec, u0, ctrl, entry.t_max, stop, nl)
+            traj, total, tail = _run(spec, u0, ctrl, entry.t_max, tol_eq, nl)
             if len(traj.diagnostics) < GROWTH_MIN_ROWS:
                 # too short to fit a growth rate: reported, not passed
                 growth = GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
@@ -278,6 +276,6 @@ def connection_energy_audit(
             continue
         rows.append(launch_connection(
             eq, ud.direction, entry.amplitude, spec, ctrl, entry.t_max,
-            catalog=catalog, stop=stop, match_tol=match_tol,
-            tail_tol=tail_tol, nl=nl))
+            catalog=catalog, nl=nl, tol_eq=tol_eq, match_tol=match_tol,
+            tail_tol=tail_tol))
     return AuditTable(rows=rows)

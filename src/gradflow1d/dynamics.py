@@ -28,20 +28,18 @@ from .tridiag import ImplicitDiffusionSolver
 
 __all__ = [
     "StepControl",
-    "StopRule",
+    "DEFAULT_TOL_EQ",
     "DiagnosticSeries",
     "Trajectory",
     "run",
     "mms_verify",
     "MmsReport",
-    "RUNNING",
     "CONVERGED",
     "BLOW_UP",
     "T_MAX_REACHED",
     "STOP_REASONS",
 ]
 
-RUNNING = "running"
 CONVERGED = "converged"
 BLOW_UP = "blow_up"
 T_MAX_REACHED = "t_max_reached"
@@ -54,6 +52,9 @@ T_MAX_REACHED = "t_max_reached"
 STOP_REASONS = (CONVERGED, T_MAX_REACHED, "initial_out_of_range",
                 "increment_dt_collapse", "solve_dt_collapse", "nonfinite_state",
                 "nonfinite_reaction", "sup_guard")
+
+# `run` converges once sup|Lap(u) + P(u)| < tol_eq
+DEFAULT_TOL_EQ = 1e-8
 
 _SMOOTH_STEPS_BEFORE_DOUBLING = 10
 # share of increment_limit that the explicit increment dt*sup|P(u)| may use
@@ -76,13 +77,6 @@ class StepControl:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not (self.sup_guard > 0 and self.increment_limit > 0):
             raise ValueError("sup_guard > 0 and increment_limit > 0 required")
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """Convergence is sup|Lap(u) + P(u)| < tol_eq."""
-
-    tol_eq: float = 1e-8
 
 
 class DiagnosticSeries:
@@ -157,13 +151,14 @@ def run(
     u0: Field,
     ctrl: StepControl,
     t_max: float,
-    stop: StopRule = StopRule(),
+    tol_eq: float = DEFAULT_TOL_EQ,
     *,
     forcing=None,
     snapshot_stride: int = 64,
     nl: Nonlinearity | None = None,
 ) -> Trajectory:
-    """Advance from u0 until convergence, blow-up, or t_max.
+    """Advance from u0 until convergence (sup|Lap(u) + P(u)| < tol_eq),
+    blow-up, or t_max.
 
     forcing, when given, is a callable t -> ndarray added to P(u); a value
     that does not broadcast to the grid raises ValueError.
@@ -199,7 +194,6 @@ def run(
     reason = ""  # set by every exit of the loop
     limit = _INCREMENT_SAFETY * ctrl.increment_limit
     dt_min, dt_max, sup_guard = ctrl.dt_min, ctrl.dt_max, ctrl.sup_guard
-    tol_eq = stop.tol_eq
     h, boundary = g.h, g.boundary
     t_end = t_max - 1e-12 * max(1.0, t_max)
     reaction = nl.apply_P_unchecked
@@ -385,7 +379,7 @@ def mms_verify(
         u0 = Field(g, x_samples * t_fun(0.0))
         ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt,
                            increment_limit=1e9, sup_guard=spec.sup_guard)
-        traj = run(spec_l, u0, ctrl, t_max=t_final, stop=StopRule(tol_eq=0.0),
+        traj = run(spec_l, u0, ctrl, t_max=t_final, tol_eq=0.0,
                    forcing=forcing, snapshot_stride=10**9, nl=nl)
         if traj.status != T_MAX_REACHED:
             converged = False

@@ -71,10 +71,9 @@ def equilibrium_residual(nl: Nonlinearity, values: np.ndarray) -> float:
     return float(np.max(np.abs(r)))
 
 
-def classify_boundedness(eq_or_field, thresholds: tuple[float, float]):
-    """Compare sample min/max against (lower, upper) thresholds."""
-    f = eq_or_field.field if isinstance(eq_or_field, Equilibrium) else eq_or_field
-    lo, hi = thresholds
+def classify_boundedness(f: Field, bounds: tuple[float, float]):
+    """Compare sample min/max against (lower, upper) bounds."""
+    lo, hi = bounds
     return bool(f.values.min() >= lo), bool(f.values.max() <= hi)
 
 
@@ -89,17 +88,15 @@ def nearest(catalog, field: Field) -> tuple[int | None, float]:
     return best, best_d
 
 
-def _make_equilibrium(nl, values, source, thresholds=None) -> Equilibrium:
+def _make_equilibrium(nl, values, source) -> Equilibrium:
     f = Field(nl.grid, values)
-    if thresholds is None:
-        thresholds = (-nl.spec.sup_guard, nl.spec.sup_guard)
     try:
-        a = action(nl, f).value
+        a = action(nl, f)
     except RangeOverflowError:
         raise RangeOverflowError(
             f"{source} equilibrium rejected: non-finite action"
         ) from None
-    below, above = classify_boundedness(f, thresholds)
+    below, above = classify_boundedness(f, (-nl.spec.sup_guard, nl.spec.sup_guard))
     return Equilibrium(
         field=f,
         residual=equilibrium_residual(nl, values),
@@ -185,8 +182,8 @@ def real_polynomial_roots(coeffs) -> list[float]:
     return merged
 
 
-def constant_equilibria(nl: Nonlinearity, tol: float = RESIDUAL_TOL_CONSTANT,
-                        thresholds=None) -> list[Equilibrium]:
+def constant_equilibria(nl: Nonlinearity,
+                        tol: float = RESIDUAL_TOL_CONSTANT) -> list[Equilibrium]:
     """Spatially constant equilibria (requires constant coefficients).
 
     Roots whose constant field does not meet the discrete residual bound on
@@ -222,7 +219,7 @@ def constant_equilibria(nl: Nonlinearity, tol: float = RESIDUAL_TOL_CONSTANT,
             continue
         seen.append(root)
         try:
-            out.append(_make_equilibrium(nl, values, "constant", thresholds))
+            out.append(_make_equilibrium(nl, values, "constant"))
         except RangeOverflowError as e:
             log.warning("%s", e)
     return out
@@ -232,7 +229,7 @@ def constant_equilibria(nl: Nonlinearity, tol: float = RESIDUAL_TOL_CONSTANT,
 
 
 def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
-                  tol: float = RESIDUAL_TOL_NEWTON, thresholds=None) -> Equilibrium:
+                  tol: float = RESIDUAL_TOL_NEWTON) -> Equilibrium:
     """Damped Newton on F(u) = Lap(u) + P(u).
 
     Step halving (up to 8 times) when the residual does not decrease.
@@ -243,7 +240,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
     r = float(np.max(np.abs(resid)))
     for _ in range(max_iter):
         if r < tol:
-            return _make_equilibrium(nl, u, "newton", thresholds)
+            return _make_equilibrium(nl, u, "newton")
         dp = nl.apply_dP(u)
         delta = thomas_solve(nl.grid, dp, -resid)
         step = 1.0
@@ -264,7 +261,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
             )
         u, resid, r = trial, resid_t, r_t
     if r < tol:
-        return _make_equilibrium(nl, u, "newton", thresholds)
+        return _make_equilibrium(nl, u, "newton")
     raise NewtonNoConvergenceError(f"residual {r:.3g} after {max_iter} iterations")
 
 
@@ -278,26 +275,22 @@ class ShootingPath:
     vs: np.ndarray
     escaped: bool
     escape_sign: int
-    h_drift: float | None  # conserved-quantity drift, constant coefficients only
 
 
 def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
-          x_span: tuple[float, float], h_ode: float | None = None,
-          escape_threshold: float | None = None) -> ShootingPath:
+          x_span: tuple[float, float]) -> ShootingPath:
     """RK4 on the steady phase-plane system (u, v): u' = v, v' = -P(u).
 
-    Escape (|u| beyond the threshold) is flagged, not an error.  For
-    spatially constant coefficients the drift of H = v^2/2 + Q(u) is
-    reported.
+    The step is the largest that divides x_span evenly and is at most a
+    quarter of the grid spacing.  Escape (|u| beyond the spec's sup_guard)
+    is flagged, not an error.
     """
     x0, x1 = x_span
     if not x1 > x0:
         raise ValueError("x_span must be increasing")
-    h_cap = nl.grid.h / 4.0
-    h = h_cap if h_ode is None else min(float(h_ode), h_cap)
-    n_steps = max(1, math.ceil((x1 - x0) / h))
+    n_steps = max(1, math.ceil((x1 - x0) / (nl.grid.h / 4.0)))
     h = (x1 - x0) / n_steps
-    thr = nl.spec.sup_guard if escape_threshold is None else float(escape_threshold)
+    thr = nl.spec.sup_guard
 
     xs = [x0]
     us = [float(u_left)]
@@ -339,18 +332,9 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
             escaped = True
             sign = 1 if u > 0 else -1
             break
-
-    drift = None
-    if nl.spatially_constant():
-        uu = np.asarray(us)
-        vv = np.asarray(vs)
-        coeffs = nl.constant_coefficients()
-        q = np.array([nl.scalar_potential(val, coeffs) for val in uu])
-        hh = 0.5 * vv * vv + q
-        drift = float(np.max(np.abs(hh - hh[0])))
     return ShootingPath(
         xs=np.asarray(xs), us=np.asarray(us), vs=np.asarray(vs),
-        escaped=escaped, escape_sign=sign, h_drift=drift,
+        escaped=escaped, escape_sign=sign,
     )
 
 
@@ -361,7 +345,6 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
 class UnstableDirection:
     eigenvalue: float
     direction: Field  # sup-norm 1
-    degenerate: bool
     iterations: int
 
 
@@ -411,7 +394,6 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
             return UnstableDirection(
                 eigenvalue=lam,
                 direction=Field(g, w),
-                degenerate=abs(lam) < 1e-8,
                 iterations=it,
             )
     raise PowerIterationError(f"no convergence after {max_iter} solves")

@@ -18,7 +18,6 @@ up to the time-discretization error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, nan
 
 import numpy as np
@@ -27,7 +26,6 @@ from .grid import Field, dirichlet_energy_extended, extend
 from .nonlinearity import Nonlinearity, RangeOverflowError
 
 __all__ = [
-    "ActionValue",
     "action",
     "action_parts_extended",
     "energy_addend",
@@ -35,17 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    value: float
-    dirichlet_part: float
-    potential_part: float
-
-
-def action(nl: Nonlinearity, u: Field) -> ActionValue:
+def action(nl: Nonlinearity, u: Field) -> float:
+    """The action A(u); raises RangeOverflowError when a part is non-finite."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
-        return ActionValue(*action_parts_extended(nl, v, extend(v, nl.grid.boundary)))
+        return action_parts_extended(nl, v, extend(v, nl.grid.boundary))[0]
 
 
 def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
@@ -88,8 +80,8 @@ def identity_residual(traj, nl: Nonlinearity) -> float:
         return 0.0
     e_window = traj.diagnostics.energy_cum[-1] - traj.diagnostics.energy_cum[0]
     try:
-        a_start = action(nl, traj.first_field).value
-        a_end = action(nl, traj.final_field).value
+        a_start = action(nl, traj.first_field)
+        a_end = action(nl, traj.final_field)
     except RangeOverflowError:
         return nan
     return abs(e_window - (a_end - a_start))

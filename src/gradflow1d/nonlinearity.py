@@ -136,11 +136,6 @@ class Nonlinearity:
         return _with_leading_P(horner(coeffs, uval), uval, self.degree,
                                self.signed_power)
 
-    def scalar_potential(self, uval: float, coeffs) -> float:
-        """The potential Q at a single u, with coeffs = coeffs_at(x)."""
-        lower = horner([a / (i + 1) for i, a in enumerate(coeffs)], uval) * uval
-        return _with_leading_Q(lower, uval, self.degree, self.signed_power)
-
     def reaction_norm_ratio(self, u: Field, k: int, p: float) -> float:
         """||P(u) - a_0||_{k,p} / ||u||_{k,p}.
 

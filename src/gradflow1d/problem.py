@@ -95,14 +95,16 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     if boundary not in BOUNDARIES:
         raise SpecValidationError(f"boundary must be one of {BOUNDARIES}")
     spatial_dim = d.get("spatial_dim", 1)
-    if spatial_dim != 1:
+    if spatial_dim != 1 or isinstance(spatial_dim, bool):
         raise SpecValidationError("spatial_dim = 1 required")
-    try:
-        sup_guard = float(d.get("sup_guard", 1e6))
-        box_half_length = float(d["box_half_length"])
-    except (TypeError, ValueError) as e:
+    numbers = (d.get("sup_guard", 1e6), d["box_half_length"])
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
         raise SpecValidationError(
-            f"sup_guard and box_half_length must be numbers: {e}") from e
+            f"sup_guard and box_half_length must be numbers, got {numbers!r}")
+    try:
+        sup_guard, box_half_length = map(float, numbers)
+    except OverflowError:  # an int beyond the float range
+        raise SpecValidationError("sup_guard and box_half_length must be finite") from None
     if not (math.isfinite(sup_guard) and sup_guard > 0):
         raise SpecValidationError("sup_guard must be finite and > 0")
     if not (math.isfinite(box_half_length) and box_half_length > 0):

@@ -147,6 +147,23 @@ _BAD_CONFIGS = {
     "control.dt_max-inf": (("control", "dt_max"), float("inf")),
     "control.increment_limit-inf": (("control", "increment_limit"), float("inf")),
     "control.sup_guard-inf": (("control", "sup_guard"), float("inf")),
+    # an int beyond the float range is not finite either
+    "t_max-int-1e400": (("t_max",), 10**400),
+    "control.dt_max-int-1e400": (("control", "dt_max"), 10**400),
+    "box_half_length-int-1e400": (("spec", "box_half_length"), 10**400),
+    # JSON booleans and strings are not numbers
+    "t_max-true": (("t_max",), True),
+    "t_max-str": (("t_max",), "0.5"),
+    "tol_eq-false": (("tol_eq",), False),
+    "match_tol-str": (("connect", "match_tol"), "1e-4"),
+    "launch-amplitude-true": (
+        ("connect", "launches"),
+        [{"kind": "launch", "from_value": 1.0, "amplitude": True, "t_max": 5.0}]),
+    "verify.t_max-true": (("verify", "t_max"), True),
+    "control.dt_max-true": (("control", "dt_max"), True),
+    "sup_guard-true": (("spec", "sup_guard"), True),
+    "box_half_length-str": (("spec", "box_half_length"), "5"),
+    "spatial_dim-true": (("spec", "spatial_dim"), True),
     # coefficients are expression strings, never JSON numbers
     "coeffs-int": (("spec", "coeffs"), [-1, "1"]),
     "coeffs-float": (("spec", "coeffs"), [1.5, "1"]),
@@ -204,6 +221,34 @@ def test_equilibria_shooting_start_of_wrong_type_is_error_entry(tmp_path):
     assert main(["equilibria", _write(tmp_path, data), "--quiet"]) == EXIT_OK
     catalog = json.loads((tmp_path / "out" / "equilibria.json").read_text())
     assert [e["source"] for e in catalog["errors"]] == ["shooting"]
+
+
+@pytest.mark.parametrize("start", (
+    {"u_left": True, "slope": 0.0},
+    {"u_left": "1.0", "slope": 0.0},
+    {"u_left": 1.0, "slope": False},
+), ids=("u_left-true", "u_left-str", "slope-false"))
+def test_equilibria_shooting_start_bool_or_string_is_error_entry(tmp_path, start):
+    # (1, 0) is the fixed point u = 1, so a start read as 1.0 and 0.0 would
+    # shoot and refine without any error entry
+    data = _fisher_config(tmp_path / "out")
+    data["equilibria"] = {"shooting": [start]}
+    assert main(["equilibria", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    catalog = json.loads((tmp_path / "out" / "equilibria.json").read_text())
+    assert [e["source"] for e in catalog["errors"]] == ["shooting"]
+    assert "must be a number" in catalog["errors"][0]["error"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_unwritable_output_dir_exits_1(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    data = _fisher_config(tmp_path / "unused", verify={"suites": ["blowup_timing"]})
+    argv = [command, _write(tmp_path, data), "--output-dir", str(blocker / "out"),
+            "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
+    assert blocker.read_text() == ""
 
 
 def test_equilibria_catalog_fisher(tmp_path):

@@ -152,7 +152,7 @@ def test_stationary_run_rate_zero(fisher_setup):
     spec, nl, catalog, ctrl = fisher_setup
     eq = catalog[1]
     traj = dynamics.run(spec, eq.field, ctrl, 0.2, nl=nl,
-                        stop=dynamics.StopRule(tol_eq=0.0), snapshot_stride=10)
+                        tol_eq=0.0, snapshot_stride=10)
     growth = energy_growth_diagnostic(traj, window_fraction=0.5)
     assert abs(growth.rate) < 1e-12
     # converged immediately leaves a single diagnostics row: too few to fit

@@ -11,7 +11,6 @@ from gradflow1d.dynamics import (
     T_MAX_REACHED,
     DiagnosticSeries,
     StepControl,
-    StopRule,
     mms_verify,
     run,
 )
@@ -49,7 +48,7 @@ def test_step_control_validation():
 def _one_step(spec, u, dt, nl=None):
     """The field after exactly one IMEX step of size dt."""
     ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt, increment_limit=1e9)
-    traj = run(spec, u, ctrl, dt, StopRule(tol_eq=0.0), nl=nl)
+    traj = run(spec, u, ctrl, dt, tol_eq=0.0, nl=nl)
     assert traj.steps == 1
     return traj.final_field.values
 

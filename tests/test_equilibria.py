@@ -189,40 +189,50 @@ def test_shoot_fixed_points(fisher):
         assert np.max(np.abs(path.us - c)) == 0.0
 
 
-def test_shoot_conserves_invariant(fisher):
-    path = shoot(fisher, 0.5, 0.0, (-5.0, 5.0), h_ode=1e-3)
-    assert path.h_drift is not None
-    assert path.h_drift <= 1e-10
+def _fisher_drift(grid_points):
+    """Drift of H = v^2/2 + u^2/2 - u^3/3, conserved by u'' = u^2 - u, along
+    a path shot at a quarter of the periodic grid spacing 10/grid_points."""
+    nl = _nl(verify.fisher_spec(grid_points=grid_points))
+    path = shoot(nl, 0.5, 0.0, (-5.0, 5.0))
+    u, v = path.us, path.vs
+    h = 0.5 * v * v + 0.5 * u * u - u**3 / 3.0
+    return float(np.max(np.abs(h - h[0])))
 
 
-def test_shoot_rk4_convergence(fisher):
+def test_shoot_conserves_invariant():
+    assert _fisher_drift(2500) <= 1e-10  # step 1e-3
+
+
+def test_shoot_rk4_convergence():
     # refined-step oracle: quarter step, drift shrinks ~ h^4
-    d1 = shoot(fisher, 0.5, 0.0, (-5.0, 5.0), h_ode=4e-3).h_drift
-    d2 = shoot(fisher, 0.5, 0.0, (-5.0, 5.0), h_ode=1e-3).h_drift
+    d1 = _fisher_drift(625)  # step 4e-3
+    d2 = _fisher_drift(2500)  # step 1e-3
     assert d2 < d1 / 50.0
 
 
-def test_shoot_escape_direction_even_degree(fisher):
+def test_shoot_escape_direction_even_degree():
     # u'' = u^2 - u: beyond the hilltop the path runs to +infinity only
-    path = shoot(fisher, 2.0, 1.0, (-5.0, 5.0), escape_threshold=1e6)
+    fisher = _nl(verify.fisher_spec(grid_points=64, sup_guard=1e6))
+    path = shoot(fisher, 2.0, 1.0, (-5.0, 5.0))
     assert path.escaped
     assert path.escape_sign == 1
-    path = shoot(fisher, -2.0, -5.0, (-5.0, 5.0), escape_threshold=1e6)
+    path = shoot(fisher, -2.0, -5.0, (-5.0, 5.0))
     if path.escaped:
         assert path.escape_sign == 1
 
 
-def test_shoot_escape_both_directions_odd_degree(cubic):
+def test_shoot_escape_both_directions_odd_degree():
     # u'' = u^3 - u escapes on whichever side it crosses |u| = 1 with speed
-    up = shoot(cubic, 1.5, 1.0, (-5.0, 5.0), escape_threshold=1e3)
-    down = shoot(cubic, -1.5, -1.0, (-5.0, 5.0), escape_threshold=1e3)
+    cubic = _nl(verify.cubic_spec(grid_points=64, sup_guard=1e3))
+    up = shoot(cubic, 1.5, 1.0, (-5.0, 5.0))
+    down = shoot(cubic, -1.5, -1.0, (-5.0, 5.0))
     assert up.escaped and up.escape_sign == 1
     assert down.escaped and down.escape_sign == -1
 
 
 def test_shoot_bounded_inside_separatrix(cubic):
     # H = s^2/2 < 1/4 keeps the orbit trapped between the hilltops
-    path = shoot(cubic, 0.0, 0.5, (-5.0, 5.0), h_ode=1e-3)
+    path = shoot(cubic, 0.0, 0.5, (-5.0, 5.0))
     assert not path.escaped
     assert np.max(np.abs(path.us)) < 1.0
 
@@ -274,11 +284,12 @@ def test_shoot_matches_four_evaluation_loop(coeffs, signed, start):
     spec = problem.spec_from_dict({
         "N": len(coeffs), "coeffs": coeffs, "box_half_length": 5.0,
         "grid_points": 64, "signed_power": signed, "boundary": "neumann0",
+        "sup_guard": 1e3,
     })
     nl = _nl(spec)
     assert not nl.spatially_constant()
-    path = shoot(nl, *start, (-5.0, 5.0), h_ode=1e-2, escape_threshold=1e3)
-    want = _shoot_reference(nl, *start, -5.0, 5.0, min(1e-2, nl.grid.h / 4.0), 1e3)
+    path = shoot(nl, *start, (-5.0, 5.0))
+    want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
     for got, ref in zip((path.xs, path.us, path.vs), want):
         assert got.tobytes() == ref.tobytes()
 
@@ -289,7 +300,7 @@ def test_shoot_matches_four_evaluation_loop(coeffs, signed, start):
 def test_classify_constant(fisher):
     eqs = constant_equilibria(fisher)
     for eq in eqs:
-        assert classify_boundedness(eq, (-1e6, 1e6)) == (True, True)
+        assert classify_boundedness(eq.field, (-1e6, 1e6)) == (True, True)
 
 
 def test_classify_thresholds():
@@ -316,7 +327,7 @@ def test_unstable_direction_fisher_at_zero(fisher):
     eqs = constant_equilibria(fisher)
     ud = unstable_direction(fisher, eqs[0])
     assert ud.eigenvalue == pytest.approx(1.0, abs=1e-6)
-    assert not ud.degenerate
+    assert not abs(ud.eigenvalue) < 1e-8
     assert np.max(np.abs(ud.direction.values)) == pytest.approx(1.0)
 
 
@@ -333,7 +344,6 @@ def test_unstable_direction_degenerate():
     eq = constant_equilibria(nl)[0]
     ud = unstable_direction(nl, eq)
     assert abs(ud.eigenvalue) < 1e-8
-    assert ud.degenerate
 
 
 def _fisher_linearization(boundary, dp, box_half_length=5.0):
@@ -412,7 +422,6 @@ def test_unstable_direction_matches_dense(case):
     w = ud.direction.values
     assert np.all(w > 0.0)
     assert w.max() == 1.0
-    assert ud.degenerate == (abs(ud.eigenvalue) < 1e-8)
     # the residual bound fixes the direction to about 1e-8*scale/gap: the
     # eigenvector's condition number is 1/gap, so hold it to 1e-7 where the
     # top of the spectrum is well separated

@@ -8,10 +8,15 @@ each part of a dotted string counts too, since the tracer names its targets
 that way (`"Nonlinearity.apply_P_values"`).  `verify.suite_<name>` is
 reached through `verify.SUITES`.  Code outside any definition (imports,
 `__all__`, the `__main__` block) reaches nothing.
+
+Every name the benchmark's tracer patches also exists, so a deletion that
+would break the benchmark fails here.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from gradflow1d import verify
@@ -92,3 +97,32 @@ def test_guard_sees_a_definition_only_tests_reach(tmp_path):
     grid = tmp_path / "grid.py"
     grid.write_text(grid.read_text() + "\n\ndef only_tests_call_this(u):\n    return u\n")
     assert _unreached(tmp_path) == ["grid.only_tests_call_this"]
+
+
+def _bench_targets():
+    """`TARGETS` of bench/tracer.py, loaded by path: bench/ is no package."""
+    name = "_gradflow1d_bench_tracer"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tracer  # dataclasses look the module up by name
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[name]
+    return tracer.TARGETS
+
+
+def test_every_traced_name_exists():
+    # resolved as Tracer.install resolves it: the last part must be in the
+    # owner's own __dict__, not inherited
+    missing = []
+    for t in _bench_targets():
+        *outer, attr = t.path.split(".")
+        try:
+            owner = importlib.import_module(t.module)
+            for part in outer:
+                owner = getattr(owner, part)
+            owner.__dict__[attr]
+        except (ImportError, AttributeError, KeyError):
+            missing.append(f"{t.module}:{t.path}")
+    assert missing == []
