@@ -24,6 +24,6 @@ from .equilibria import (
 from .functionals import action, energy_addend, identity_residual
 from .grid import Field, SpatialGrid, integrate, sobolev_norm, sup_norm
 from .nonlinearity import Nonlinearity, RangeOverflowError
-from .problem import ProblemSpec, SpecValidationError, coefficient_norms, load_spec, make_grid
+from .problem import ProblemSpec, SpecValidationError, coefficient_norms, make_grid
 
 __version__ = "0.1.0"

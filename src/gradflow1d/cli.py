@@ -25,6 +25,17 @@ from . import connections, dynamics, equilibria, problem, verify
 from .exprlang import ExprError
 from .grid import Field, write_field_csv
 from .nonlinearity import Nonlinearity
+from .problem import (
+    SpecValidationError,
+    read_boolean,
+    read_integer,
+    read_keys,
+    read_list,
+    read_number,
+    read_object,
+    read_positive,
+    read_string,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -32,12 +43,8 @@ EXIT_BLOW_UP = 2
 EXIT_VERIFY = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # the keys each object may hold; `control` and `verify.control` are checked
-# by StepControl, `spec` by problem.spec_from_dict
+# by StepControl, `spec` by problem.spec_from_dict (its keys: problem.SPEC_KEYS)
 SECTION_KEYS = {
     "equilibria": {"constant_roots", "newton_guesses", "shooting"},
     "connect": {"match_tol", "tail_tol", "launches"},
@@ -82,74 +89,66 @@ def load_config(path: str) -> RunConfig:
         with open(path) as f:
             data = json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
+        raise SpecValidationError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON: {e}") from e
+        raise SpecValidationError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict) or "spec" not in data:
-        raise ConfigError("config must be an object with a 'spec' section")
-    _keys(data, TOP_KEYS, "config")
-    try:
-        spec = problem.spec_from_dict(data["spec"])
-    except problem.SpecValidationError as e:
-        raise ConfigError(str(e)) from e
+        raise SpecValidationError("config must be an object with a 'spec' section")
+    read_keys(data, TOP_KEYS, "config")
+    spec = problem.spec_from_dict(data["spec"])
     grid = problem.make_grid(spec)
-    eqs, conn, ver = (_keys(data.get(name, {}), keys, name)
+    eqs, conn, ver = (read_keys(data.get(name, {}), keys, name)
                       for name, keys in SECTION_KEYS.items())
-    t_max = _positive(data, "t_max", 10.0, "run")
-    tol_eq = _number(data, "tol_eq", dynamics.DEFAULT_TOL_EQ, "run")
+    t_max = read_positive(data, "t_max", 10.0, "run")
+    tol_eq = read_number(data, "tol_eq", dynamics.DEFAULT_TOL_EQ, "run")
     if not tol_eq >= 0:
-        raise ConfigError(f"tol_eq must be >= 0, got {tol_eq!r}")
-    seed = _integer(data, "seed", 0, 0)
-    constant_roots = eqs.get("constant_roots", True)
-    if not isinstance(constant_roots, bool):
-        raise ConfigError(f"equilibria.constant_roots must be true or false, "
-                          f"got {constant_roots!r}")
-    suites = ver.get("suites", list(verify.SUITES))
-    if not isinstance(suites, list):
-        raise ConfigError("verify.suites must be a list of suite names")
+        raise SpecValidationError(f"tol_eq must be >= 0, got {tol_eq!r}")
+    seed = read_integer(data, "seed", 0, 0)
+    suites = read_list(ver, "suites", "verify") if "suites" in ver else list(verify.SUITES)
     unknown = [n for n in suites if n not in verify.SUITES]
     if unknown:
-        raise ConfigError(f"unknown verify suites {unknown}; "
-                          f"known: {list(verify.SUITES)}")
-    verify_control = _object(ver.get("control", {}), "verify.control")
+        raise SpecValidationError(f"unknown verify suites {unknown}; "
+                                  f"known: {list(verify.SUITES)}")
+    verify_control = read_object(ver.get("control", {}), "verify.control")
     return RunConfig(
         spec=spec,
         control=_control(data.get("control", {}), "control", spec),
         u0=_sampled(grid, data.get("initial_condition", "0"), "initial_condition"),
         t_max=t_max,
-        snapshot_stride=_integer(data, "snapshot_stride", 64, 1),
-        output_dir=_string(data.get("output_dir", "out"), "output_dir"),
+        snapshot_stride=read_integer(data, "snapshot_stride", 64, 1),
+        output_dir=read_string(data.get("output_dir", "out"), "output_dir"),
         seed=seed,
         tol_eq=tol_eq,
-        constant_roots=constant_roots,
-        newton_guesses=[_string(src, "newton_guesses entry")
-                        for src in _list(eqs, "newton_guesses", "equilibria")],
-        shooting=[_keys(shot, SHOOTING_KEYS, "shooting entry")
-                  for shot in _list(eqs, "shooting", "equilibria")],
-        match_tol=_number(conn, "match_tol", connections.DEFAULT_MATCH_TOL, "connect"),
-        tail_tol=_number(conn, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect"),
+        constant_roots=read_boolean(eqs, "constant_roots", True, "equilibria"),
+        newton_guesses=[read_string(src, "newton_guesses entry")
+                        for src in read_list(eqs, "newton_guesses", "equilibria")],
+        shooting=[read_keys(shot, SHOOTING_KEYS, "shooting entry")
+                  for shot in read_list(eqs, "shooting", "equilibria")],
+        match_tol=read_number(conn, "match_tol", connections.DEFAULT_MATCH_TOL, "connect"),
+        tail_tol=read_number(conn, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect"),
         launches=[_launch(entry, grid, t_max, seed)
-                  for entry in _list(conn, "launches", "connect")],
+                  for entry in read_list(conn, "launches", "connect")],
         suites=tuple(suites),
         # an empty verify.control keeps the suite's default
         verify_control=(_control(verify_control, "verify.control", spec)
                         if verify_control else None),
         verify_t_max=(None if ver.get("t_max") is None
-                      else _positive(ver, "t_max", None, "verify")),
+                      else read_positive(ver, "t_max", None, "verify")),
     )
 
 
 def _launch(entry, grid, t_max: float, seed: int):
     """One `connect.launches` entry as (LaunchSpec, from_value or None)."""
-    kind = _object(entry, "launch entry").get("kind", "launch")
-    if not isinstance(kind, str) or kind not in LAUNCH_KEYS:
-        raise ConfigError(f"launch kind must be one of {sorted(LAUNCH_KEYS)}, "
-                          f"got {kind!r}")
-    _keys(entry, LAUNCH_KEYS[kind], f"{kind} entry")
-    run_t_max = _positive(entry, "t_max", t_max, "launch")
+    kind = read_string(read_object(entry, "launch entry").get("kind", "launch"),
+                       "launch kind")
+    if kind not in LAUNCH_KEYS:
+        raise SpecValidationError(f"launch kind must be one of {sorted(LAUNCH_KEYS)}, "
+                                  f"got {kind!r}")
+    read_keys(entry, LAUNCH_KEYS[kind], f"{kind} entry")
+    run_t_max = read_positive(entry, "t_max", t_max, "launch")
     if kind == "front":
         if "initial_condition" not in entry:
-            raise ConfigError("front entry needs initial_condition")
+            raise SpecValidationError("front entry needs initial_condition")
         source = entry["initial_condition"]
         _sampled(grid, source, "front initial_condition")
         return connections.LaunchSpec(kind="front", initial_condition=source,
@@ -158,87 +157,33 @@ def _launch(entry, grid, t_max: float, seed: int):
     if "from_index" in entry:
         idx = entry["from_index"]
         if isinstance(idx, bool) or not isinstance(idx, int):
-            raise ConfigError(f"from_index must be an integer, got {idx!r}")
+            raise SpecValidationError(f"from_index must be an integer, got {idx!r}")
     elif "from_value" in entry:
-        idx, from_value = 0, _number(entry, "from_value", 0.0, "launch")
+        idx, from_value = 0, read_number(entry, "from_value", 0.0, "launch")
     else:
-        raise ConfigError("launch entry needs from_index or from_value")
-    return connections.LaunchSpec(
-        kind="launch", from_index=idx, amplitude=_number(entry, "amplitude", 1e-3, "launch"),
-        t_max=run_t_max, seed=seed), from_value
+        raise SpecValidationError("launch entry needs from_index or from_value")
+    amplitude = read_number(entry, "amplitude", 1e-3, "launch")
+    return connections.LaunchSpec(kind="launch", from_index=idx, amplitude=amplitude,
+                                  t_max=run_t_max, seed=seed), from_value
 
 
 def _control(value, what: str, spec) -> dynamics.StepControl:
     """A StepControl from a config object; sup_guard defaults to the spec's."""
-    data = {"sup_guard": spec.sup_guard, **_object(value, what)}
-    data = {key: _number(data, key, None, what) for key in data}
+    data = {"sup_guard": spec.sup_guard, **read_object(value, what)}
+    data = {key: read_number(data, key, None, what) for key in data}
     try:
         return dynamics.StepControl(**data)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {what} section: {e}") from e
+        raise SpecValidationError(f"bad {what} section: {e}") from e
 
 
 def _sampled(grid, value, what: str) -> Field:
     """An expression string sampled on the grid."""
-    source = _string(value, what)
+    source = read_string(value, what)
     try:
         return Field.from_expr(grid, source)
     except (ExprError, ValueError) as e:
-        raise ConfigError(f"bad {what}: {e}") from e
-
-
-def _keys(value, allowed, what: str) -> dict:
-    """value as an object whose keys all lie in allowed."""
-    unknown = _object(value, what).keys() - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    return value
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {value!r}")
-    return value
-
-
-def _list(section: dict, key: str, where: str) -> list:
-    value = section.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
-    return value
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _integer(section: dict, key: str, default: int, least: int) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _number(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} field {key!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} field {key!r} must be finite, got {value!r}")
-    return value
-
-
-def _positive(section: dict, key: str, default: float, where: str) -> float:
-    value = _number(section, key, default, where)
-    if not value > 0:
-        raise ConfigError(f"{where} field {key!r} must be > 0, got {value!r}")
-    return value
+        raise SpecValidationError(f"bad {what}: {e}") from e
 
 
 def _say(quiet: bool, *args) -> None:
@@ -288,8 +233,8 @@ def build_catalog(cfg: RunConfig):
     half = cfg.spec.box_half_length
     for shot in cfg.shooting:
         try:
-            # a ConfigError is a ValueError: a bad start is an `errors` entry
-            u_left, slope = (_number(shot, key, None, "shooting")
+            # a SpecValidationError is a ValueError: a bad start is an `errors` entry
+            u_left, slope = (read_number(shot, key, None, "shooting")
                              for key in ("u_left", "slope"))
             path = equilibria.shoot(nl, u_left, slope, (-half, half))
             if path.escaped:
@@ -333,12 +278,12 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     for launch, want in cfg.launches:
         if want is not None:
             if not catalog:
-                raise ConfigError("from_value needs a non-empty catalog")
+                raise SpecValidationError("from_value needs a non-empty catalog")
             nearest = min(range(len(catalog)), key=lambda i: abs(
                 float(catalog[i].field.values.mean()) - want))
             launch = replace(launch, from_index=nearest)
         elif launch.kind == "launch" and not 0 <= launch.from_index < len(catalog):
-            raise ConfigError(f"from_index {launch.from_index} outside the catalog")
+            raise SpecValidationError(f"from_index {launch.from_index} outside the catalog")
         plan.append(launch)
     table = connections.connection_energy_audit(
         cfg.spec, catalog, plan, cfg.control,
@@ -411,7 +356,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(cfg, out_dir, args.quiet)
-    except ConfigError as e:
+    except SpecValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:  # the config was read in load_config

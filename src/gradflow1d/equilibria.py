@@ -182,8 +182,7 @@ def real_polynomial_roots(coeffs) -> list[float]:
     return merged
 
 
-def constant_equilibria(nl: Nonlinearity,
-                        tol: float = RESIDUAL_TOL_CONSTANT) -> list[Equilibrium]:
+def constant_equilibria(nl: Nonlinearity) -> list[Equilibrium]:
     """Spatially constant equilibria (requires constant coefficients).
 
     Roots whose constant field does not meet the discrete residual bound on
@@ -211,9 +210,9 @@ def constant_equilibria(nl: Nonlinearity,
     for root in candidates:
         values = np.full(nl.grid.m, root)
         resid = equilibrium_residual(nl, values)
-        if resid > tol:
+        if resid > RESIDUAL_TOL_CONSTANT:
             log.info("constant root %.17g dropped: residual %.3g > %.3g on %s grid",
-                     root, resid, tol, nl.grid.boundary)
+                     root, resid, RESIDUAL_TOL_CONSTANT, nl.grid.boundary)
             continue
         if any(abs(root - s) <= 1e-10 for s in seen):
             continue

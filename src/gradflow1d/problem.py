@@ -4,13 +4,17 @@ The canonical serialization is JSON with field names exactly as in
 ProblemSpec.  Coefficients are expression strings in the variable x; they
 must sample finite on the grid with finite discrete L1/Linf norms (the
 integrability hypothesis, checked numerically on the truncated box).
+
+The `read_*` functions are the typed readers of every config value, the
+spec's and those of the run sections in `cli.load_config` alike; each
+raises SpecValidationError naming the rule the value breaks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,17 +24,27 @@ from .grid import BOUNDARIES, Field, SpatialGrid, integrate, sup_norm
 __all__ = [
     "ProblemSpec",
     "SpecValidationError",
-    "load_spec",
     "spec_from_dict",
     "spec_to_dict",
     "canonical_text",
     "make_grid",
     "coefficient_norms",
+    "read_keys",
+    "read_object",
+    "read_list",
+    "read_string",
+    "read_boolean",
+    "read_integer",
+    "read_number",
+    "read_positive",
 ]
+
+SPEC_KEYS = {"N", "coeffs", "box_half_length", "grid_points", "boundary",
+             "signed_power", "sup_guard", "spatial_dim"}
 
 
 class SpecValidationError(ValueError):
-    """A ProblemSpec invariant is violated; the message names it."""
+    """A config value breaks a rule; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,6 @@ class ProblemSpec:
     boundary: str = "periodic"
     signed_power: bool = False
     sup_guard: float = 1e6
-    spatial_dim: int = 1
 
     def coeff_sources(self) -> tuple[str, ...]:
         return tuple(exprlang.to_source(e) for e in self.coeffs)
@@ -63,69 +76,31 @@ def make_grid(spec: ProblemSpec) -> SpatialGrid:
 
 def spec_from_dict(d: dict) -> ProblemSpec:
     """Build and fully validate a ProblemSpec from plain JSON data."""
-    if not isinstance(d, dict):
-        raise SpecValidationError("problem spec must be a JSON object")
-    required = {"N", "coeffs", "box_half_length", "grid_points"}
-    missing = required - d.keys()
-    if missing:
-        raise SpecValidationError(f"missing fields: {sorted(missing)}")
-    unknown = d.keys() - {
-        "N", "coeffs", "box_half_length", "grid_points", "boundary",
-        "signed_power", "sup_guard", "spatial_dim",
-    }
-    if unknown:
-        raise SpecValidationError(f"unknown fields: {sorted(unknown)}")
-
-    n = d["N"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise SpecValidationError("N >= 2 required")
-    sources = d["coeffs"]
-    if not isinstance(sources, (list, tuple)) or len(sources) != n:
+    read_keys(d, SPEC_KEYS, "spec")
+    n = read_integer(d, "N", None, 2)
+    sources = read_list(d, "coeffs", "spec")
+    if len(sources) != n:
         raise SpecValidationError(f"coeffs must list exactly N={n} expressions")
-    for i, source in enumerate(sources):
-        if not isinstance(source, str):
-            raise SpecValidationError(
-                f"coefficient a_{i} must be an expression string, got {source!r}")
+    sources = [read_string(s, f"coefficient a_{i}") for i, s in enumerate(sources)]
     try:
         coeffs = tuple(exprlang.parse(s) for s in sources)
     except exprlang.ExprError as e:
         raise SpecValidationError(f"coefficient expression invalid: {e}") from e
-
     boundary = d.get("boundary", "periodic")
     if boundary not in BOUNDARIES:
         raise SpecValidationError(f"boundary must be one of {BOUNDARIES}")
-    spatial_dim = d.get("spatial_dim", 1)
-    if spatial_dim != 1 or isinstance(spatial_dim, bool):
+    if read_integer(d, "spatial_dim", 1, 1) != 1:
         raise SpecValidationError("spatial_dim = 1 required")
-    numbers = (d.get("sup_guard", 1e6), d["box_half_length"])
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
-        raise SpecValidationError(
-            f"sup_guard and box_half_length must be numbers, got {numbers!r}")
-    try:
-        sup_guard, box_half_length = map(float, numbers)
-    except OverflowError:  # an int beyond the float range
-        raise SpecValidationError("sup_guard and box_half_length must be finite") from None
-    if not (math.isfinite(sup_guard) and sup_guard > 0):
-        raise SpecValidationError("sup_guard must be finite and > 0")
-    if not (math.isfinite(box_half_length) and box_half_length > 0):
-        raise SpecValidationError("box_half_length must be finite and > 0")
-    grid_points = d["grid_points"]
-    if not isinstance(grid_points, int) or grid_points < 8:
-        raise SpecValidationError("grid_points M >= 8 required")
-    signed_power = d.get("signed_power", False)
-    if not isinstance(signed_power, bool):
-        raise SpecValidationError(
-            f"signed_power must be true or false, got {signed_power!r}")
-
+    grid_points = read_integer(d, "grid_points", None, 8)
+    read_number(d, "grid_points", None, "spec")  # h = L/M takes M as a float
     spec = ProblemSpec(
         N=n,
         coeffs=coeffs,
-        box_half_length=box_half_length,
+        box_half_length=read_positive(d, "box_half_length", None, "spec"),
         grid_points=grid_points,
         boundary=boundary,
-        signed_power=signed_power,
-        sup_guard=sup_guard,
-        spatial_dim=1,
+        signed_power=read_boolean(d, "signed_power", False, "spec"),
+        sup_guard=read_positive(d, "sup_guard", 1e6, "spec"),
     )
     try:
         g = make_grid(spec)  # checks the spacing before any sample is taken
@@ -133,6 +108,69 @@ def spec_from_dict(d: dict) -> ProblemSpec:
         raise SpecValidationError(str(e)) from e
     _validate_coefficient_samples(spec, g)
     return spec
+
+
+def read_keys(value, allowed, what: str) -> dict:
+    """value as an object whose keys all lie in allowed."""
+    unknown = read_object(value, what).keys() - allowed
+    if unknown:
+        raise SpecValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    return value
+
+
+def read_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecValidationError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def read_list(section: dict, key: str, where: str) -> list:
+    value = section.get(key, [])
+    if not isinstance(value, list):
+        raise SpecValidationError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
+def read_string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SpecValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def read_boolean(section: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean; truthy values such as "no" or 0 are errors."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise SpecValidationError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+def read_integer(section: dict, key: str, default: int, least: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SpecValidationError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def read_number(section: dict, key: str, default: float, where: str) -> float:
+    """A finite JSON number as a float; booleans and strings are errors."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(f"{where} field {key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecValidationError(f"{where} field {key!r} must be finite, got {value!r}")
+    return value
+
+
+def read_positive(section: dict, key: str, default: float, where: str) -> float:
+    value = read_number(section, key, default, where)
+    if not value > 0:
+        raise SpecValidationError(f"{where} field {key!r} must be > 0, got {value!r}")
+    return value
 
 
 def _validate_coefficient_samples(spec: ProblemSpec, g: SpatialGrid) -> None:
@@ -157,15 +195,6 @@ def _validate_coefficient_samples(spec: ProblemSpec, g: SpatialGrid) -> None:
                 )
 
 
-def load_spec(config_text: str) -> ProblemSpec:
-    """Parse JSON text into a validated ProblemSpec."""
-    try:
-        data = json.loads(config_text)
-    except json.JSONDecodeError as e:
-        raise SpecValidationError(f"invalid JSON: {e}") from e
-    return spec_from_dict(data)
-
-
 def spec_to_dict(spec: ProblemSpec) -> dict:
     return {
         "N": spec.N,
@@ -175,12 +204,12 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
         "boundary": spec.boundary,
         "signed_power": spec.signed_power,
         "sup_guard": spec.sup_guard,
-        "spatial_dim": spec.spatial_dim,
+        "spatial_dim": 1,
     }
 
 
 def canonical_text(spec: ProblemSpec) -> str:
-    """Canonical serialization; load_spec(canonical_text(s)) == s."""
+    """Canonical serialization; spec_from_dict(json.loads(canonical_text(s))) == s."""
     return json.dumps(spec_to_dict(spec), indent=2)
 
 

@@ -59,15 +59,14 @@ def fisher_spec(box_half_length=5.0, grid_points=256, boundary="periodic",
     })
 
 
-def cubic_spec(box_half_length=5.0, grid_points=256, boundary="periodic",
-               sup_guard=1e6) -> problem.ProblemSpec:
-    """N=3, a_1 = 1, others 0: reaction u - u^3."""
+def cubic_spec(grid_points=256, sup_guard=1e6) -> problem.ProblemSpec:
+    """N=3, a_1 = 1, others 0: reaction u - u^3, periodic, half-length 5."""
     return problem.spec_from_dict({
         "N": 3,
         "coeffs": ["0", "1", "0"],
-        "box_half_length": box_half_length,
+        "box_half_length": 5.0,
         "grid_points": grid_points,
-        "boundary": boundary,
+        "boundary": "periodic",
         "sup_guard": sup_guard,
     })
 
@@ -95,18 +94,18 @@ def random_smooth_field(grid, rng, bound_order: int = 0) -> Field:
 # -- manufactured-solution ladders -------------------------------------------
 
 
-def suite_mms(refinements: int = 3) -> SuiteResult:
+def suite_mms() -> SuiteResult:
     """Temporal ladder on a periodic mode, spatial ladder on a wall-compatible
     mode; expects observed orders near 1 (time) and 2 (space)."""
     L = 10.0
     spec_t = fisher_spec(grid_points=128)
     rep_t = dynamics.mms_verify(
         spec_t, (f"sin({2 * math.pi / L!r}*x)", "exp(-x)"),
-        refinements, dt0=0.05, t_final=1.0)
+        3, dt0=0.05, t_final=1.0)
     spec_x = fisher_spec(grid_points=31, boundary="dirichlet0")
     rep_x = dynamics.mms_verify(
         spec_x, (f"cos({3 * math.pi / L!r}*x)", "exp(-x)"),
-        refinements, dt0=1e-4, t_final=0.1)
+        3, dt0=1e-4, t_final=0.1)
     t_ord = rep_t.observed_order
     x_ord = rep_x.observed_order
     passed = (rep_t.converged and rep_x.converged
@@ -194,7 +193,7 @@ def suite_identity_residual() -> SuiteResult:
 
 # Max of ||P(u) - a_0||_{k,p} / ||u||_{k,p} over 1000 seeded random smooth
 # fields with sup|D^j u| <= 1 (j <= k), Fisher instance, periodic M=64 box
-# L=10.  Measured once with measure_ratio_bound(seed=2026) and frozen; the
+# L=10.  Measured once with measure_ratio_bound (seed 2026) and frozen; the
 # suite regenerates the same fields and must never exceed these.
 FROZEN_RATIO_BOUNDS = {
     (0, 2.0): 1.6024784884171146,
@@ -207,12 +206,11 @@ _RATIO_SEED = 2026
 _RATIO_SAMPLES = 1000
 
 
-def measure_ratio_bound(k: int, p: float, seed: int = _RATIO_SEED,
-                        n_samples: int = _RATIO_SAMPLES) -> float:
+def measure_ratio_bound(k: int, p: float, n_samples: int = _RATIO_SAMPLES) -> float:
     spec = fisher_spec(grid_points=64)
     g = problem.make_grid(spec)
     nl = Nonlinearity(spec, g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RATIO_SEED)
     worst = 0.0
     for _ in range(n_samples):
         u = random_smooth_field(g, rng, bound_order=k)

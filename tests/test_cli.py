@@ -151,6 +151,8 @@ _BAD_CONFIGS = {
     "t_max-int-1e400": (("t_max",), 10**400),
     "control.dt_max-int-1e400": (("control", "dt_max"), 10**400),
     "box_half_length-int-1e400": (("spec", "box_half_length"), 10**400),
+    # a grid of that many points has no float spacing
+    "grid_points-int-1e400": (("spec", "grid_points"), 10**400),
     # JSON booleans and strings are not numbers
     "t_max-true": (("t_max",), True),
     "t_max-str": (("t_max",), "0.5"),
@@ -164,6 +166,8 @@ _BAD_CONFIGS = {
     "sup_guard-true": (("spec", "sup_guard"), True),
     "box_half_length-str": (("spec", "box_half_length"), "5"),
     "spatial_dim-true": (("spec", "spatial_dim"), True),
+    # spatial_dim is a JSON integer, as N, grid_points and seed are
+    "spatial_dim-1.0": (("spec", "spatial_dim"), 1.0),
     # coefficients are expression strings, never JSON numbers
     "coeffs-int": (("spec", "coeffs"), [-1, "1"]),
     "coeffs-float": (("spec", "coeffs"), [1.5, "1"]),

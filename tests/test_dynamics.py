@@ -9,7 +9,6 @@ from gradflow1d.dynamics import (
     CONVERGED,
     STOP_REASONS,
     T_MAX_REACHED,
-    DiagnosticSeries,
     StepControl,
     mms_verify,
     run,

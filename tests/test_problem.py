@@ -4,11 +4,11 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from gradflow1d.cli import load_config
 from gradflow1d.problem import (
     SpecValidationError,
     canonical_text,
     coefficient_norms,
-    load_spec,
     make_grid,
     spec_from_dict,
 )
@@ -31,7 +31,7 @@ def test_fisher_loads():
 
 
 def test_degree_below_two_rejected():
-    with pytest.raises(SpecValidationError, match="N >= 2"):
+    with pytest.raises(SpecValidationError, match="N must be an integer >= 2"):
         spec_from_dict({**FISHER, "N": 1, "coeffs": ["0"]})
 
 
@@ -43,7 +43,7 @@ def test_wrong_coeff_count_rejected():
 @pytest.mark.parametrize("coeffs, index", (([-1, "1"], 0), (["0", 2], 1), ([0, 1], 0),
                                            (["0", None], 1)))
 def test_coefficient_must_be_a_string(coeffs, index):
-    with pytest.raises(SpecValidationError, match=f"a_{index} must be an expression string"):
+    with pytest.raises(SpecValidationError, match=f"a_{index} must be a string"):
         spec_from_dict({**FISHER, "coeffs": coeffs})
 
 
@@ -64,7 +64,7 @@ def test_bad_boundary_rejected():
 
 
 def test_small_grid_rejected():
-    with pytest.raises(SpecValidationError, match="M >= 8"):
+    with pytest.raises(SpecValidationError, match="grid_points must be an integer >= 8"):
         spec_from_dict({**FISHER, "grid_points": 4})
 
 
@@ -91,15 +91,17 @@ def test_unknown_field_rejected():
         spec_from_dict({**FISHER, "extra": 1})
 
 
-def test_invalid_json_rejected():
+def test_invalid_json_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
     with pytest.raises(SpecValidationError, match="JSON"):
-        load_spec("{not json")
+        load_config(str(path))
 
 
-def test_load_spec_idempotent():
-    spec = load_spec(json.dumps(FISHER))
+def test_canonical_text_round_trip():
+    spec = spec_from_dict(FISHER)
     text = canonical_text(spec)
-    again = load_spec(text)
+    again = spec_from_dict(json.loads(text))
     assert again == spec
     assert canonical_text(again) == text
 

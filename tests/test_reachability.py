@@ -11,6 +11,10 @@ reached through `verify.SUITES`.  Code outside any definition (imports,
 
 Every name the benchmark's tracer patches also exists, so a deletion that
 would break the benchmark fails here.
+
+Every module under `src/gradflow1d` and `tests/` reads each name it
+imports.  Re-exports are exempt: all of `__init__.py`, and a module's
+names listed in its `__all__`; so is `from __future__ import annotations`.
 """
 
 import ast
@@ -25,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gradflow1d"
 
 # kept for the run provenance record (a hash of the canonical spec text)
-ALLOWED = {"load_spec", "canonical_text"}
+ALLOWED = {"canonical_text"}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -97,6 +101,37 @@ def test_guard_sees_a_definition_only_tests_reach(tmp_path):
     grid = tmp_path / "grid.py"
     grid.write_text(grid.read_text() + "\n\ndef only_tests_call_this(u):\n    return u\n")
     assert _unreached(tmp_path) == ["grid.only_tests_call_this"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """`module.name` for each name the module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
+
+
+def test_every_import_is_read():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def test_import_guard_sees_an_unused_import(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from __future__ import annotations\n\nimport json\n"
+                    "import os.path\nfrom math import inf, nan\n\n"
+                    "__all__ = ['nan']\n\n\ndef f():\n    return os.path.sep\n")
+    assert _unused_imports(path) == ["module.inf", "module.json"]
 
 
 def _bench_targets():
