@@ -7,12 +7,14 @@
 
 Exit codes: 0 success, 1 config error, 2 blow-up, 3 verification failure.
 All outputs are reproducible bit-for-bit for identical configs (seeds
-included).
+included) on one host with one numpy build: numpy's SIMD power kernels
+differ by CPU in the last bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -349,6 +351,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = args.output_dir or cfg.output_dir
+        _check_output_dir(out_dir)
         handler = {
             "simulate": cmd_simulate,
             "equilibria": cmd_equilibria,
@@ -362,6 +365,19 @@ def main(argv=None) -> int:
     except OSError as e:  # the config was read in load_config
         print(f"error: cannot write outputs: {e}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _check_output_dir(out_dir: str) -> None:
+    """Raise OSError before any computation when out_dir is not a
+    directory and cannot be made one.  Nothing is created: a config error
+    found later (a launch outside the catalog) still leaves no output."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 if __name__ == "__main__":

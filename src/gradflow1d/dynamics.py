@@ -16,13 +16,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 
 import numpy as np
 
 from . import exprlang, problem
 from .functionals import action_parts_extended, energy_addend
-from .grid import Field, extend, laplacian_extended, write_field_csv
+from .grid import CSV_BLOCK_ROWS, Field, laplacian_extended, set_ghosts, write_field_csv
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
 
@@ -100,11 +101,15 @@ class DiagnosticSeries:
         raise AttributeError(name)
 
     def write_csv(self, path) -> None:
+        """One row per record, each value as `%.17g` (for a Python float the
+        bytes of f"{value:.17g}"), a block of CSV_BLOCK_ROWS rows per `%`."""
+        columns = [self._rows[c] for c in self.COLUMNS]
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
         with open(path, "w") as f:
             f.write(",".join(self.COLUMNS) + "\n")
-            for i in range(len(self)):
-                f.write(",".join(f"{self._rows[c][i]:.17g}" for c in self.COLUMNS))
-                f.write("\n")
+            for start in range(0, len(self), CSV_BLOCK_ROWS):
+                block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+                f.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 @dataclass
@@ -136,11 +141,21 @@ class Trajectory:
         return out
 
     def write_outputs(self, out_dir, summary: dict) -> None:
-        """Write diagnostics.csv, the snapshots and `summary` as run_summary.json."""
+        """Write diagnostics.csv, the snapshots and `summary` as run_summary.json.
+
+        Snapshot k is snap_<t>.csv with t to six decimals; when an earlier
+        snapshot has that name already (times less than 1e-6 apart), it is
+        snap_<t>_<k>.csv, so every snapshot has its own file.
+        """
         os.makedirs(out_dir, exist_ok=True)
         self.diagnostics.write_csv(os.path.join(out_dir, "diagnostics.csv"))
-        for t, f in self.snapshots:
-            write_field_csv(f, os.path.join(out_dir, f"snap_{t:.6f}.csv"))
+        names = set()
+        for k, (t, f) in enumerate(self.snapshots):
+            name = f"snap_{t:.6f}.csv"
+            if name in names:
+                name = f"snap_{t:.6f}_{k}.csv"
+            names.add(name)
+            write_field_csv(f, os.path.join(out_dir, name))
         with open(os.path.join(out_dir, "run_summary.json"), "w") as f:
             json.dump(summary, f, indent=2)
             f.write("\n")
@@ -169,6 +184,12 @@ def run(
     (the next increment guard) and the potential sum (inside the action);
     max and sum propagate inf and nan.  P and Q are evaluated unchecked
     under one np.errstate for the whole run.
+
+    The arrays of a step are allocated once per run.  u and the next state
+    x live in the interiors of two ghost-extended buffers that take turns:
+    the right-hand side is formed in x's buffer and solved in place, so
+    extending x sets two ghosts, and u stays intact for the energy addend.
+    Snapshots and the final field are copies.
     """
     if not t_max > 0:
         raise ValueError("t_max > 0 required")
@@ -184,7 +205,12 @@ def run(
     add_t, add_dt, add_sup, add_action, add_energy, add_ut = diag.appenders()
     snaps = [(0.0, u0)]
     snap_step = 0  # steps taken when snaps[-1] was recorded
-    u = u0.values
+    m = g.m
+    e, e_next = np.empty((2, m + 2))  # ghost-extended u and x
+    u, x = e[1:-1], e_next[1:-1]
+    u[:] = u0.values
+    # P(u), Lap(u), their sum, Q(u) and scratch (leading terms, |.|, udot)
+    p_now, lap_u, resid_now, q, work = np.empty((5, m))
     t = 0.0
     dt = ctrl.dt_init
     dt_taken = 0.0  # the dt column; the initial row has 0.0
@@ -197,27 +223,28 @@ def run(
     h, boundary = g.h, g.boundary
     t_end = t_max - 1e-12 * max(1.0, t_max)
     reaction = nl.apply_P_unchecked
-    absolute = np.abs
+    absolute, add, multiply = np.absolute, np.add, np.multiply
+    maximum = np.maximum.reduce
     solvers = {}  # dt -> factored solver
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e = extend(u, boundary)  # serves the Laplacian and the action
-        lap_u = laplacian_extended(e, g)
-        sup_u = float(absolute(u).max())
+        set_ghosts(e, boundary)  # e serves the Laplacian and the action
+        laplacian_extended(e, g, lap_u)
+        sup_u = float(maximum(absolute(u, work)))
         while True:
             # the state after `steps` accepted steps: P, the action, its row
-            p_now = reaction(u)
-            p_sup = float(absolute(p_now).max())
+            reaction(u, p_now, work)
+            p_sup = float(maximum(absolute(p_now, work)))
             try:
-                a_now = action_parts_extended(nl, u, e)[0]
+                a_now = action_parts_extended(nl, u, e, q, work)[0]
             except RangeOverflowError:
                 p_sup = math.nan  # fails the check below, as a non-finite P does
             if not isfinite(p_sup):
                 # at step 0 the initial data is already beyond polynomial range
                 reason = "nonfinite_reaction" if steps else "initial_out_of_range"
                 break
-            resid_now = lap_u + p_now
-            ut_sup = float(absolute(resid_now).max())
+            add(lap_u, p_now, resid_now)
+            ut_sup = float(maximum(absolute(resid_now, work)))
             add_t(t)
             add_dt(dt_taken)
             add_sup(sup_u)
@@ -261,20 +288,24 @@ def run(
             if reason:
                 break
 
-            rhs = u + dt * (p_now if forcing is None else p_now + forcing(t))
-            x = solver.solve(rhs)
-            sup_u = float(absolute(x).max())
+            # rhs = u + dt*(P(u) [+ forcing]), formed in x and solved in place
+            if forcing is None:
+                multiply(p_now, dt, x)
+            else:
+                multiply(add(p_now, forcing(t), x), dt, x)
+            solver.solve(add(u, x, x), x)
+            sup_u = float(maximum(absolute(x, work)))
             if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
                 reason = "nonfinite_state"
                 break
-            e = extend(x, boundary)
-            lap_u = laplacian_extended(e, g)
+            set_ghosts(e_next, boundary)
+            laplacian_extended(e_next, g, lap_u)
             # windowed energy, accumulated every step regardless of stride
-            energy += energy_addend(u, x, resid_now, dt, h)
+            energy += energy_addend(u, x, resid_now, dt, h, work)
             t += dt
             dt_taken = dt
             steps += 1
-            u = x
+            e, u, e_next, x = e_next, x, e, u
             if sup_u > sup_guard:
                 reason = "sup_guard"
                 break

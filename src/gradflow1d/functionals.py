@@ -37,13 +37,15 @@ def action(nl: Nonlinearity, u: Field) -> float:
     """The action A(u); raises RangeOverflowError when a part is non-finite."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
-        return action_parts_extended(nl, v, extend(v, nl.grid.boundary))[0]
+        return action_parts_extended(nl, v, extend(v, nl.grid.boundary),
+                                     *np.empty((2, len(v))))[0]
 
 
-def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
-                          e: np.ndarray) -> tuple[float, float, float]:
+def action_parts_extended(nl: Nonlinearity, v: np.ndarray, e: np.ndarray,
+                          out: np.ndarray, work: np.ndarray) -> tuple[float, float, float]:
     """(value, dirichlet_part, potential_part) of the action at samples v,
     with e = grid.extend(v), for a caller that also takes the Laplacian of v.
+    out and work are scratch arrays of v's shape for Q.
 
     Q is evaluated unchecked: the caller holds np.errstate(over="ignore",
     invalid="ignore"), and a non-finite Q shows in the potential sum, so a
@@ -51,7 +53,8 @@ def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
     """
     g = nl.grid
     dir_part = dirichlet_energy_extended(e, g)
-    pot_part = g.h * float(nl.potential_unchecked(v).sum())  # grid.integrate's rule
+    q = nl.potential_unchecked(v, out, work)
+    pot_part = g.h * float(np.add.reduce(q))  # grid.integrate's rule
     value = -dir_part + pot_part
     if not (isfinite(dir_part) and isfinite(pot_part)):
         raise RangeOverflowError("non-finite action integrand")
@@ -59,13 +62,16 @@ def action_parts_extended(nl: Nonlinearity, v: np.ndarray,
 
 
 def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
-                  resid_before: np.ndarray, dt: float, h: float) -> float:
+                  resid_before: np.ndarray, dt: float, h: float,
+                  out: np.ndarray) -> float:
     """One step's windowed energy.
 
     resid_before is laplacian(u_before) + P(u_before); h is the grid
-    spacing.  The time stepper adds this once per accepted step.
+    spacing; out is scratch for the difference quotient.  The time stepper
+    adds this once per accepted step.
     """
-    udot = (u_after - u_before) / dt
+    udot = np.subtract(u_after, u_before, out)
+    np.divide(udot, dt, udot)
     return 0.5 * dt * h * (float(udot.dot(udot))
                            + float(resid_before.dot(resid_before)))
 

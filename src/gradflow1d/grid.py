@@ -14,6 +14,8 @@ is exactly laplacian(u) + P(u).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import exprlang
@@ -104,23 +106,37 @@ def extend(values: np.ndarray, boundary: str) -> np.ndarray:
     """
     e = np.empty(len(values) + 2)
     e[1:-1] = values
+    return set_ghosts(e, boundary)
+
+
+def set_ghosts(e: np.ndarray, boundary: str) -> np.ndarray:
+    """Set the two ghost nodes of e from its interior e[1:-1], in place.
+
+    The time step solves for the new field inside such a buffer, so its
+    extension costs two assignments.
+    """
     if boundary == "periodic":
-        e[0], e[-1] = values[-1], values[0]
+        e[0], e[-1] = e[-2], e[1]
     elif boundary == "dirichlet0":
         e[0] = e[-1] = 0.0
     else:
-        e[0], e[-1] = values[0], values[-1]
+        e[0], e[-1] = e[1], e[-2]
     return e
 
 
 def laplacian_values(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Second central difference with the grid's boundary closure."""
-    return laplacian_extended(extend(values, grid.boundary), grid)
+    return laplacian_extended(extend(values, grid.boundary), grid, np.empty(grid.m))
 
 
-def laplacian_extended(e: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """The Laplacian stencil on e = extend(values, grid.boundary)."""
-    return (e[:-2] - 2.0 * e[1:-1] + e[2:]) / grid.h**2
+def laplacian_extended(e: np.ndarray, grid: SpatialGrid, out: np.ndarray) -> np.ndarray:
+    """The Laplacian stencil (e[:-2] - 2*e[1:-1] + e[2:])/h^2 on
+    e = extend(values, grid.boundary), written into out."""
+    c = e[1:-1]
+    np.add(c, c, out)  # 2*c, exactly
+    np.subtract(e[:-2], out, out)
+    np.add(out, e[2:], out)
+    return np.divide(out, grid.h**2, out)
 
 
 def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid) -> float:
@@ -178,8 +194,23 @@ def write_field_csv(u: Field, path) -> None:
     """Snapshot format: header `x,u`, one row per node, 17 significant digits."""
     with open(path, "w") as f:
         f.write("x,u\n")
-        for x, v in zip(u.grid.nodes, u.values):
-            f.write(f"{x:.17g},{v:.17g}\n")
+        for start, rows in zip(range(0, u.grid.m, CSV_BLOCK_ROWS), _node_rows(u.grid)):
+            f.write(rows % tuple(u.values[start:start + CSV_BLOCK_ROWS].tolist()))
+
+
+# rows per `%` of the CSV writers: fewer calls than one per row or value,
+# without holding a whole file in memory
+CSV_BLOCK_ROWS = 256
+
+
+@lru_cache(maxsize=1)
+def _node_rows(grid: SpatialGrid) -> tuple[str, ...]:
+    """The snapshot rows' `%` format per block, each node already written
+    as `%.17g` text: the nodes are formatted once for all the snapshots of
+    a run.  `%.17g` gives a Python float the bytes of f"{value:.17g}"."""
+    return tuple("".join(["%.17g,%%.17g\n" % x
+                          for x in grid.nodes[start:start + CSV_BLOCK_ROWS].tolist()])
+                 for start in range(0, grid.m, CSV_BLOCK_ROWS))
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:

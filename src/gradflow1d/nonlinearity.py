@@ -22,35 +22,34 @@ class RangeOverflowError(ArithmeticError):
     """
 
 
-def horner(coeffs, v):
+def horner(coeffs, v, out=None):
     """sum_i coeffs[i] * v^i by Horner's rule, coefficients in ascending order.
 
     v is a float or an ndarray; each coefficient is a float or an ndarray
     broadcastable against v.  The loop starts at the leading coefficient,
     and every caller goes through it, so all round in the same order.
     Empty coeffs give 0.0; one coefficient is returned as is, not broadcast
-    against v.
+    against v.  With out, an array of the result's shape, the same
+    operations write into out.
     """
     rest = reversed(coeffs)
     acc = next(rest, 0.0)
     for a in rest:
-        acc = acc * v + a
+        if out is None:
+            acc = acc * v + a
+        else:
+            acc = np.add(np.multiply(acc, v, out), a, out)
     return acc
 
 
-def _with_leading_P(lower, v, n: int, signed_power: bool):
-    """lower - v^N, or lower - v|v|^(N-1) in signed_power mode; builtin abs
-    and ** serve floats (which raise OverflowError) and ndarrays alike."""
-    if signed_power:
-        return lower - v * abs(v) ** (n - 1)
-    return lower - v**n
-
-
-def _with_leading_Q(lower, v, n: int, signed_power: bool):
-    """lower - v^(N+1)/(N+1), or lower - |v|^(N+1)/(N+1) in signed_power mode."""
-    if signed_power:
-        return lower - abs(v) ** (n + 1) / (n + 1)
-    return lower - v ** (n + 1) / (n + 1)
+def _power_of(k: int):
+    """(v, out) -> v**k written into out, by the ufunc that ** calls:
+    np.square for k = 2, else np.power with k as a 0-d array, which a ufunc
+    takes faster than a Python number."""
+    if k == 2:
+        return np.square
+    exponent = np.array(float(k))
+    return lambda v, out: np.power(v, exponent, out)
 
 
 class Nonlinearity:
@@ -72,8 +71,13 @@ class Nonlinearity:
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
         self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
-        self.degree = spec.N
+        n = self.degree = spec.N
         self.signed_power = spec.signed_power
+        # the array paths' leading terms v^N (v|v|^(N-1)) and
+        # v^(N+1)/(N+1) (|v|^(N+1)/(N+1))
+        self._power_P = _power_of(n - 1 if self.signed_power else n)
+        self._power_Q = _power_of(n + 1)
+        self._divisor_Q = np.array(float(n + 1))
 
     def spatially_constant(self) -> bool:
         return self._constant is not None
@@ -90,17 +94,23 @@ class Nonlinearity:
 
     def apply_P_values(self, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._check(self.apply_P_unchecked(v), "P(u)")
+            return self._check(self.apply_P_unchecked(v, *np.empty((2, len(v)))), "P(u)")
 
-    def apply_P_unchecked(self, v: np.ndarray) -> np.ndarray:
-        """P at samples v with no finite check.
+    def apply_P_unchecked(self, v: np.ndarray, out: np.ndarray,
+                          work: np.ndarray) -> np.ndarray:
+        """P at samples v with no finite check, written into out; work
+        takes the leading term.
 
         The caller holds np.errstate(over="ignore", invalid="ignore") and
         tests the result through a reduction it takes anyway (max or sum
         propagate inf and nan).
         """
-        return _with_leading_P(horner(self.coeff_samples, v), v, self.degree,
-                               self.signed_power)
+        lower = horner(self.coeff_samples, v, out)
+        if self.signed_power:
+            lead = np.multiply(v, self._power_P(np.abs(v, work), work), work)
+        else:
+            lead = self._power_P(v, work)
+        return np.subtract(lower, lead, out)
 
     def apply_dP(self, v: np.ndarray) -> np.ndarray:
         """Pointwise derivative of P at samples v (the Jacobian diagonal)."""
@@ -116,14 +126,16 @@ class Nonlinearity:
     def potential(self, u: Field) -> Field:
         """Antiderivative in u of P, sampled pointwise (the action integrand)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            q = self._check(self.potential_unchecked(u.values), "potential(u)")
-        return Field(self.grid, q)
+            q = self.potential_unchecked(u.values, *np.empty((2, self.grid.m)))
+        return Field(self.grid, self._check(q, "potential(u)"))
 
-    def potential_unchecked(self, v: np.ndarray) -> np.ndarray:
+    def potential_unchecked(self, v: np.ndarray, out: np.ndarray,
+                            work: np.ndarray) -> np.ndarray:
         """The potential Q at samples v with no finite check, on the terms
-        of `apply_P_unchecked`."""
-        return _with_leading_Q(horner(self._Q_coeffs, v) * v, v, self.degree,
-                               self.signed_power)
+        of `apply_P_unchecked`: written into out, the leading term in work."""
+        lower = np.multiply(horner(self._Q_coeffs, v, out), v, out)
+        lead = self._power_Q(np.abs(v, work) if self.signed_power else v, work)
+        return np.subtract(lower, np.divide(lead, self._divisor_Q, work), out)
 
     def coeffs_at(self, xval: float):
         """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""
@@ -132,9 +144,13 @@ class Nonlinearity:
         return [f(xval) for f in self._coeff_funs]
 
     def scalar_P(self, uval: float, coeffs) -> float:
-        """P at a single u, with coeffs = coeffs_at(x); used by phase-plane shooting."""
-        return _with_leading_P(horner(coeffs, uval), uval, self.degree,
-                               self.signed_power)
+        """P at a single u, with coeffs = coeffs_at(x); used by phase-plane
+        shooting.  Builtin abs and ** keep float operations (** raises
+        OverflowError)."""
+        n = self.degree
+        if self.signed_power:
+            return horner(coeffs, uval) - uval * abs(uval) ** (n - 1)
+        return horner(coeffs, uval) - uval**n
 
     def reaction_norm_ratio(self, u: Field, k: int, p: float) -> float:
         """||P(u) - a_0||_{k,p} / ||u||_{k,p}.

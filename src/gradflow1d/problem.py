@@ -41,6 +41,8 @@ __all__ = [
 
 SPEC_KEYS = {"N", "coeffs", "box_half_length", "grid_points", "boundary",
              "signed_power", "sup_guard", "spatial_dim"}
+# the largest grid_points: a run keeps about ten arrays of M floats
+MAX_GRID_POINTS = 2**20
 
 
 class SpecValidationError(ValueError):
@@ -92,7 +94,9 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     if read_integer(d, "spatial_dim", 1, 1) != 1:
         raise SpecValidationError("spatial_dim = 1 required")
     grid_points = read_integer(d, "grid_points", None, 8)
-    read_number(d, "grid_points", None, "spec")  # h = L/M takes M as a float
+    if grid_points > MAX_GRID_POINTS:
+        raise SpecValidationError(
+            f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
     spec = ProblemSpec(
         N=n,
         coeffs=coeffs,

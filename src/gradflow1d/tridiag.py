@@ -123,19 +123,28 @@ class ImplicitDiffusionSolver:
             self._corner = -mu / gamma
             self._vz = z[0] + self._corner * z[-1]
             self._denom = float(1.0 + self._vz)
+            self._zs = np.empty(m)  # scratch of the rank-one correction
 
-    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(self._factor, rhs)  # upper factor, lower=0
+    def _band_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve with the Cholesky band, overwriting b when it is a
+        contiguous float array (dpbtrs copies any other)."""
+        x, info = dpbtrs(self._factor, b, overwrite_b=1)  # upper factor, lower=0
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._band_solve(rhs)
-        if not self._periodic:
-            return y
-        vy = y.item(0) + self._corner * y.item(-1)
-        return y - self._z * (vy / self._denom)
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """x with (I - dt*Lap_h) x = rhs, written into out; out may be rhs
+        itself, which the time step uses to solve in place."""
+        if out is not rhs:
+            out[...] = rhs
+        y = self._band_solve(out)
+        if y is not out:
+            out[...] = y
+        if self._periodic:
+            vy = out.item(0) + self._corner * out.item(-1)
+            np.subtract(out, np.multiply(self._z, vy / self._denom, self._zs), out)
+        return out
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,
                           lap_x: np.ndarray, rhs_sup: float) -> float:

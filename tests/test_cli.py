@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gradflow1d import dynamics
 from gradflow1d.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
@@ -151,7 +152,10 @@ _BAD_CONFIGS = {
     "t_max-int-1e400": (("t_max",), 10**400),
     "control.dt_max-int-1e400": (("control", "dt_max"), 10**400),
     "box_half_length-int-1e400": (("spec", "box_half_length"), 10**400),
-    # a grid of that many points has no float spacing
+    # grid_points above problem.MAX_GRID_POINTS = 2**20; M = 10**12 ended
+    # in a MemoryError traceback, and 10**400 has no float spacing
+    "grid_points-2**20+1": (("spec", "grid_points"), 2**20 + 1),
+    "grid_points-1e12": (("spec", "grid_points"), 10**12),
     "grid_points-int-1e400": (("spec", "grid_points"), 10**400),
     # JSON booleans and strings are not numbers
     "t_max-true": (("t_max",), True),
@@ -244,7 +248,12 @@ def test_equilibria_shooting_start_bool_or_string_is_error_entry(tmp_path, start
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_unwritable_output_dir_exits_1(tmp_path, capsys, command):
+def test_unwritable_output_dir_exits_1(tmp_path, capsys, monkeypatch, command):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before checking the output directory")
+
+    # the check comes before any computation: no subcommand steps
+    monkeypatch.setattr(dynamics, "run", no_stepping)
     blocker = tmp_path / "file"
     blocker.write_text("")
     data = _fisher_config(tmp_path / "unused", verify={"suites": ["blowup_timing"]})

@@ -9,11 +9,12 @@ from gradflow1d.dynamics import (
     CONVERGED,
     STOP_REASONS,
     T_MAX_REACHED,
+    DiagnosticSeries,
     StepControl,
     mms_verify,
     run,
 )
-from gradflow1d.grid import Field, sup_norm
+from gradflow1d.grid import Field, SpatialGrid, read_field_csv, sup_norm, write_field_csv
 from gradflow1d.nonlinearity import Nonlinearity
 from gradflow1d.tridiag import ImplicitDiffusionSolver
 
@@ -69,7 +70,7 @@ def test_imex_step_pure_diffusion_eigenmode():
     dt = 0.02
     lam = (2.0 / g.h**2) * (1.0 - math.cos(k * g.h))
     expected = u.values / (1.0 + dt * lam)
-    got = ImplicitDiffusionSolver(g, dt).solve(u.values)
+    got = ImplicitDiffusionSolver(g, dt).solve(u.values, np.empty(g.m))
     assert np.allclose(got, expected, atol=1e-13)
 
 
@@ -308,7 +309,80 @@ def test_trajectory_outputs(tmp_path):
     assert diag[0] == "t,dt,sup_norm,action,energy_cum,ut_sup"
     assert len(diag) == len(traj.diagnostics) + 1
     assert (tmp_path / "run_summary.json").exists()
-    assert any(p.name.startswith("snap_") for p in tmp_path.iterdir())
+    # times at least 1e-6 apart keep the six-decimal names
+    assert (sorted(p.name for p in tmp_path.glob("snap_*"))
+            == sorted(f"snap_{t:.6f}.csv" for t, _ in traj.snapshots))
+
+
+def test_snapshots_less_than_1e6_apart_get_their_own_files(tmp_path):
+    # 30 steps of 1e-7 at stride 1: 31 snapshots share four six-decimal
+    # times, so `snap_{t:.6f}.csv` alone wrote 4 files and overwrote 27
+    spec, nl = _fisher(m=16)
+    ctrl = StepControl(dt_init=1e-7, dt_min=1e-7, dt_max=1e-7)
+    traj = run(spec, Field.constant(nl.grid, 0.5), ctrl, 3e-6, nl=nl, snapshot_stride=1)
+    assert len(traj.snapshots) == 31
+    assert len({f"{t:.6f}" for t, _ in traj.snapshots}) == 4
+    traj.write_outputs(tmp_path, traj.summary_dict())
+    for k, (t, field) in enumerate(traj.snapshots):
+        name = f"snap_{t:.6f}.csv"
+        if k and f"{traj.snapshots[k - 1][0]:.6f}" == f"{t:.6f}":
+            name = f"snap_{t:.6f}_{k}.csv"
+        assert np.array_equal(read_field_csv(tmp_path / name)[1], field.values), name
+    assert len(list(tmp_path.glob("snap_*"))) == 31
+
+
+def test_recorded_fields_do_not_share_the_step_buffers():
+    # run reuses its arrays from step to step: every snapshot, first_field
+    # and final_field must be a copy that later steps leave alone
+    spec, nl = _fisher(m=32, boundary="neumann0")
+    g = nl.grid
+    u0 = Field(g, 0.5 + 0.3 * verify.random_smooth_field(g, np.random.default_rng(3)).values)
+    before = u0.values.tobytes()
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-3)
+    traj = run(spec, u0, ctrl, 0.04, nl=nl, snapshot_stride=1)
+    assert traj.first_field is u0 and u0.values.tobytes() == before
+    fields = [f for _, f in traj.snapshots]
+    assert len(fields) == traj.steps + 1 == 41
+    assert traj.final_field is fields[-1]
+    # each snapshot still holds the state whose sup norm its row recorded
+    assert [sup_norm(f) for f in fields] == list(traj.diagnostics.sup_norm)
+    assert len({f.values.tobytes() for f in fields}) == len(fields)
+    # and equals the same snapshot of a shorter run, which stops stepping
+    # before the later steps of this one
+    short = run(spec, u0, ctrl, 0.0205, nl=nl, snapshot_stride=1)
+    for (t, got), (t_short, want) in zip(traj.snapshots[:21], short.snapshots[:21]):
+        assert t == t_short and got.values.tobytes() == want.values.tobytes()
+
+
+_AWKWARD = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3)
+
+
+@pytest.mark.parametrize("rows", (0, 1, 1023, 1024, 1025))
+def test_csv_writers_match_the_f_string_format(tmp_path, rows):
+    # the writers format blocks of grid.CSV_BLOCK_ROWS (256) rows with one
+    # `%`; every value must keep the bytes of the per-value f"{value:.17g}"
+    # they replaced, on both sides of the block edges
+    def value(i):
+        return (-1) ** (i // 5) * _AWKWARD[i % 5]
+
+    diag = DiagnosticSeries()
+    for c, add in enumerate(diag.appenders()):
+        for i in range(rows):
+            add(value(i + c))
+    for add, extra in zip(diag.appenders(), (math.inf, -math.inf, math.nan, 0.0, 1.0, 2.0)):
+        add(extra)
+    diag.write_csv(tmp_path / "diagnostics.csv")
+    want = "t,dt,sup_norm,action,energy_cum,ut_sup\n" + "".join(
+        ",".join(f"{getattr(diag, c)[i].item():.17g}" for c in DiagnosticSeries.COLUMNS) + "\n"
+        for i in range(rows + 1))
+    assert (tmp_path / "diagnostics.csv").read_text() == want
+    if rows < 8:
+        return  # a grid has at least 8 nodes
+    g = SpatialGrid(5.0, rows, "dirichlet0")
+    field = Field(g, [value(i) for i in range(rows)])
+    write_field_csv(field, tmp_path / "snap.csv")
+    want = "x,u\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(g.nodes, field.values))
+    assert (tmp_path / "snap.csv").read_text() == want
 
 
 def test_mms_zero_solution_zero_error():

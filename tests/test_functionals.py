@@ -25,7 +25,8 @@ def fisher():
 
 def _parts(nl, u):
     """(value, dirichlet_part, potential_part) of the action at the field u."""
-    return action_parts_extended(nl, u.values, extend(u.values, nl.grid.boundary))
+    return action_parts_extended(nl, u.values, extend(u.values, nl.grid.boundary),
+                                 np.empty(nl.grid.m), np.empty(nl.grid.m))
 
 
 def test_action_zero_field(fisher):
@@ -72,7 +73,7 @@ def _resid(nl, values):
 def test_energy_step_zero_at_equilibrium(fisher):
     _, nl = fisher
     eq = np.full(nl.grid.m, 1.0)
-    assert energy_addend(eq, eq, _resid(nl, eq), 0.1, nl.grid.h) <= 1e-28
+    assert energy_addend(eq, eq, _resid(nl, eq), 0.1, nl.grid.h, np.empty(nl.grid.m)) <= 1e-28
 
 
 def test_energy_step_zero_field_no_reaction():
@@ -81,7 +82,7 @@ def test_energy_step_zero_field_no_reaction():
     })
     nl = Nonlinearity(spec, problem.make_grid(spec))
     z = np.zeros(nl.grid.m)
-    assert energy_addend(z, z, _resid(nl, z), 0.5, nl.grid.h) == 0.0
+    assert energy_addend(z, z, _resid(nl, z), 0.5, nl.grid.h, np.empty(nl.grid.m)) == 0.0
 
 
 def test_energy_accumulator_monotone(fisher):
@@ -92,7 +93,8 @@ def test_energy_accumulator_monotone(fisher):
     prev = rng.uniform(0, 1, g.m)
     for _ in range(20):
         nxt = prev + 0.01 * rng.standard_normal(g.m)
-        new_cumulative = cumulative + energy_addend(prev, nxt, _resid(nl, prev), 1e-2, g.h)
+        new_cumulative = cumulative + energy_addend(prev, nxt, _resid(nl, prev), 1e-2, g.h,
+                                                    np.empty(g.m))
         assert new_cumulative >= cumulative >= 0.0
         cumulative, prev = new_cumulative, nxt
 
@@ -148,7 +150,8 @@ def test_identity_residual_positive_for_non_solution(fisher):
     u1 = Field(g, rng.uniform(0, 1, g.m))
     dt = 1e-3
     diag = dynamics.DiagnosticSeries()
-    energy = energy_addend(u0.values, u1.values, _resid(nl, u0.values), dt, g.h)
+    energy = energy_addend(u0.values, u1.values, _resid(nl, u0.values), dt, g.h,
+                           np.empty(g.m))
     for row in ((0.0, 0.0, 0.0, action(nl, u0), 0.0, 0.0),
                 (dt, dt, 0.0, action(nl, u1), energy, 0.0)):
         for add, value in zip(diag.appenders(), row):

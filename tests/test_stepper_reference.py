@@ -131,7 +131,7 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride):
             reason = "nonfinite_state"
             break
         u_next = Field(g, x)
-        energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h)
+        energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h, np.empty(g.m))
         t += dt
         steps += 1
         u = u_next
@@ -173,7 +173,9 @@ def _cases(draw):
         "coeffs": [repr(c) for c in draw(st.lists(st.floats(-1.0, 1.0),
                                                   min_size=n, max_size=n))],
         "box_half_length": 5.0,
-        "grid_points": draw(st.integers(8, 64)),
+        # above M = 128 numpy's pairwise sum splits its blocks and the
+        # solves are longer: paths that small grids never reach
+        "grid_points": draw(st.integers(8, 64) | st.sampled_from((256, 2048))),
         "boundary": draw(st.sampled_from(("periodic", "dirichlet0", "neumann0"))),
         "signed_power": False if blow_up else draw(st.booleans()),
     })

@@ -87,7 +87,7 @@ def test_implicit_diffusion_residual(boundary, dt):
     solver = ImplicitDiffusionSolver(g, dt)
     for _ in range(5):
         rhs = rng.standard_normal(g.m)
-        x = solver.solve(rhs)
+        x = solver.solve(rhs, np.empty(g.m))
         lap_x = laplacian_values(x, g)
         assert solver.relative_residual(x, rhs, lap_x, float(np.abs(rhs).max())) <= 1e-12
 
@@ -97,7 +97,7 @@ def test_implicit_diffusion_identity_on_constants():
     for boundary in ("periodic", "neumann0"):
         g = SpatialGrid(5.0, 64, boundary)
         solver = ImplicitDiffusionSolver(g, 0.37)
-        x = solver.solve(np.full(g.m, 4.2))
+        x = solver.solve(np.full(g.m, 4.2), np.empty(g.m))
         assert np.allclose(x, 4.2, atol=1e-13)
 
 
@@ -109,7 +109,7 @@ def test_implicit_diffusion_vs_dense():
     mat = np.eye(g.m) - dt * lap
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(g.m)
-    x = ImplicitDiffusionSolver(g, dt).solve(rhs)
+    x = ImplicitDiffusionSolver(g, dt).solve(rhs, np.empty(g.m))
     assert np.allclose(x, np.linalg.solve(mat, rhs), atol=1e-12)
 
 
@@ -123,7 +123,7 @@ def test_implicit_diffusion_vs_dense_property(boundary, m, mu, seed):
     lap = np.column_stack([laplacian_values(col, g) for col in np.eye(m)])
     rhs = np.random.default_rng(seed).standard_normal(m)
     ref = np.linalg.solve(np.eye(m) - dt * lap, rhs)
-    x = ImplicitDiffusionSolver(g, dt).solve(rhs)
+    x = ImplicitDiffusionSolver(g, dt).solve(rhs, np.empty(m))
     err = np.abs(x - ref).max() / np.abs(ref).max()
     assert err <= 1e-12 * (1.0 + 4.0 * mu)
 
@@ -140,7 +140,7 @@ def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
     mu = 10.0**log_mu
     dt = mu * g.h**2
     rhs = np.random.default_rng(seed).standard_normal(m)
-    x = ImplicitDiffusionSolver(g, dt).solve(rhs)
+    x = ImplicitDiffusionSolver(g, dt).solve(rhs, np.empty(m))
     r = (x - dt * laplacian_values(x, g)) - rhs
     backward = np.abs(r).max() / ((1.0 + 4.0 * mu) * np.abs(x).max() + np.abs(rhs).max())
     assert backward <= 8 * np.finfo(float).eps
