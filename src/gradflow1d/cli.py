@@ -7,8 +7,10 @@
 
 Exit codes: 0 success, 1 config error, 2 blow-up, 3 verification failure.
 All outputs are reproducible bit-for-bit for identical configs (seeds
-included) on one host with one numpy build: numpy's SIMD power kernels
-differ by CPU in the last bit.
+included) on one host with one numpy and BLAS build, not across them:
+numpy's SIMD power kernels and the BLAS core type (OpenBLAS picks its
+kernels by CPU; it serves the banded solve dpbtrs and the dot products,
+ddot) can each change the last bit.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class RunConfig:
     shooting: list  # {"u_left", "slope"} objects; bad values are `errors` entries
     match_tol: float
     tail_tol: float
-    launches: list  # (LaunchSpec, from_value or None) pairs
+    launches: list  # LaunchSpecs; from_value is resolved by `cmd_connect`
     suites: tuple
     verify_control: dynamics.StepControl | None  # None: the suite's default
     verify_t_max: float | None
@@ -105,7 +107,6 @@ def load_config(path: str) -> RunConfig:
     tol_eq = read_number(data, "tol_eq", dynamics.DEFAULT_TOL_EQ, "run")
     if not tol_eq >= 0:
         raise SpecValidationError(f"tol_eq must be >= 0, got {tol_eq!r}")
-    seed = read_integer(data, "seed", 0, 0)
     suites = read_list(ver, "suites", "verify") if "suites" in ver else list(verify.SUITES)
     unknown = [n for n in suites if n not in verify.SUITES]
     if unknown:
@@ -119,7 +120,7 @@ def load_config(path: str) -> RunConfig:
         t_max=t_max,
         snapshot_stride=read_integer(data, "snapshot_stride", 64, 1),
         output_dir=read_string(data.get("output_dir", "out"), "output_dir"),
-        seed=seed,
+        seed=read_integer(data, "seed", 0, 0),
         tol_eq=tol_eq,
         constant_roots=read_boolean(eqs, "constant_roots", True, "equilibria"),
         newton_guesses=[read_string(src, "newton_guesses entry")
@@ -128,7 +129,7 @@ def load_config(path: str) -> RunConfig:
                   for shot in read_list(eqs, "shooting", "equilibria")],
         match_tol=read_number(conn, "match_tol", connections.DEFAULT_MATCH_TOL, "connect"),
         tail_tol=read_number(conn, "tail_tol", connections.DEFAULT_TAIL_TOL, "connect"),
-        launches=[_launch(entry, grid, t_max, seed)
+        launches=[_launch(entry, grid, t_max)
                   for entry in read_list(conn, "launches", "connect")],
         suites=tuple(suites),
         # an empty verify.control keeps the suite's default
@@ -139,8 +140,8 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _launch(entry, grid, t_max: float, seed: int):
-    """One `connect.launches` entry as (LaunchSpec, from_value or None)."""
+def _launch(entry, grid, t_max: float) -> connections.LaunchSpec:
+    """One `connect.launches` entry; a front's initial condition is sampled."""
     kind = read_string(read_object(entry, "launch entry").get("kind", "launch"),
                        "launch kind")
     if kind not in LAUNCH_KEYS:
@@ -151,10 +152,8 @@ def _launch(entry, grid, t_max: float, seed: int):
     if kind == "front":
         if "initial_condition" not in entry:
             raise SpecValidationError("front entry needs initial_condition")
-        source = entry["initial_condition"]
-        _sampled(grid, source, "front initial_condition")
-        return connections.LaunchSpec(kind="front", initial_condition=source,
-                                      t_max=run_t_max), None
+        u0 = _sampled(grid, entry["initial_condition"], "front initial_condition")
+        return connections.LaunchSpec(u0=u0, t_max=run_t_max)
     from_value = None
     if "from_index" in entry:
         idx = entry["from_index"]
@@ -165,8 +164,8 @@ def _launch(entry, grid, t_max: float, seed: int):
     else:
         raise SpecValidationError("launch entry needs from_index or from_value")
     amplitude = read_number(entry, "amplitude", 1e-3, "launch")
-    return connections.LaunchSpec(kind="launch", from_index=idx, amplitude=amplitude,
-                                  t_max=run_t_max, seed=seed), from_value
+    return connections.LaunchSpec(from_index=idx, from_value=from_value,
+                                  amplitude=amplitude, t_max=run_t_max)
 
 
 def _control(value, what: str, spec) -> dynamics.StepControl:
@@ -210,10 +209,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def build_catalog(cfg: RunConfig):
+def build_catalog(cfg: RunConfig, nl: Nonlinearity):
     """Equilibrium catalog plus per-entry error records."""
-    g = problem.make_grid(cfg.spec)
-    nl = Nonlinearity(cfg.spec, g)
+    g = nl.grid
     catalog = []
     errors = []
 
@@ -253,7 +251,7 @@ def build_catalog(cfg: RunConfig):
 
 
 def cmd_equilibria(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    catalog, errors = build_catalog(cfg)
+    catalog, errors = build_catalog(cfg, Nonlinearity(cfg.spec, cfg.u0.grid))
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, eq in enumerate(catalog):
@@ -275,20 +273,22 @@ def cmd_equilibria(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    catalog, _ = build_catalog(cfg)
+    nl = Nonlinearity(cfg.spec, cfg.u0.grid)  # the one reaction of the catalog and the audit
+    catalog, _ = build_catalog(cfg, nl)
     plan = []
-    for launch, want in cfg.launches:
+    for launch in cfg.launches:
+        want = launch.from_value
         if want is not None:
             if not catalog:
                 raise SpecValidationError("from_value needs a non-empty catalog")
             nearest = min(range(len(catalog)), key=lambda i: abs(
                 float(catalog[i].field.values.mean()) - want))
             launch = replace(launch, from_index=nearest)
-        elif launch.kind == "launch" and not 0 <= launch.from_index < len(catalog):
+        elif launch.u0 is None and not 0 <= launch.from_index < len(catalog):
             raise SpecValidationError(f"from_index {launch.from_index} outside the catalog")
         plan.append(launch)
     table = connections.connection_energy_audit(
-        cfg.spec, catalog, plan, cfg.control,
+        nl, catalog, plan, cfg.control,
         tol_eq=cfg.tol_eq, match_tol=cfg.match_tol,
         tail_tol=cfg.tail_tol)
     os.makedirs(out_dir, exist_ok=True)
@@ -296,7 +296,8 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     for launch_id, row in enumerate(table.rows):
         verdict = "excluded" if row.passed is None else ("pass" if row.passed else "FAIL")
         _say(quiet, f"launch {launch_id}: {row.status} "
-                    f"[{row.from_index}->{row.to_index}] {verdict}")
+                    f"[{row.from_index}->{row.to_index}] {verdict}"
+                    + (f"; {row.note}" if row.note else ""))
     return EXIT_OK if table.all_passed else EXIT_VERIFY
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, equilibria, functionals, problem
+from . import dynamics, equilibria, functionals
 from .grid import Field
 from .nonlinearity import Nonlinearity
 
@@ -29,6 +29,7 @@ __all__ = [
     "LaunchSpec",
     "AuditTable",
     "launch_connection",
+    "tail_energy_rate",
     "energy_growth_diagnostic",
     "connection_energy_audit",
 ]
@@ -79,7 +80,7 @@ def _window_start(t: np.ndarray, fraction: float) -> int:
     return min(i, len(t) - 2)
 
 
-def _tail_rate(diag: dynamics.DiagnosticSeries, fraction: float) -> float:
+def tail_energy_rate(diag: dynamics.DiagnosticSeries, fraction: float) -> float:
     """Energy added per unit time over the trailing fraction of the run."""
     t = diag.t
     e = diag.energy_cum
@@ -95,21 +96,20 @@ def _match_catalog(catalog, field: Field, match_tol: float):
     return (best if best_d < match_tol else None), best_d
 
 
-def _run(spec, u0: Field, ctrl: dynamics.StepControl, t_max: float,
-         tol_eq: float, nl: Nonlinearity):
+def _run(u0: Field, ctrl: dynamics.StepControl, t_max: float, tol_eq: float,
+         nl: Nonlinearity):
     """(trajectory, total energy, tail rate) of a run from u0; a run that
     stops before its first diagnostic row carries zero energy."""
-    traj = dynamics.run(spec, u0, ctrl, t_max, tol_eq, nl=nl)
+    traj = dynamics.run(nl.spec, u0, ctrl, t_max, tol_eq, nl=nl)
     diag = traj.diagnostics
     total_energy = float(diag.energy_cum[-1]) if len(diag) else 0.0
-    return traj, total_energy, _tail_rate(diag, TAIL_WINDOW_FRACTION)
+    return traj, total_energy, tail_energy_rate(diag, TAIL_WINDOW_FRACTION)
 
 
 def launch_connection(
     eq_from: equilibria.Equilibrium,
     direction: Field,
     amplitude: float,
-    spec,
     ctrl: dynamics.StepControl,
     t_max: float,
     *,
@@ -120,9 +120,8 @@ def launch_connection(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ConnectionReport:
     """Run from eq_from + amplitude*direction and account for the energy."""
-    g = eq_from.field.grid
-    u0 = Field(g, eq_from.field.values + amplitude * direction.values)
-    traj, total_energy, tail = _run(spec, u0, ctrl, t_max, tol_eq, nl)
+    u0 = Field(eq_from.field.grid, eq_from.field.values + amplitude * direction.values)
+    traj, total_energy, tail = _run(u0, ctrl, t_max, tol_eq, nl)
     from_index, _ = _match_catalog(catalog, eq_from.field, match_tol)
     ident = functionals.identity_residual(traj, nl)
 
@@ -191,18 +190,17 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
 class LaunchSpec:
     """One entry of a connection audit plan.
 
-    kind "launch": perturb catalog member from_index along its leading
-    eigendirection with the given amplitude; expected to connect.
-    kind "front": run from initial_condition and expect linear energy
-    growth with no catalog match (travelling-front behaviour).
+    A launch (no u0) perturbs catalog member from_index (resolved from
+    from_value, when set) along its leading eigendirection; expected to
+    connect.  A front runs from u0 and expects linear energy growth with no
+    catalog match (travelling-front behaviour).
     """
 
-    kind: str = "launch"  # launch | front
     from_index: int = 0
+    from_value: float | None = None
     amplitude: float = 1e-3
     t_max: float = 50.0
-    initial_condition: str = ""
-    seed: int = 0
+    u0: Field | None = None  # set for a front
 
 
 @dataclass
@@ -227,7 +225,7 @@ class AuditTable:
 
 
 def connection_energy_audit(
-    spec,
+    nl: Nonlinearity,
     catalog,
     plan,
     ctrl: dynamics.StepControl,
@@ -244,15 +242,12 @@ def connection_energy_audit(
     A run of either kind that blows up, at step 0 included, is excluded from
     the audit (passed None) and keeps the status blow_up.  A launch from an
     equilibrium with no leading eigenpair fails with the status no_direction
-    and no run.
+    and no run; its note gives the reason.
     """
-    g = problem.make_grid(spec)
-    nl = Nonlinearity(spec, g)
     rows = []
     for entry in plan:
-        if entry.kind == "front":
-            u0 = Field.from_expr(g, entry.initial_condition)
-            traj, total, tail = _run(spec, u0, ctrl, entry.t_max, tol_eq, nl)
+        if entry.u0 is not None:
+            traj, total, tail = _run(entry.u0, ctrl, entry.t_max, tol_eq, nl)
             if len(traj.diagnostics) < GROWTH_MIN_ROWS:
                 # too short to fit a growth rate: reported, not passed
                 growth = GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
@@ -269,13 +264,13 @@ def connection_energy_audit(
 
         eq = catalog[entry.from_index]
         try:
-            ud = equilibria.unstable_direction(nl, eq, seed=entry.seed)
-        except equilibria.PowerIterationError:
+            ud = equilibria.unstable_direction(nl, eq)
+        except equilibria.PowerIterationError as e:
             rows.append(ConnectionReport(status=NO_DIRECTION,
-                                         from_index=entry.from_index))
+                                         from_index=entry.from_index, note=str(e)))
             continue
         rows.append(launch_connection(
-            eq, ud.direction, entry.amplitude, spec, ctrl, entry.t_max,
+            eq, ud.direction, entry.amplitude, ctrl, entry.t_max,
             catalog=catalog, nl=nl, tol_eq=tol_eq, match_tol=match_tol,
             tail_tol=tail_tol))
     return AuditTable(rows=rows)

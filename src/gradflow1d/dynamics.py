@@ -114,15 +114,27 @@ class DiagnosticSeries:
 
 @dataclass
 class Trajectory:
-    snapshots: list  # [(t, Field)] at the configured stride, plus first/last
+    snapshots: list  # [(t, Field)]: u0, every snapshot_stride steps, the end state
     diagnostics: DiagnosticSeries
-    status: str
-    first_field: Field
-    final_field: Field
-    final_time: float
     steps: int
+    stop_reason: str  # see STOP_REASONS
     escape_sign: int = 0  # sign of the extremum when status is blow_up
-    stop_reason: str = ""  # see STOP_REASONS
+
+    @property
+    def status(self) -> str:
+        return self.stop_reason if self.stop_reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP
+
+    @property
+    def first_field(self) -> Field:
+        return self.snapshots[0][1]
+
+    @property
+    def final_field(self) -> Field:
+        return self.snapshots[-1][1]
+
+    @property
+    def final_time(self) -> float:
+        return self.snapshots[-1][0]
 
     def summary_dict(self) -> dict:
         d = self.diagnostics
@@ -189,7 +201,8 @@ def run(
     x live in the interiors of two ghost-extended buffers that take turns:
     the right-hand side is formed in x's buffer and solved in place, so
     extending x sets two ghosts, and u stays intact for the energy addend.
-    Snapshots and the final field are copies.
+    Snapshots are copies; the end state is appended unless the last
+    snapshot was taken at the last step.
     """
     if not t_max > 0:
         raise ValueError("t_max > 0 required")
@@ -310,21 +323,13 @@ def run(
                 reason = "sup_guard"
                 break
 
-    status = reason if reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP
-    final = snaps[-1][1] if snap_step == steps else Field(g, u)
-    if snaps[-1][0] != t:
-        snaps.append((t, final))
-    return Trajectory(
-        snapshots=snaps,
-        diagnostics=diag,
-        status=status,
-        first_field=u0,
-        final_field=final,
-        final_time=t,
-        steps=steps,
-        escape_sign=_extreme_sign(u) if status == BLOW_UP else 0,
-        stop_reason=reason,
-    )
+    if snap_step != steps:
+        snaps.append((t, Field(g, u)))  # the end state
+    traj = Trajectory(snapshots=snaps, diagnostics=diag, steps=steps,
+                      stop_reason=reason)
+    if traj.status == BLOW_UP:
+        traj.escape_sign = _extreme_sign(u)
+    return traj
 
 
 def _extreme_sign(v: np.ndarray) -> int:

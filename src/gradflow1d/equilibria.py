@@ -348,13 +348,13 @@ class UnstableDirection:
 
 
 def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
-                       max_iter: int = 10_000, seed: int = 0) -> UnstableDirection:
+                       max_iter: int = 10_000) -> UnstableDirection:
     """Leading eigenpair of A = Lap_h + diag(dP(u)) by banded inverse iteration.
 
     The eigenvalue lam is the top one of A's ring-ordered band (LAPACK
     dsbevx).  The direction comes from solving ((lam + d) I - A) w_k = w_{k-1}
     with one Cholesky factor of the shifted band, starting from the constant
-    mode plus a small seeded perturbation, until the unshifted residual
+    mode plus a fixed 1e-12 perturbation, until the unshifted residual
     max|A w - lam w| <= d with max w = 1, where
     d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
     the solves.  A has nonnegative off-diagonals and is irreducible, so by
@@ -382,8 +382,9 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     except LinAlgError as e:
         raise PowerIterationError(f"shifted band not positive definite: {e}") from e
 
-    rng = np.random.default_rng(seed)
-    w = np.ones(g.m) + 1e-12 * rng.standard_normal(g.m)
+    # the constant mode alone would do (Perron-Frobenius); the fixed
+    # perturbation sets the last digits that connections.csv records
+    w = np.ones(g.m) + 1e-12 * np.random.default_rng(0).standard_normal(g.m)
     for it in range(1, max_iter + 1):
         x = cho_solve_banded((factor, False), w[order])
         w = np.empty(g.m)

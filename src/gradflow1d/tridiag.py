@@ -99,7 +99,6 @@ class ImplicitDiffusionSolver:
         self.dt = float(dt)
         m = grid.m
         mu = self.dt / grid.h**2
-        self._mu = mu
         diag = np.full(m, 1.0 + 2.0 * mu)
         if grid.boundary == "neumann0":
             diag[0] = diag[-1] = 1.0 + mu
@@ -108,7 +107,6 @@ class ImplicitDiffusionSolver:
             gamma = -(1.0 + 2.0 * mu)
             diag[0] -= gamma
             diag[-1] -= mu * mu / gamma
-            self._gamma = gamma
         cb = np.zeros((2, m))
         cb[0, 1:] = -mu
         cb[1, :] = diag
@@ -118,11 +116,9 @@ class ImplicitDiffusionSolver:
             u = np.zeros(m)
             u[0] = gamma
             u[-1] = -mu
-            z = self._band_solve(u)
-            self._z = z
+            self._z = z = self._band_solve(u)
             self._corner = -mu / gamma
-            self._vz = z[0] + self._corner * z[-1]
-            self._denom = float(1.0 + self._vz)
+            self._denom = float(1.0 + (z[0] + self._corner * z[-1]))
             self._zs = np.empty(m)  # scratch of the rank-one correction
 
     def _band_solve(self, b: np.ndarray) -> np.ndarray:

@@ -46,13 +46,13 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
 
-def fisher_spec(box_half_length=5.0, grid_points=256, boundary="periodic",
+def fisher_spec(grid_points=256, boundary="periodic",
                 sup_guard=1e6) -> problem.ProblemSpec:
-    """N=2, a_1 = 1, a_0 = 0: reaction u - u^2."""
+    """N=2, a_1 = 1, a_0 = 0: reaction u - u^2, half-length 5."""
     return problem.spec_from_dict({
         "N": 2,
         "coeffs": ["0", "1"],
-        "box_half_length": box_half_length,
+        "box_half_length": 5.0,
         "grid_points": grid_points,
         "boundary": boundary,
         "sup_guard": sup_guard,
@@ -178,7 +178,7 @@ def suite_identity_residual() -> SuiteResult:
     traj = dynamics.run(spec, Field.constant(g, 0.5), ctrl, t_max=40.0, nl=nl)
     resid = identity_residual(traj, nl)
     scale = 2.0 * spec.box_half_length / 6.0
-    tail = connections._tail_rate(traj.diagnostics, 0.1)
+    tail = connections.tail_energy_rate(traj.diagnostics, connections.TAIL_WINDOW_FRACTION)
     passed = traj.status == dynamics.CONVERGED and resid <= 0.01 * scale
     return SuiteResult("identity_residual", passed, {
         "status": traj.status,

@@ -35,10 +35,10 @@ def fisher_setup():
 
 @pytest.fixture(scope="module")
 def connection_report(fisher_setup):
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     direction = equilibria.unstable_direction(nl, catalog[0]).direction
     return connections.launch_connection(
-        catalog[0], direction, 1e-3, spec, ctrl, 60.0, catalog=catalog, nl=nl)
+        catalog[0], direction, 1e-3, ctrl, 60.0, catalog=catalog, nl=nl)
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,8 @@ def test_criterion_3_blowup_timing():
 
 
 def test_criterion_4_travelling_wave_energy_growth(homogeneous_run):
-    spec = verify.fisher_spec(box_half_length=100.0, grid_points=2048,
-                              boundary="neumann0")
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "1"], "box_half_length": 100.0,
+                                   "grid_points": 2048, "boundary": "neumann0"})
     g = problem.make_grid(spec)
     nl = Nonlinearity(spec, g)
     u0 = Field.from_expr(g, "0.5*(1+tanh(-x))")
@@ -136,12 +136,12 @@ def test_criterion_8_discrete_gradient_consistency():
 
 def test_criterion_9_convergence_detection(fisher_setup, connection_report,
                                            homogeneous_run):
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     runs = [connection_report.trajectory, homogeneous_run]
     # add a relaxation from the stable side
     direction = equilibria.unstable_direction(nl, catalog[1]).direction
     relax = connections.launch_connection(
-        catalog[1], direction, 1e-4, spec, ctrl, 60.0, catalog=catalog, nl=nl)
+        catalog[1], direction, 1e-4, ctrl, 60.0, catalog=catalog, nl=nl)
     runs.append(relax.trajectory)
 
     checked = 0

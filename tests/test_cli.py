@@ -2,16 +2,20 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gradflow1d import dynamics
+from gradflow1d import dynamics, problem
 from gradflow1d.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
+    load_config,
     main,
 )
+from gradflow1d.grid import Field
+from gradflow1d.nonlinearity import Nonlinearity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -308,7 +312,7 @@ def test_equilibria_newton_guess(tmp_path):
     assert catalog["equilibria"][0]["source"] == "newton"
 
 
-def test_connect_fisher_batch(tmp_path):
+def test_connect_fisher_batch(tmp_path, capsys):
     data = _fisher_config(tmp_path / "out", t_max=60.0)
     data["control"] = {"dt_init": 1e-3, "dt_min": 1e-9, "dt_max": 1e-3}
     data["spec"]["grid_points"] = 128
@@ -319,11 +323,60 @@ def test_connect_fisher_batch(tmp_path):
         ]
     }
     cfg = _write(tmp_path, data)
-    assert main(["connect", cfg, "--quiet"]) == EXIT_OK
+    assert main(["connect", cfg]) == EXIT_OK
     with open(tmp_path / "out" / "connections.csv") as f:
         rows = list(csv.DictReader(f))
     assert [r["status"] for r in rows] == ["connected", "connected"]
     assert float(rows[0]["total_energy"]) == pytest.approx(10.0 / 6.0, rel=0.02)
+    # connected rows carry no note, so the progress lines end at the verdict
+    assert capsys.readouterr().out.splitlines() == [
+        "launch 0: connected [0->1] pass", "launch 1: connected [1->1] pass"]
+
+
+def test_connect_prints_the_note_of_a_row(tmp_path, capsys):
+    data = _fisher_config(tmp_path / "out")
+    data["connect"] = {"launches": [{"from_value": 0.0, "amplitude": 1e-3, "t_max": 0.5}]}
+    assert main(["connect", _write(tmp_path, data)]) == EXIT_VERIFY
+    assert capsys.readouterr().out.splitlines() == [
+        "launch 0: undecided [0->None] FAIL; t_max reached before convergence"]
+    # the note is printed only: connections.csv has no column for it
+    header = (tmp_path / "out" / "connections.csv").read_text().splitlines()[0]
+    assert "note" not in header
+
+
+def test_connect_builds_one_nonlinearity(tmp_path, monkeypatch):
+    # the catalog (constant roots, a Newton guess, a shooting start), a
+    # launch and a front all share the Nonlinearity that connect builds
+    built = []
+    init = Nonlinearity.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Nonlinearity, "__init__", counting_init)
+    data = _fisher_config(tmp_path / "out")
+    data["equilibria"] = {"newton_guesses": ["0.9"], "shooting": [{"u_left": 0.5, "slope": 0.0}]}
+    data["connect"] = {"launches": [
+        {"from_value": 1.0, "amplitude": 1e-4, "t_max": 0.05},
+        {"kind": "front", "initial_condition": "0.5*(1+tanh(-x))", "t_max": 0.05},
+    ]}
+    assert main(["connect", _write(tmp_path, data), "--quiet"]) == EXIT_VERIFY
+    assert len(built) == 1
+
+
+def test_front_plan_holds_the_sampled_field():
+    # load_config samples a front's initial condition once; the plan keeps
+    # the Field, not the expression
+    source = json.loads((CONFIGS / "front.json").read_text())["connect"]["launches"][0][
+        "initial_condition"]
+    cfg = load_config(str(CONFIGS / "front.json"))
+    [front] = cfg.launches
+    grid = problem.make_grid(cfg.spec)
+    want = Field.from_expr(grid, source)
+    assert isinstance(front.u0, Field) and front.u0.grid == grid
+    assert np.array_equal(front.u0.values, want.values)
+    assert not any(isinstance(value, str) for value in vars(front).values())
 
 
 def test_connect_zero_match_tol_fails(tmp_path):

@@ -27,9 +27,9 @@ def fisher_setup():
 def test_zero_to_one_connection(fisher_setup):
     # oracle: scalar logistic; the full orbit carries energy L/6 and the
     # action gap equals it
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     ud = equilibria.unstable_direction(nl, catalog[0])
-    rep = launch_connection(catalog[0], ud.direction, 1e-3, spec, ctrl, 60.0,
+    rep = launch_connection(catalog[0], ud.direction, 1e-3, ctrl, 60.0,
                             catalog=catalog, nl=nl)
     target = 10.0 / 6.0
     assert rep.status == CONNECTED
@@ -44,10 +44,10 @@ def test_zero_to_one_connection(fisher_setup):
 def test_relaxation_back_to_stable(fisher_setup):
     # a small kick at the stable equilibrium decays straight back;
     # energy ~ L * amp^2 / 2 for the constant mode
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     amp = 1e-4
     ud = equilibria.unstable_direction(nl, catalog[1])
-    rep = launch_connection(catalog[1], ud.direction, amp, spec, ctrl, 60.0,
+    rep = launch_connection(catalog[1], ud.direction, amp, ctrl, 60.0,
                             catalog=catalog, nl=nl)
     assert rep.status == CONNECTED
     assert rep.from_index == 1 and rep.to_index == 1
@@ -67,7 +67,7 @@ def test_negative_amplitude_blows_up():
     catalog = equilibria.constant_equilibria(nl)
     ud = equilibria.unstable_direction(nl, catalog[0])
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
-    rep = launch_connection(catalog[0], ud.direction, -0.1, spec, ctrl, 30.0,
+    rep = launch_connection(catalog[0], ud.direction, -0.1, ctrl, 30.0,
                             catalog=catalog, nl=nl)
     assert rep.status == dynamics.BLOW_UP
     assert rep.trajectory.escape_sign == -1
@@ -76,11 +76,11 @@ def test_negative_amplitude_blows_up():
 
 
 def test_connected_reports_satisfy_invariants(fisher_setup):
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     for idx, amp in ((0, 1e-3), (1, 1e-4)):
         ud = equilibria.unstable_direction(nl, catalog[idx])
-        rep = launch_connection(catalog[idx], ud.direction, amp, spec, ctrl,
-                                60.0, catalog=catalog, nl=nl)
+        rep = launch_connection(catalog[idx], ud.direction, amp, ctrl, 60.0,
+                                catalog=catalog, nl=nl)
         assert rep.status == CONNECTED
         assert rep.total_energy >= 0.0
         assert rep.action_gap >= 0.0
@@ -91,8 +91,8 @@ def test_connected_reports_satisfy_invariants(fisher_setup):
 
 @pytest.fixture(scope="module")
 def front_traj():
-    spec = verify.fisher_spec(box_half_length=100.0, grid_points=2048,
-                              boundary="neumann0")
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "1"], "box_half_length": 100.0,
+                                   "grid_points": 2048, "boundary": "neumann0"})
     g = problem.make_grid(spec)
     nl = Nonlinearity(spec, g)
     u0 = Field.from_expr(g, "0.5*(1+tanh(-x))")
@@ -164,7 +164,7 @@ def test_stationary_run_rate_zero(fisher_setup):
 def test_tail_rate_non_increasing_for_connected(fisher_setup):
     spec, nl, catalog, ctrl = fisher_setup
     traj = dynamics.run(spec, Field.constant(nl.grid, 0.5), ctrl, 40.0, nl=nl)
-    rates = [connections._tail_rate(traj.diagnostics, frac)
+    rates = [connections.tail_energy_rate(traj.diagnostics, frac)
              for frac in (0.8, 0.4, 0.2, 0.1)]
     assert all(a >= b - 1e-18 for a, b in zip(rates, rates[1:]))
 
@@ -198,19 +198,19 @@ def test_report_passed_follows_status(status, passed):
 
 
 def test_audit_empty_plan(fisher_setup):
-    spec, nl, catalog, ctrl = fisher_setup
-    table = connection_energy_audit(spec, catalog, [], ctrl)
+    _, nl, catalog, ctrl = fisher_setup
+    table = connection_energy_audit(nl, catalog, [], ctrl)
     assert table.rows == []
     assert table.all_passed
 
 
 def test_audit_batch(fisher_setup, tmp_path):
-    spec, nl, catalog, ctrl = fisher_setup
+    _, nl, catalog, ctrl = fisher_setup
     plan = [
-        LaunchSpec(kind="launch", from_index=0, amplitude=1e-3, t_max=60.0),
-        LaunchSpec(kind="launch", from_index=1, amplitude=1e-4, t_max=60.0),
+        LaunchSpec(from_index=0, amplitude=1e-3, t_max=60.0),
+        LaunchSpec(from_index=1, amplitude=1e-4, t_max=60.0),
     ]
-    table = connection_energy_audit(spec, catalog, plan, ctrl)
+    table = connection_energy_audit(nl, catalog, plan, ctrl)
     assert [r.passed for r in table.rows] == [True, True]
     assert table.all_passed
     out = tmp_path / "connections.csv"
@@ -230,8 +230,8 @@ def test_audit_excludes_blowup():
     nl = Nonlinearity(spec, g)
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
-    plan = [LaunchSpec(kind="launch", from_index=0, amplitude=-0.1, t_max=30.0)]
-    table = connection_energy_audit(spec, catalog, plan, ctrl)
+    plan = [LaunchSpec(from_index=0, amplitude=-0.1, t_max=30.0)]
+    table = connection_energy_audit(nl, catalog, plan, ctrl)
     assert table.rows[0].status == dynamics.BLOW_UP
     assert table.rows[0].passed is None
     assert table.all_passed  # excluded rows do not fail the audit
@@ -240,22 +240,22 @@ def test_audit_excludes_blowup():
 def test_audit_excludes_front_blowup():
     # Fisher data near -1.5 lies below the unstable state 0 and runs away
     spec = verify.fisher_spec(grid_points=16)
-    catalog = equilibria.constant_equilibria(Nonlinearity(spec, problem.make_grid(spec)))
+    nl = Nonlinearity(spec, problem.make_grid(spec))
+    catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
-    plan = [LaunchSpec(kind="front", initial_condition="-1.5+0.01*cos(x)", t_max=30.0)]
-    table = connection_energy_audit(spec, catalog, plan, ctrl)
+    plan = [LaunchSpec(u0=Field.from_expr(nl.grid, "-1.5+0.01*cos(x)"), t_max=30.0)]
+    table = connection_energy_audit(nl, catalog, plan, ctrl)
     assert table.rows[0].status == dynamics.BLOW_UP
     assert table.rows[0].passed is None
     assert table.all_passed
 
 
 def test_audit_front_row(front_traj):
-    spec, nl, _ = front_traj
+    _, nl, traj = front_traj
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=0.01, dt_min=1e-9, dt_max=0.01)
-    plan = [LaunchSpec(kind="front", initial_condition="0.5*(1+tanh(-x))",
-                       t_max=30.0)]
-    table = connection_energy_audit(spec, catalog, plan, ctrl)
+    plan = [LaunchSpec(u0=traj.first_field, t_max=30.0)]
+    table = connection_energy_audit(nl, catalog, plan, ctrl)
     row = table.rows[0]
     assert row.status == "growth"
     assert row.passed

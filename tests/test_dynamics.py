@@ -11,6 +11,7 @@ from gradflow1d.dynamics import (
     T_MAX_REACHED,
     DiagnosticSeries,
     StepControl,
+    Trajectory,
     mms_verify,
     run,
 )
@@ -190,6 +191,37 @@ def test_run_names_each_blow_up_cause(reason):
         assert traj.steps == (1 if reason == "nonfinite_reaction" else 0)
     summary = traj.summary_dict()
     assert (summary["status"], summary["stop_reason"]) == (BLOW_UP, reason)
+    assert (traj.final_time, traj.final_field) == traj.snapshots[-1]
+
+
+@pytest.mark.parametrize("reason", STOP_REASONS)
+def test_status_follows_stop_reason(reason):
+    u0 = Field.constant(SpatialGrid(5.0, 8, "periodic"), 0.0)
+    traj = Trajectory(snapshots=[(0.0, u0)], diagnostics=DiagnosticSeries(), steps=0,
+                      stop_reason=reason)
+    assert traj.status == (reason if reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP)
+    with pytest.raises(AttributeError):
+        traj.status = CONVERGED  # read off stop_reason, never stored
+
+
+@pytest.mark.parametrize("stride", (1, 10, 32, 64, 10**9))
+def test_final_field_is_the_last_snapshot(stride):
+    # 64 fixed steps: the end state is appended to the stride snapshots
+    # unless one of them was taken at the last step
+    spec, nl = _fisher(m=16)
+    u0 = Field.constant(nl.grid, 0.5)
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3)
+    traj = run(spec, u0, ctrl, 0.064, tol_eq=0.0, nl=nl, snapshot_stride=stride)
+    assert (traj.stop_reason, traj.steps) == (T_MAX_REACHED, 64)
+    assert len(traj.snapshots) == 1 + 64 // stride + (64 % stride != 0)
+    assert traj.first_field is u0 and traj.snapshots[0] == (0.0, u0)
+    assert (traj.final_time, traj.final_field) == traj.snapshots[-1]
+    assert traj.final_time == pytest.approx(0.064)
+    times = [t for t, _ in traj.snapshots]
+    assert times == sorted(set(times))
+    # the appended end state is the field a stride of 1 records last
+    every = run(spec, u0, ctrl, 0.064, tol_eq=0.0, nl=nl, snapshot_stride=1)
+    assert np.array_equal(traj.final_field.values, every.final_field.values)
 
 
 def test_run_converges_immediately_at_equilibrium():
@@ -200,6 +232,8 @@ def test_run_converges_immediately_at_equilibrium():
     assert traj.stop_reason == CONVERGED
     assert traj.steps == 0
     assert traj.diagnostics.ut_sup[0] == 0.0
+    assert traj.snapshots == [(0.0, traj.first_field)]
+    assert traj.final_field is traj.first_field
 
 
 def test_run_logistic_converges_to_one():

@@ -28,6 +28,13 @@ def _nl(spec, **kw):
     return Nonlinearity(spec, problem.make_grid(spec), **kw)
 
 
+def _fisher_box(half, grid_points, boundary):
+    """verify.fisher_spec's reaction on the box [-half, half]."""
+    data = problem.spec_to_dict(verify.fisher_spec(grid_points=grid_points,
+                                                   boundary=boundary))
+    return problem.spec_from_dict({**data, "box_half_length": half})
+
+
 @pytest.fixture
 def fisher():
     return _nl(verify.fisher_spec(grid_points=64))
@@ -154,8 +161,7 @@ def test_newton_singular_jacobian_distinct(boundary):
     # closures; on the finer grids its rounding pivot grows with M, and the
     # singular test must still see it rather than end in a stalled Newton
     for half, m in ((5.0, 64), (12.0, 4096), (5.0, 8192), (5.0, 32768)):
-        nl = _nl(verify.fisher_spec(box_half_length=half, grid_points=m,
-                                    boundary=boundary))
+        nl = _nl(_fisher_box(half, m, boundary))
         with pytest.raises(SingularJacobianError):
             newton_refine(nl, Field.constant(nl.grid, 0.5))
 
@@ -353,8 +359,7 @@ def _fisher_linearization(boundary, dp, box_half_length=5.0):
     equilibrium.
     """
     dp = np.asarray(dp, dtype=float)
-    nl = _nl(verify.fisher_spec(box_half_length=box_half_length,
-                                grid_points=len(dp), boundary=boundary))
+    nl = _nl(_fisher_box(box_half_length, len(dp), boundary))
     eq = Equilibrium(field=Field(nl.grid, 0.5 * (1.0 - dp)), residual=math.nan,
                      action=math.nan, bounded_below=True, bounded_above=True,
                      source="newton")

@@ -156,10 +156,8 @@ def test_identity_residual_positive_for_non_solution(fisher):
                 (dt, dt, 0.0, action(nl, u1), energy, 0.0)):
         for add, value in zip(diag.appenders(), row):
             add(value)
-    traj = dynamics.Trajectory(
-        snapshots=[(0.0, u0), (dt, u1)], diagnostics=diag, status="t_max_reached",
-        first_field=u0, final_field=u1, final_time=dt, steps=1,
-    )
+    traj = dynamics.Trajectory(snapshots=[(0.0, u0), (dt, u1)], diagnostics=diag,
+                               steps=1, stop_reason="t_max_reached")
     resid = identity_residual(traj, nl)
     udot = (u1.values - u0.values) / dt
     f0 = laplacian_values(u0.values, g) + nl.apply_P_values(u0.values)

@@ -15,6 +15,10 @@ would break the benchmark fails here.
 Every module under `src/gradflow1d` and `tests/` reads each name it
 imports.  Re-exports are exempt: all of `__init__.py`, and a module's
 names listed in its `__all__`; so is `from __future__ import annotations`.
+
+`src_lines` and `settable_parameters` count the package's size, the two
+numbers that track how simple it is; `python tests/test_reachability.py`
+prints them.
 """
 
 import ast
@@ -161,3 +165,64 @@ def test_every_traced_name_exists():
         except (ImportError, AttributeError, KeyError):
             missing.append(f"{t.module}:{t.path}")
     assert missing == []
+
+
+def src_lines(package: Path = PACKAGE) -> int:
+    """Lines of the package's modules, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py")))
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+
+def settable_parameters(package: Path = PACKAGE) -> tuple[int, int]:
+    """(optional parameters of every def, fields of every dataclass): what a
+    caller can set beyond what it must pass."""
+    optional = fields = 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                optional += len(node.args.defaults)
+                optional += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass,
+                                                            node.decorator_list)):
+                fields += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return optional, fields
+
+
+def test_size_counters_on_a_toy_package(tmp_path):
+    (tmp_path / "toy.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: float = 0.0\n"
+        "    Z = 3  # no annotation: not a field\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    w: int = 1\n"
+        "\n"
+        "    def f(self, a, b=1, *, c, d=2):\n"
+        "        def g(e=3):\n"
+        "            return e\n"
+        "        return g\n"
+        "\n"
+        "class C:  # not a dataclass\n"
+        "    v: int = 0\n"
+        "    async def h(self, *, k=None):\n"
+        "        return k")  # no newline at the end: wc -l counts 21 lines
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    assert src_lines(tmp_path) == 21
+    assert settable_parameters(tmp_path) == (4, 3)
+
+
+if __name__ == "__main__":
+    optional, fields = settable_parameters()
+    print(f"src lines: {src_lines()}")
+    print(f"settable parameters: {optional} optional def parameters + "
+          f"{fields} dataclass fields = {optional + fields}")

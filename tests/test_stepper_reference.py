@@ -46,8 +46,8 @@ def _solve(s, rhs):
     y = cho_solve_banded((s._factor, False), rhs, check_finite=False)
     if s.grid.boundary != "periodic":
         return y
-    vy = y[0] + (-s._mu / s._gamma) * y[-1]
-    return y - s._z * (vy / (1.0 + s._vz))
+    vy = y[0] + s._corner * y[-1]
+    return y - s._z * (vy / s._denom)
 
 
 def _extreme_sign(u):
