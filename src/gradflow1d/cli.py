@@ -7,10 +7,13 @@
 
 Exit codes: 0 success, 1 config error, 2 blow-up, 3 verification failure.
 All outputs are reproducible bit-for-bit for identical configs (seeds
-included) on one host with one numpy and BLAS build, not across them:
-numpy's SIMD power kernels and the BLAS core type (OpenBLAS picks its
-kernels by CPU; it serves the banded solve dpbtrs and the dot products,
-ddot) can each change the last bit.
+included) on one host with one numpy and BLAS build.  Across CPUs, the
+trajectory `simulate` writes (snapshots, step counts, times, sup norms,
+ut_sup) is host-independent: the step's solve is LAPACK dpttrs, which
+calls no BLAS, and P and Q use no power kernel.  The action, energy_cum
+and connection energies take sums of squares through BLAS ddot, and
+`connect` launches along an eigenpair from BLAS-backed LAPACK; OpenBLAS
+picks those kernels by CPU, so their last bits can change.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 First-order IMEX stepping: backward Euler on the diffusion (one
 symmetric-positive-definite tridiagonal solve per step), forward Euler on
 the reaction.  Step control halves dt when the explicit increment
-dt*sup|P(u)| exceeds its limit or I - dt*Lap_h has no Cholesky factor, and
-doubles it back (up to dt_max) after ten smooth steps.  The solve has no
-residual guard: banded Cholesky is backward stable at every dt.  Numerical
-failure modes land in the trajectory status and stop_reason, never in
-exceptions.
+dt*sup|P(u)| exceeds its limit or the L D L^T factorization of
+I - dt*Lap_h meets a pivot <= 0, and doubles it back (up to dt_max) after
+ten smooth steps.  The solve has no residual guard: the L D L^T solve of a
+symmetric positive definite tridiagonal matrix is backward stable at every
+dt.  Numerical failure modes land in the trajectory status and
+stop_reason, never in exceptions.
 """
 
 from __future__ import annotations

@@ -3,6 +3,13 @@
 P(u)(x) = -u^N + sum_{i=0}^{N-1} a_i(x) u^i, evaluated by Horner with
 coefficients sampled once per grid; expression evaluation never enters the
 stepping loop.  signed_power mode replaces -u^N with -u|u|^(N-1).
+
+On arrays, P, P' and the potential Q take one Horner pass each, with the
+leading term folded into the top coefficient: -u^N is the coefficient -1
+of u^N, and in signed mode with even N, u|u|^(N-1) = |u| u^(N-1) makes the
+top coefficient a_{N-1} - |u| (with odd N the signed term is u^N).  Only
+elementwise multiplies, adds, subtractions and |.| run, no power kernel,
+so the values do not depend on the SIMD kernels numpy picks for the CPU.
 """
 
 from __future__ import annotations
@@ -22,34 +29,65 @@ class RangeOverflowError(ArithmeticError):
     """
 
 
-def horner(coeffs, v, out=None):
+def horner(coeffs, v):
     """sum_i coeffs[i] * v^i by Horner's rule, coefficients in ascending order.
 
     v is a float or an ndarray; each coefficient is a float or an ndarray
-    broadcastable against v.  The loop starts at the leading coefficient,
-    and every caller goes through it, so all round in the same order.
+    broadcastable against v.  The loop starts at the leading coefficient.
     Empty coeffs give 0.0; one coefficient is returned as is, not broadcast
-    against v.  With out, an array of the result's shape, the same
-    operations write into out.
+    against v.
     """
     rest = reversed(coeffs)
     acc = next(rest, 0.0)
     for a in rest:
-        if out is None:
-            acc = acc * v + a
-        else:
-            acc = np.add(np.multiply(acc, v, out), a, out)
+        acc = acc * v + a
     return acc
 
 
-def _power_of(k: int):
-    """(v, out) -> v**k written into out, by the ufunc that ** calls:
-    np.square for k = 2, else np.power with k as a 0-d array, which a ufunc
-    takes faster than a Python number."""
-    if k == 2:
-        return np.square
-    exponent = np.array(float(k))
-    return lambda v, out: np.power(v, exponent, out)
+def _coefficient(a):
+    """A sampled coefficient as `_folded_horner` takes it: None when every
+    sample is 0.0 (its add is skipped), a 0-d array when all agree (numpy
+    adds a 0-d operand faster than an array), else the samples."""
+    if a is None or not a.any():
+        return None
+    return np.array(a[0]) if np.ptp(a) == 0.0 else a
+
+
+def _fold(coeffs, lead: float, absolute: bool) -> tuple:
+    """coeffs[0] + coeffs[1] v + ... + (coeffs[k] + lead*w) v^k, k =
+    len(coeffs) - 1 and w = |v| if absolute else v, in the form
+    `_folded_horner` takes; a coefficient of None is zero."""
+    c = [_coefficient(a) for a in coeffs]
+    return (absolute, None if lead == -1.0 else np.array(lead), c[-1],
+            tuple(reversed(c[1:-1])) if len(c) > 1 else None, c[0])
+
+
+def _folded_horner(poly, v, out, work):
+    """The polynomial poly = `_fold(...)` at v, written into out.
+
+    Horner's rule from the top coefficient, with the leading term lead*w*v^k
+    folded into it; a lead of None is -1, taken by one subtraction, and a
+    zero coefficient adds nothing.  The accumulator lives in work and only
+    the last operation writes out, reading v and work elementwise, so out
+    may be v.
+    """
+    absolute, lead, top, middle, constant = poly
+    w = np.absolute(v, work) if absolute else v
+    if lead is None:
+        acc = np.negative(w, work) if top is None else np.subtract(top, w, work)
+    else:
+        acc = np.multiply(w, lead, work)
+        if top is not None:
+            np.add(acc, top, work)
+    if middle is None:  # k = 0
+        out[...] = acc
+        return out
+    for c in middle:
+        np.multiply(acc, v, work)
+        if c is not None:
+            np.add(acc, c, work)
+    np.multiply(acc, v, out)
+    return out if constant is None else np.add(out, constant, out)
 
 
 class Nonlinearity:
@@ -62,22 +100,21 @@ class Nonlinearity:
             a.setflags(write=False)
             samples.append(a)
         self.coeff_samples = tuple(samples)
-        # Horner coefficients of dP = P' and of the potential Q (before its
-        # trailing factor u), sampled once like those of P
-        self._dP_coeffs = tuple(i * samples[i] for i in range(1, len(samples)))
-        self._Q_coeffs = tuple(a / (i + 1) for i, a in enumerate(samples))
+        n = self.degree = spec.N
+        self.signed_power = spec.signed_power
+        # P, P' and Q with their leading terms -u^N, -N u^(N-1) and
+        # -u^(N+1)/(N+1) folded into the top coefficient, sampled once like
+        # P's; in signed mode with even N the fold takes |u| for one factor u
+        absolute = self.signed_power and n % 2 == 0
+        self._P = _fold(samples, -1.0, absolute)
+        self._dP = _fold([i * samples[i] for i in range(1, n)], -float(n), absolute)
+        self._Q = _fold([None] + [a / (i + 1) for i, a in enumerate(samples)],
+                        -1.0 / (n + 1), absolute)
         # off-grid evaluation: the samples when every one agrees, else one
         # compiled function per coefficient
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
         self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
-        n = self.degree = spec.N
-        self.signed_power = spec.signed_power
-        # the array paths' leading terms v^N (v|v|^(N-1)) and
-        # v^(N+1)/(N+1) (|v|^(N+1)/(N+1))
-        self._power_P = _power_of(n - 1 if self.signed_power else n)
-        self._power_Q = _power_of(n + 1)
-        self._divisor_Q = np.array(float(n + 1))
 
     def spatially_constant(self) -> bool:
         return self._constant is not None
@@ -98,30 +135,21 @@ class Nonlinearity:
 
     def apply_P_unchecked(self, v: np.ndarray, out: np.ndarray,
                           work: np.ndarray) -> np.ndarray:
-        """P at samples v with no finite check, written into out; work
-        takes the leading term.
+        """P at samples v with no finite check, written into out; work is
+        scratch, and out may be v.
 
         The caller holds np.errstate(over="ignore", invalid="ignore") and
         tests the result through a reduction it takes anyway (max or sum
         propagate inf and nan).
         """
-        lower = horner(self.coeff_samples, v, out)
-        if self.signed_power:
-            lead = np.multiply(v, self._power_P(np.abs(v, work), work), work)
-        else:
-            lead = self._power_P(v, work)
-        return np.subtract(lower, lead, out)
+        return _folded_horner(self._P, v, out, work)
 
     def apply_dP(self, v: np.ndarray) -> np.ndarray:
         """Pointwise derivative of P at samples v (the Jacobian diagonal)."""
-        n = self.degree
+        out, work = np.empty((2, len(v)))
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = horner(self._dP_coeffs, v)
-            if self.signed_power:
-                acc = acc - n * np.abs(v) ** (n - 1)
-            else:
-                acc = acc - n * v ** (n - 1)
-        return self._check(acc, "dP(u)")
+            _folded_horner(self._dP, v, out, work)
+        return self._check(out, "dP(u)")
 
     def potential(self, u: Field) -> Field:
         """Antiderivative in u of P, sampled pointwise (the action integrand)."""
@@ -132,10 +160,8 @@ class Nonlinearity:
     def potential_unchecked(self, v: np.ndarray, out: np.ndarray,
                             work: np.ndarray) -> np.ndarray:
         """The potential Q at samples v with no finite check, on the terms
-        of `apply_P_unchecked`: written into out, the leading term in work."""
-        lower = np.multiply(horner(self._Q_coeffs, v, out), v, out)
-        lead = self._power_Q(np.abs(v, work) if self.signed_power else v, work)
-        return np.subtract(lower, np.divide(lead, self._divisor_Q, work), out)
+        of `apply_P_unchecked`: written into out, work as scratch."""
+        return _folded_horner(self._Q, v, out, work)
 
     def coeffs_at(self, xval: float):
         """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""

@@ -5,15 +5,21 @@
     (Newton steps) and `equilibria.unstable_direction` takes A's leading
     eigenpair from it.
   * `ImplicitDiffusionSolver` factors I - dt*Lap_h once per (grid, dt) for
-    the time step, with the periodic wrap handled by a rank-one
-    Sherman-Morrison correction.
+    the time step as L D L^T (LAPACK dpttrf), with the periodic wrap handled
+    by a rank-one Sherman-Morrison correction, and solves with dpttrs.
+
+The time step's solve is host-independent: dpttrf and dpttrs are plain
+Fortran loops that call no BLAS, so their bits do not depend on the BLAS
+core type the CPU selects, and the correction is elementwise numpy.  The
+banded LU of `thomas_solve` (dgbtrf, dgbtrs) and the eigenpair of
+`equilibria.unstable_direction` call BLAS, as do the step's sums of squares
+(ddot, in `functionals`), and may round differently on another CPU.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 PIVOT_FLOOR = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -88,8 +94,10 @@ class ImplicitDiffusionSolver:
     """Prefactored solve of (I - dt*Lap_h) x = rhs for a fixed grid and dt.
 
     The matrix is symmetric positive definite for every boundary closure;
-    periodic grids use a Sherman-Morrison rank-one correction around a
-    Cholesky-factored band.
+    its tridiagonal part is factored as L D L^T, and periodic grids add a
+    Sherman-Morrison rank-one correction for the wrap.  A factorization
+    that finds a pivot <= 0 in floating point raises
+    np.linalg.LinAlgError.
     """
 
     def __init__(self, grid, dt: float):
@@ -107,10 +115,13 @@ class ImplicitDiffusionSolver:
             gamma = -(1.0 + 2.0 * mu)
             diag[0] -= gamma
             diag[-1] -= mu * mu / gamma
-        cb = np.zeros((2, m))
-        cb[0, 1:] = -mu
-        cb[1, :] = diag
-        self._factor = cholesky_banded(cb, check_finite=False)
+        d, e, info = dpttrf(diag, np.full(m - 1, -mu), overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpttrf")
+        self._d, self._e = d, e
         self._periodic = grid.boundary == "periodic"
         if self._periodic:
             u = np.zeros(m)
@@ -122,11 +133,11 @@ class ImplicitDiffusionSolver:
             self._zs = np.empty(m)  # scratch of the rank-one correction
 
     def _band_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve with the Cholesky band, overwriting b when it is a
-        contiguous float array (dpbtrs copies any other)."""
-        x, info = dpbtrs(self._factor, b, overwrite_b=1)  # upper factor, lower=0
+        """Solve with the L D L^T factor, overwriting b when it is a
+        contiguous float array (dpttrs copies any other)."""
+        x, info = dpttrs(self._d, self._e, b, overwrite_b=1)
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+            raise ValueError(f"illegal value in argument {-info} of dpttrs")
         return x
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -135,7 +146,7 @@ class ImplicitDiffusionSolver:
         if out is not rhs:
             out[...] = rhs
         y = self._band_solve(out)
-        if y is not out:
+        if not np.may_share_memory(y, out):
             out[...] = y
         if self._periodic:
             vy = out.item(0) + self._corner * out.item(-1)
@@ -147,8 +158,8 @@ class ImplicitDiffusionSolver:
         """max|(I - dt*Lap_h) x - rhs| / max|rhs|.
 
         lap_x is laplacian_values(x) and rhs_sup is max|rhs|.  The ratio
-        grows like mu*eps with mu = dt/h^2 even though the banded Cholesky
-        solve is backward stable, so the time stepper does not check it.
+        grows like mu*eps with mu = dt/h^2 even though the L D L^T solve is
+        backward stable, so the time stepper does not check it.
         """
         r = (x - self.dt * lap_x) - rhs
         return float(np.abs(r).max()) / (rhs_sup + 1e-300)

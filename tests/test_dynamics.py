@@ -104,8 +104,8 @@ def test_run_rejects_snapshot_stride_below_one():
 
 
 def test_run_halves_dt_when_factorization_fails():
-    # at dt ~ 1e15 on neumann0, cholesky_banded finds the matrix not positive
-    # definite in floating point; that halves dt, it raises no exception
+    # at dt ~ 1e15 on neumann0, dpttrf finds the matrix not positive definite
+    # in floating point; that halves dt, it raises no exception
     spec, nl = _fisher(m=256, boundary="neumann0")
     u0 = Field.constant(nl.grid, 0.5)
     ctrl = StepControl(dt_init=1e15, dt_max=1e15, increment_limit=1e30,

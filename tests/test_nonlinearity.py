@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -228,6 +230,60 @@ def test_scalar_and_vector_forms_agree(case, signed, seed):
                                   for i, a in enumerate(nl.coeff_samples))
         coeffs = nl.coeffs_at(x)
         assert abs(nl.scalar_P(u, coeffs) - p_vec[j]) <= 1e-13 * scale
+
+
+def _textbook(nl, v):
+    """Per node, (exact value, sum of |terms|) of P, Q and P' at v from the
+    textbook forms, in exact arithmetic on the sampled coefficients."""
+    n, signed = nl.degree, nl.signed_power
+    rows = []
+    for j, x in enumerate(v):
+        u = Fraction(float(x))
+        w = abs(u) if signed else u
+        a = [Fraction(float(c[j])) for c in nl.coeff_samples]
+        forms = (
+            [a[i] * u**i for i in range(n)] + [-(u * w ** (n - 1))],
+            [a[i] * u ** (i + 1) / (i + 1) for i in range(n)] + [-(w ** (n + 1)) / (n + 1)],
+            [i * a[i] * u ** (i - 1) for i in range(1, n)] + [-n * w ** (n - 1)],
+        )
+        rows.append([(sum(t), sum(abs(term) for term in t)) for t in forms])
+    return rows
+
+
+_EVEN_SIGNED = (4, ["0.5+1.25*cos(0.75*x)", "-1.5", "0.25*tanh(x)", "2.0"])
+
+
+@settings(max_examples=60, deadline=None)
+@example(_EVEN_SIGNED, True, 7, True)  # out is v on the |v| fold
+@example((3, ["0.5", "-1.0*sin(x)", "1.5"]), False, 11, True)
+@example((2, ["0", "0"]), True, 3, True)  # zero coefficients add nothing
+@given(_coefficient_exprs(), st.booleans(), st.integers(0, 2**32 - 1), st.booleans())
+def test_folded_horner_matches_exact_textbook_forms(case, signed, seed, alias):
+    # P, Q and P' each fold the leading term into the top Horner coefficient;
+    # against exact sums of -u^N (-u|u|^(N-1)) + sum a_i u^i and their
+    # antiderivative and derivative, the error stays a few eps per step of
+    # the degree, relative to the sum of the terms' magnitudes
+    n, exprs = case
+    nl = _nl(problem.spec_from_dict({
+        "N": n, "coeffs": exprs, "box_half_length": 5.0, "grid_points": 16,
+        "signed_power": signed,
+    }))
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, nl.grid.m)
+    v[:3] = 0.0, -0.0, -1e-3  # sign changes and zeros
+    work = np.empty_like(v)
+    if alias:  # out is v: the result overwrites the samples
+        vp, vq = v.copy(), v.copy()
+        p = nl.apply_P_unchecked(vp, vp, work)
+        q = nl.potential_unchecked(vq, vq, work)
+        assert p is vp and q is vq
+    else:
+        p = nl.apply_P_unchecked(v, np.empty_like(v), work)
+        q = nl.potential_unchecked(v, np.empty_like(v), work)
+    dp = nl.apply_dP(v)
+    tol = Fraction(4 * (n + 2)) * Fraction(np.finfo(float).eps)
+    for j, exact in enumerate(_textbook(nl, v)):
+        for got, (value, scale) in zip((p[j], q[j], dp[j]), exact):
+            assert abs(Fraction(float(got)) - value) <= tol * scale, (j, got, float(value))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,19 +1,20 @@
 """`dynamics.run` against a reference stepper, bit for bit.
 
 `reference_run` is the earlier form of the IMEX loop in `dynamics.run`: a
-`Field` per step, `cho_solve_banded` through scipy's checks, the Laplacian
-built with `np.concatenate`, an explicit finite check of the right-hand
-side (`run` lets the solve carry a non-finite one into x), and the action
-through `functionals.action`.  `run` must reproduce every recorded number
-exactly, so any reordering of floating-point work in the lean loop shows
-up here.
+`Field` per step, LAPACK `dpttrs` on the solver's L D L^T factor with a
+copied right-hand side and the periodic Sherman-Morrison correction written
+out, the Laplacian built with `np.concatenate`, an explicit finite check of
+the right-hand side (`run` lets the solve carry a non-finite one into x),
+and the action through `functionals.action`.  `run` must reproduce every
+recorded number exactly, so any reordering of floating-point work in the
+lean loop shows up here.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
 from gradflow1d import problem, verify
 from gradflow1d.dynamics import (
@@ -43,7 +44,8 @@ def _laplacian(values, g):
 
 
 def _solve(s, rhs):
-    y = cho_solve_banded((s._factor, False), rhs, check_finite=False)
+    y, info = dpttrs(s._d, s._e, rhs)
+    assert info == 0
     if s.grid.boundary != "periodic":
         return y
     vy = y[0] + s._corner * y[-1]
@@ -249,8 +251,8 @@ def test_run_matches_reference_stepper_bit_for_bit(case):
     (0.5, 1e14, "solve_dt_collapse"),
 ))
 def test_run_matches_reference_when_factorization_fails(u, dt_min, reason):
-    # at dt ~ 1e15 on neumann0, M = 256, cholesky_banded finds the step
-    # matrix not positive definite in floating point
+    # at dt ~ 1e15 on neumann0, M = 256, dpttrf finds the step matrix not
+    # positive definite in floating point
     spec = verify.fisher_spec(grid_points=256, boundary="neumann0")
     u0 = Field.constant(problem.make_grid(spec), u)
     ctrl = StepControl(dt_init=1e15, dt_min=dt_min, dt_max=1e15,

@@ -132,7 +132,7 @@ def test_implicit_diffusion_vs_dense_property(boundary, m, mu, seed):
 @given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 128),
        st.floats(-3.0, 15.0), st.integers(0, 2**32 - 1))
 def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
-    # banded Cholesky is backward stable with a bound free of mu = dt/h^2,
+    # the L D L^T solve is backward stable with a bound free of mu = dt/h^2,
     # and the Sherman-Morrison wrap keeps that, so the normwise backward
     # error |r|/(|A| |x| + |b|), |A|_inf = 1 + 4 mu, stays a few eps at
     # every mu, while |r|/|b| grows like mu * eps
