@@ -256,6 +256,8 @@ def suite_blowup_timing() -> SuiteResult:
         "detected_time": traj.final_time,
         "relative_error": err,
         "escape_sign": traj.escape_sign,
+        "steps": traj.steps,
+        "stop_reason": traj.stop_reason,
     })
 
 

@@ -72,7 +72,12 @@ def test_criterion_3_blowup_timing():
     res = verify.suite_blowup_timing()
     _report("3 blow-up timing", res.passed,
             f"detected t*={res.details['detected_time']:.5f}, "
-            f"rel err {res.details['relative_error']:.2%}")
+            f"rel err {res.details['relative_error']:.2%}, "
+            f"{res.details['steps']} steps, {res.details['stop_reason']}")
+    # the increment limit grows with sup|u| above 18, so dt collapses at
+    # |u| near 4e4 after a few thousand steps
+    assert res.details["stop_reason"] == "increment_dt_collapse"
+    assert res.details["steps"] <= 5000
 
 
 def test_criterion_4_travelling_wave_energy_growth(homogeneous_run):

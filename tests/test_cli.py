@@ -72,8 +72,21 @@ def test_simulate_blowup_exit_code(tmp_path):
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["status"] == "blow_up"
     assert summary["escape_sign"] == -1
-    # |u| reaches about 950, where dt*u^2 <= 0.09 needs dt below dt_min
+    # |u| reaches about 4e4, where dt*u^2 <= 0.005*|u| needs dt below dt_min
     assert summary["stop_reason"] == "increment_dt_collapse"
+
+
+def test_simulate_blowup_with_tiny_dt_min_stops_at_sup_guard(tmp_path):
+    # with dt_min 1e-30 only sup_guard can stop u' = -u^2: the increment
+    # limit grows with sup|u|, so |u| passes 1e12 in a few thousand steps
+    data = _fisher_config(tmp_path / "out", initial_condition="-1", t_max=2.0)
+    data["spec"].update(coeffs=["0", "0"], grid_points=16, sup_guard=1e12)
+    data["control"] = {"dt_init": 1e-3, "dt_min": 1e-30, "dt_max": 1e-3}
+    assert main(["simulate", _write(tmp_path, data), "--quiet"]) == EXIT_BLOW_UP
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert (summary["status"], summary["stop_reason"]) == ("blow_up", "sup_guard")
+    assert summary["escape_sign"] == -1
+    assert summary["steps"] <= 10_000
 
 
 def test_missing_config_file(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradflow1d import problem, verify
 from gradflow1d.dynamics import (
@@ -15,6 +17,7 @@ from gradflow1d.dynamics import (
     mms_verify,
     run,
 )
+from gradflow1d.functionals import identity_residual
 from gradflow1d.grid import Field, SpatialGrid, read_field_csv, sup_norm, write_field_csv
 from gradflow1d.nonlinearity import Nonlinearity
 from gradflow1d.tridiag import ImplicitDiffusionSolver
@@ -308,6 +311,37 @@ def test_even_degree_blowup_escapes_downward():
         traj = run(spec, Field.constant(g, c), ctrl, 5.0)
         assert traj.status == BLOW_UP
         assert traj.escape_sign == -1
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((2, 4)),
+       coeffs=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+       m=st.integers(8, 32),
+       boundary=st.sampled_from(("periodic", "dirichlet0", "neumann0")),
+       seed=st.integers(0, 2**31))
+def test_blow_up_from_negative_data_keeps_the_energy_identity(n, coeffs, m,
+                                                              boundary, seed):
+    # even N with leading -u^N escapes downward from data near -1.5; the
+    # state-scaled increment guard keeps the stepped energy identity within
+    # the first-order IMEX error on the way up
+    spec = problem.spec_from_dict({
+        "N": n, "coeffs": [repr(c) for c in coeffs[:n]], "box_half_length": 5.0,
+        "grid_points": m, "boundary": boundary})
+    g = problem.make_grid(spec)
+    nl = Nonlinearity(spec, g)
+    shape = verify.random_smooth_field(g, np.random.default_rng(seed)).values
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-3)
+    traj = run(spec, Field(g, -1.5 + 0.5 * shape), ctrl, 2.0, nl=nl)
+    assert (traj.status, traj.escape_sign) == (BLOW_UP, -1)
+    assert verify.monotonicity_violations(traj) == 0
+    # 1% of max(L/6, |E|), plus the IMEX defect: per step, energy addend
+    # minus action gain is at most (4*mu + min(1, 4*mu)^2) times the addend,
+    # mu = dt/h^2, with P' aside
+    energy = abs(float(traj.diagnostics.energy_cum[-1]))
+    mu = float(traj.diagnostics.dt.max()) / g.h**2
+    bound = (0.01 * max(g.length / 6.0, energy)
+             + (4.0 * mu + min(1.0, 4.0 * mu) ** 2) * energy)
+    assert identity_residual(traj, nl) <= bound
 
 
 def test_odd_degree_runs_stay_bounded():

@@ -8,11 +8,18 @@ the right-hand side (`run` lets the solve carry a non-finite one into x),
 and the action through `functionals.action`.  `run` must reproduce every
 recorded number exactly, so any reordering of floating-point work in the
 lean loop shows up here.
+
+The increment guard of the reference, dt*sup|P(u)| <= 0.9*increment_limit
+*max(1, sup|u|/scale_u), takes its threshold as a parameter: at
+scale_u = inf it is the earlier absolute guard, which a run whose sup|u|
+never passes INCREMENT_SCALE_U must match too.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrs
 
@@ -31,6 +38,7 @@ from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError
 from gradflow1d.tridiag import ImplicitDiffusionSolver
 
 RUNNING = "running"  # the reference loop's status until a stop
+INCREMENT_SCALE_U = 18.0  # sup|u| above which the increment limit grows with it
 
 
 def _laplacian(values, g):
@@ -58,7 +66,8 @@ def _extreme_sign(u):
     return int(np.sign(v[i])) if v[i] != 0 else 0
 
 
-def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride):
+def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
+                  scale_u=INCREMENT_SCALE_U):
     """(diagnostics, snapshots, status, final_field, final_time, steps,
     escape_sign, stop_reason)."""
     g = u0.grid
@@ -97,7 +106,8 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride):
             break
         dt = min(dt, t_max - t)
         p_sup = float(np.max(np.abs(p_now)))
-        while dt * p_sup > limit:
+        cap = limit * max(1.0, sup_norm(u) / scale_u)
+        while dt * p_sup > cap:
             dt *= 0.5
             smooth = 0
             if dt < ctrl.dt_min:
@@ -216,10 +226,11 @@ def _bits(a):
 _EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 30
 
 
-def _assert_run_matches_reference(spec, u0, ctrl, t_max, tol_eq, forcing, stride):
+def _assert_run_matches_reference(spec, u0, ctrl, t_max, tol_eq, forcing, stride,
+                                  scale_u=INCREMENT_SCALE_U):
     nl = Nonlinearity(spec, u0.grid)
     diag, snaps, status, final, t, steps, sign, reason = reference_run(
-        u0, nl, ctrl, t_max, tol_eq, forcing, stride)
+        u0, nl, ctrl, t_max, tol_eq, forcing, stride, scale_u)
     traj = run(spec, u0, ctrl, t_max, tol_eq, forcing=forcing,
                snapshot_stride=stride, nl=nl)
     for c in DiagnosticSeries.COLUMNS:
@@ -234,10 +245,25 @@ def _assert_run_matches_reference(spec, u0, ctrl, t_max, tol_eq, forcing, stride
     return traj
 
 
+def _blow_up_example():
+    # u' = -u^2 from -1 on M = 16: sup|u| passes INCREMENT_SCALE_U near
+    # t = 0.95 and the scaled guard carries the run on to dt collapse
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "0"],
+                                   "box_half_length": 5.0, "grid_points": 16,
+                                   "boundary": "periodic"})
+    u0 = Field.constant(problem.make_grid(spec), -1.0)
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-5, dt_max=1e-3)
+    return spec, u0, ctrl, 2.0, 1e-8, None, 64
+
+
 @settings(max_examples=_EXAMPLES, deadline=None)
 @given(_cases())
+@example(_blow_up_example())
 def test_run_matches_reference_stepper_bit_for_bit(case):
-    _assert_run_matches_reference(*case)
+    traj = _assert_run_matches_reference(*case)
+    if traj.diagnostics.sup_norm.max() <= INCREMENT_SCALE_U:
+        # the guard never scaled: the absolute guard gives the same bits
+        _assert_run_matches_reference(*case, scale_u=math.inf)
 
 
 @pytest.mark.parametrize("u, dt_min, reason", (
