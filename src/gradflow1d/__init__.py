@@ -11,7 +11,6 @@ from .dynamics import (
     T_MAX_REACHED,
     StepControl,
     Trajectory,
-    mms_verify,
     run,
 )
 from .equilibria import (
@@ -22,7 +21,7 @@ from .equilibria import (
     unstable_direction,
 )
 from .functionals import action, energy_addend, identity_residual
-from .grid import Field, SpatialGrid, integrate, sobolev_norm, sup_norm
+from .grid import Field, SpatialGrid, integrate, sup_norm
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .problem import ProblemSpec, SpecValidationError, coefficient_norms, make_grid
 

@@ -116,13 +116,16 @@ def load_config(path: str) -> RunConfig:
         raise SpecValidationError(f"unknown verify suites {unknown}; "
                                   f"known: {list(verify.SUITES)}")
     verify_control = read_object(ver.get("control", {}), "verify.control")
+    output_dir = read_string(data.get("output_dir", "out"), "output_dir")
+    if not output_dir:
+        raise SpecValidationError("output_dir must not be empty")
     return RunConfig(
         spec=spec,
         control=_control(data.get("control", {}), "control", spec),
         u0=_sampled(grid, data.get("initial_condition", "0"), "initial_condition"),
         t_max=t_max,
         snapshot_stride=read_integer(data, "snapshot_stride", 64, 1),
-        output_dir=read_string(data.get("output_dir", "out"), "output_dir"),
+        output_dir=output_dir,
         seed=read_integer(data, "seed", 0, 0),
         tol_eq=tol_eq,
         constant_roots=read_boolean(eqs, "constant_roots", True, "equilibria"),
@@ -157,15 +160,15 @@ def _launch(entry, grid, t_max: float) -> connections.LaunchSpec:
             raise SpecValidationError("front entry needs initial_condition")
         u0 = _sampled(grid, entry["initial_condition"], "front initial_condition")
         return connections.LaunchSpec(u0=u0, t_max=run_t_max)
+    if len({"from_index", "from_value"} & entry.keys()) != 1:
+        raise SpecValidationError("launch entry needs one of from_index and from_value")
     from_value = None
     if "from_index" in entry:
         idx = entry["from_index"]
         if isinstance(idx, bool) or not isinstance(idx, int):
             raise SpecValidationError(f"from_index must be an integer, got {idx!r}")
-    elif "from_value" in entry:
-        idx, from_value = 0, read_number(entry, "from_value", 0.0, "launch")
     else:
-        raise SpecValidationError("launch entry needs from_index or from_value")
+        idx, from_value = 0, read_number(entry, "from_value", 0.0, "launch")
     amplitude = read_number(entry, "amplitude", 1e-3, "launch")
     return connections.LaunchSpec(from_index=idx, from_value=from_value,
                                   amplitude=amplitude, t_max=run_t_max)

@@ -28,9 +28,10 @@ from math import isfinite
 
 import numpy as np
 
-from . import exprlang, problem
+from . import problem
 from .functionals import action_parts_extended, energy_addend
-from .grid import CSV_BLOCK_ROWS, Field, laplacian_extended, set_ghosts, write_field_csv
+from .grid import (CSV_BLOCK_ROWS, Field, laplacian_extended, set_ghosts, sup_norm,
+                   write_field_csv)
 from .nonlinearity import Nonlinearity, RangeOverflowError
 from .tridiag import ImplicitDiffusionSolver
 
@@ -40,8 +41,6 @@ __all__ = [
     "DiagnosticSeries",
     "Trajectory",
     "run",
-    "mms_verify",
-    "MmsReport",
     "CONVERGED",
     "BLOW_UP",
     "T_MAX_REACHED",
@@ -155,7 +154,8 @@ class Trajectory:
             "stop_reason": self.stop_reason,
             "final_time": self.final_time,
             "steps": self.steps,
-            "final_sup_norm": float(d.sup_norm[-1]) if len(d) else None,
+            # the end state's, where the last row may be one step earlier
+            "final_sup_norm": sup_norm(self.final_field),
             "final_ut_sup": float(d.ut_sup[-1]) if len(d) else None,
             "final_action": float(d.action[-1]) if len(d) else None,
             "energy_cum": float(d.energy_cum[-1]) if len(d) else None,
@@ -350,99 +350,3 @@ def _extreme_sign(v: np.ndarray) -> int:
     i = int(np.argmax(np.abs(v)))
     return int(np.sign(v[i])) if v[i] != 0 else 0
 
-
-@dataclass
-class MmsLevel:
-    grid_points: int
-    dt: float
-    error: float
-
-
-@dataclass
-class MmsReport:
-    levels: list
-    orders: list
-    converged: bool
-
-    @property
-    def observed_order(self) -> float:
-        finite = [o for o in self.orders if math.isfinite(o)]
-        return finite[-1] if finite else math.nan
-
-
-_MMS_SPATIAL_FD_STEP = 1e-4  # second differences: balances truncation/roundoff
-_MMS_TIME_FD_STEP = 1e-6
-
-
-def mms_verify(
-    spec: problem.ProblemSpec,
-    manufactured: tuple,
-    refinements: int,
-    *,
-    dt0: float,
-    t_final: float,
-) -> MmsReport:
-    """Manufactured-solution ladder (h, dt) -> (h/2, dt/2).
-
-    manufactured is a pair (expr_x, expr_t); the exact solution is their
-    product X(x)*T(t).  The forcing g = u*_t - Lap(u*) - P(u*) is built
-    from tiny-step finite differences of the sampled expressions, accurate
-    far below the solver's own discretization error.  Errors are sup-norm
-    at t_final; orders are log2 ratios of consecutive errors.
-    """
-    ex, et = manufactured
-    if isinstance(ex, str):
-        ex = exprlang.parse(ex)
-    if isinstance(et, str):
-        et = exprlang.parse(et)
-
-    t_fun = exprlang.compile(et)
-
-    def t_prime(t):
-        e = _MMS_TIME_FD_STEP
-        return (t_fun(t + e) - t_fun(t - e)) / (2 * e)
-
-    levels = []
-    converged = True
-    for lev in range(refinements + 1):
-        if spec.boundary == "periodic":
-            m = spec.grid_points * 2**lev
-        else:
-            m = (spec.grid_points + 1) * 2**lev - 1  # halves h exactly
-        dt = dt0 / 2**lev
-        spec_l = spec.with_grid_points(m)
-        g = problem.make_grid(spec_l)
-        nl = Nonlinearity(spec_l, g)
-
-        xs = g.nodes
-        x_samples = exprlang.sample(ex, xs)
-        e = _MMS_SPATIAL_FD_STEP
-        x_plus = exprlang.sample(ex, xs + e)
-        x_minus = exprlang.sample(ex, xs - e)
-        x_second = (x_plus - 2.0 * x_samples + x_minus) / e**2
-
-        def forcing(t, _x=x_samples, _xpp=x_second, _nl=nl):
-            tt = t_fun(t)
-            ustar = _x * tt
-            return _x * t_prime(t) - _xpp * tt - _nl.apply_P_values(ustar)
-
-        u0 = Field(g, x_samples * t_fun(0.0))
-        ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt,
-                           increment_limit=1e9, sup_guard=spec.sup_guard)
-        traj = run(spec_l, u0, ctrl, t_max=t_final, tol_eq=0.0,
-                   forcing=forcing, snapshot_stride=10**9, nl=nl)
-        if traj.status != T_MAX_REACHED:
-            converged = False
-            levels.append(MmsLevel(m, dt, math.nan))
-            continue
-        exact = x_samples * t_fun(traj.final_time)
-        err = float(np.max(np.abs(traj.final_field.values - exact)))
-        levels.append(MmsLevel(m, dt, err))
-
-    orders = []
-    for a, b in zip(levels, levels[1:]):
-        if math.isfinite(a.error) and math.isfinite(b.error) and a.error > 0 and b.error > 0:
-            orders.append(math.log2(a.error / b.error))
-        else:
-            orders.append(math.nan)
-    return MmsReport(levels=levels, orders=orders, converged=converged)

@@ -163,29 +163,6 @@ def integrate(u: Field) -> float:
     return u.grid.h * float(np.sum(u.values))
 
 
-def forward_difference(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """(u_{j+1} - u_j)/h with one right ghost per the boundary closure."""
-    return (extend(values, grid.boundary)[2:] - values) / grid.h
-
-
-def sobolev_norm(u: Field, k: int, p: float) -> float:
-    """sum_{j=0..k} (integral |D^j u|^p)^(1/p), D the forward difference.
-
-    Difference stencils are provided up to order 4 only.
-    """
-    if not 0 <= int(k) <= 4 or int(k) != k:
-        raise ValueError("derivative order k must be an integer in [0, 4]")
-    if not p >= 1:
-        raise ValueError("p >= 1 required")
-    h = u.grid.h
-    d = u.values
-    total = 0.0
-    for _ in range(int(k) + 1):
-        total += float(h * np.sum(np.abs(d) ** p)) ** (1.0 / p)
-        d = forward_difference(d, u.grid)
-    return total
-
-
 def sup_norm(u: Field) -> float:
     return float(np.max(np.abs(u.values)))
 

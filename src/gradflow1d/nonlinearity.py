@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import exprlang
-from .grid import Field, SpatialGrid, sobolev_norm
+from .grid import Field, SpatialGrid
 
 __all__ = ["Nonlinearity", "RangeOverflowError", "horner"]
 
@@ -177,16 +177,3 @@ class Nonlinearity:
         if self.signed_power:
             return horner(coeffs, uval) - uval * abs(uval) ** (n - 1)
         return horner(coeffs, uval) - uval**n
-
-    def reaction_norm_ratio(self, u: Field, k: int, p: float) -> float:
-        """||P(u) - a_0||_{k,p} / ||u||_{k,p}.
-
-        The constant-in-u coefficient is subtracted so the numerator has no
-        zero-order term; empirically this ratio stays bounded on families
-        with bounded samples and differences.
-        """
-        denom = sobolev_norm(u, k, p)
-        if denom == 0.0:
-            raise ZeroDivisionError("(k,p)-norm of u is zero")
-        pu = self.apply_P_values(u.values) - self.coeff_samples[0]
-        return sobolev_norm(Field(self.grid, pu), k, p) / denom

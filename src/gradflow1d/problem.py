@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class ProblemSpec:
 
     def coeff_sources(self) -> tuple[str, ...]:
         return tuple(exprlang.to_source(e) for e in self.coeffs)
-
-    def with_grid_points(self, m: int) -> "ProblemSpec":
-        return replace(self, grid_points=int(m))
 
 
 def make_grid(spec: ProblemSpec) -> SpatialGrid:

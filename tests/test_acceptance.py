@@ -62,10 +62,11 @@ def test_criterion_1_logistic_connection_energy(connection_report):
 
 
 def test_criterion_2_action_monotonicity():
-    res = verify.suite_action_monotonicity(seed=0, n_runs_each=10, t_max=3.0)
+    res = verify.suite_action_monotonicity(seed=0, t_max=3.0)
     _report("2 action monotonicity", res.passed,
             f"{res.details['runs']} runs, "
             f"{res.details['hard_violations']} hard violations")
+    assert res.details["runs"] == 20  # 10 Fisher and 10 cubic
 
 
 def test_criterion_3_blowup_timing():
@@ -132,11 +133,12 @@ def test_criterion_7_solver_verification():
 
 
 def test_criterion_8_discrete_gradient_consistency():
-    res = verify.suite_gradient_consistency(seed=0, n_pairs=100, eps=1e-5,
-                                            tol=1e-6)
+    res = verify.suite_gradient_consistency(seed=0)
     _report("8 discrete gradient consistency", res.passed,
             f"worst |dA - <grad, v>| = {res.details['worst_abs_error']:.2e} "
             f"over {res.details['pairs']} pairs")
+    assert (res.details["pairs"], res.details["eps"]) == (100, 1e-5)
+    assert res.details["worst_abs_error"] <= 1e-6
 
 
 def test_criterion_9_convergence_detection(fisher_setup, connection_report,

@@ -87,6 +87,9 @@ def test_simulate_blowup_with_tiny_dt_min_stops_at_sup_guard(tmp_path):
     assert (summary["status"], summary["stop_reason"]) == ("blow_up", "sup_guard")
     assert summary["escape_sign"] == -1
     assert summary["steps"] <= 10_000
+    # the end state's sup norm, past the guard; the last diagnostics row,
+    # one step earlier, is below it
+    assert summary["final_sup_norm"] > 1e12
 
 
 def test_missing_config_file(tmp_path):
@@ -158,6 +161,9 @@ _BAD_CONFIGS = {
     "tol_eq-nan": (("tol_eq",), float("nan")),
     "tol_eq-negative": (("tol_eq",), -1.0),
     "output_dir-number": (("output_dir",), 5),
+    "launch-from_index-and-from_value": (
+        ("connect", "launches"),
+        [{"kind": "launch", "from_index": 0, "from_value": 1.0, "t_max": 5.0}]),
     "box_half_length-abc": (("spec", "box_half_length"), "abc"),
     "box_half_length-inf": (("spec", "box_half_length"), float("inf")),
     # JSON Infinity is a number that is not finite
@@ -279,6 +285,19 @@ def test_unwritable_output_dir_exits_1(tmp_path, capsys, monkeypatch, command):
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_empty_output_dir_exits_1(tmp_path, capsys, monkeypatch, command):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before checking the output directory")
+
+    # "" names no directory: a config error before any computation
+    monkeypatch.setattr(dynamics, "run", no_stepping)
+    data = _fisher_config(tmp_path / "unused", verify={"suites": ["blowup_timing"]})
+    data["output_dir"] = ""
+    assert main([command, _write(tmp_path, data), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: output_dir must not be empty\n"
 
 
 def test_equilibria_catalog_fisher(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_shoot_rk4_convergence():
 
 def test_shoot_escape_direction_even_degree():
     # u'' = u^2 - u: beyond the hilltop the path runs to +infinity only
-    fisher = _nl(verify.fisher_spec(grid_points=64, sup_guard=1e6))
+    fisher = _nl(verify.fisher_spec(grid_points=64))
     path = shoot(fisher, 2.0, 1.0, (-5.0, 5.0))
     assert path.escaped
     assert path.escape_sign == 1
@@ -229,7 +230,7 @@ def test_shoot_escape_direction_even_degree():
 
 def test_shoot_escape_both_directions_odd_degree():
     # u'' = u^3 - u escapes on whichever side it crosses |u| = 1 with speed
-    cubic = _nl(verify.cubic_spec(grid_points=64, sup_guard=1e3))
+    cubic = _nl(replace(verify.cubic_spec(grid_points=64), sup_guard=1e3))
     up = shoot(cubic, 1.5, 1.0, (-5.0, 5.0))
     down = shoot(cubic, -1.5, -1.0, (-5.0, 5.0))
     assert up.escaped and up.escape_sign == 1

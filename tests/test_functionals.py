@@ -166,11 +166,6 @@ def test_identity_residual_positive_for_non_solution(fisher):
     assert resid >= lower  # dominated by the defect term at small dt
 
 
-def test_gradient_consistency_suite():
-    res = verify.suite_gradient_consistency(n_pairs=40)
-    assert res.passed, res.details
-
-
 @settings(max_examples=80, deadline=None)
 @given(_coefficient_exprs(), st.booleans(), st.sampled_from(BOUNDARIES),
        st.integers(8, 128), st.integers(0, 2**32 - 1))

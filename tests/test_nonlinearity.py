@@ -160,12 +160,12 @@ def test_overflow_reported(pure_cubic):
 
 def test_ratio_zero_field_rejected(fisher):
     with pytest.raises(ZeroDivisionError):
-        fisher.reaction_norm_ratio(Field.constant(fisher.grid, 0.0), 0, 2.0)
+        verify.reaction_norm_ratio(fisher, Field.constant(fisher.grid, 0.0), 0, 2.0)
 
 
 def test_ratio_fisher_at_one_is_zero(fisher):
     # P(1) = 0 and a_0 = 0
-    got = fisher.reaction_norm_ratio(Field.constant(fisher.grid, 1.0), 0, 2.0)
+    got = verify.reaction_norm_ratio(fisher, Field.constant(fisher.grid, 1.0), 0, 2.0)
     assert got == 0.0
 
 
@@ -178,17 +178,8 @@ def test_ratio_subtracts_constant_coefficient():
     }))
     # P(u) = -u^2 + 3; with a_0 removed the numerator is ||{-u^2}||
     u = Field.constant(nl.grid, 1.0)
-    got = nl.reaction_norm_ratio(u, 0, 2.0)
+    got = verify.reaction_norm_ratio(nl, u, 0, 2.0)
     assert got == pytest.approx(1.0)
-
-
-def test_ratio_bounded_on_seeded_family():
-    # regression against the frozen measurement
-    from gradflow1d.verify import FROZEN_RATIO_BOUNDS, measure_ratio_bound
-
-    for (k, p), frozen in FROZEN_RATIO_BOUNDS.items():
-        measured = measure_ratio_bound(k, p, n_samples=100)
-        assert measured <= frozen * (1 + 1e-12)
 
 
 # -- one Horner on and off the grid ------------------------------------------
