@@ -117,8 +117,6 @@ def load_config(path: str) -> RunConfig:
                                   f"known: {list(verify.SUITES)}")
     verify_control = read_object(ver.get("control", {}), "verify.control")
     output_dir = read_string(data.get("output_dir", "out"), "output_dir")
-    if not output_dir:
-        raise SpecValidationError("output_dir must not be empty")
     return RunConfig(
         spec=spec,
         control=_control(data.get("control", {}), "control", spec),
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.output_dir or cfg.output_dir
+        out_dir = cfg.output_dir if args.output_dir is None else args.output_dir
         _check_output_dir(out_dir)
         handler = {
             "simulate": cmd_simulate,
@@ -376,8 +374,11 @@ def main(argv=None) -> int:
 
 def _check_output_dir(out_dir: str) -> None:
     """Raise OSError before any computation when out_dir is not a
-    directory and cannot be made one.  Nothing is created: a config error
-    found later (a launch outside the catalog) still leaves no output."""
+    directory and cannot be made one, and SpecValidationError when it is
+    empty.  Nothing is created: a config error found later (a launch outside
+    the catalog) still leaves no output."""
+    if not out_dir:
+        raise SpecValidationError("output_dir must not be empty")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

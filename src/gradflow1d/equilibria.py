@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
+from . import exprlang
 from .functionals import action
 from .grid import Field, laplacian_values
 from .nonlinearity import Nonlinearity, RangeOverflowError, horner
@@ -282,7 +283,11 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
 
     The step is the largest that divides x_span evenly and is at most a
     quarter of the grid spacing.  Escape (|u| beyond the spec's sup_guard)
-    is flagged, not an error.
+    is flagged, not an error.  Every coefficient is sampled before the first
+    step on the lattice the steps reach, the nodes x0 + h + ... + h and
+    their midpoints, so a coefficient that is non-finite at any lattice
+    point raises NonFiniteResultError even where the path would escape
+    before reaching it.
     """
     x0, x1 = x_span
     if not x1 > x0:
@@ -290,28 +295,29 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     n_steps = max(1, math.ceil((x1 - x0) / (nl.grid.h / 4.0)))
     h = (x1 - x0) / n_steps
     thr = nl.spec.sup_guard
+    # the nodes accumulate h as `x += h` does; add.accumulate is sequential
+    nodes = np.add.accumulate(np.r_[x0, np.full(n_steps, h)])
+    lattice = np.concatenate([nodes, nodes[:-1] + 0.5 * h])
+    # one row per lattice point, the nodes then the midpoints: stages 2 and 3
+    # share a midpoint and stage 4's x + h is the next step's node
+    coeffs = np.stack([exprlang.sample(e, lattice) for e in nl.spec.coeffs], axis=1)
 
-    xs = [x0]
     us = [float(u_left)]
     vs = [float(slope_left)]
-    u, v, x = float(u_left), float(slope_left), x0
+    u, v = float(u_left), float(slope_left)
     escaped = False
     sign = 0
-    # Coefficients are needed at x and x + h/2 only: stage 4's x + h is the
-    # next step's x, since `x += h` is the same addition.  Each is evaluated
-    # just before its first stage, so a failing coefficient raises where a
-    # per-stage evaluation would.
-    c_x = nl.coeffs_at(x)
-    for _ in range(n_steps):
+    c_x = coeffs[0].tolist()
+    for k in range(n_steps):
         try:
             k1u, k1v = v, -nl.scalar_P(u, c_x)
-            c_mid = nl.coeffs_at(x + 0.5 * h)
+            c_mid = coeffs[n_steps + 1 + k].tolist()
             k2u = v + 0.5 * h * k1v
             k2v = -nl.scalar_P(u + 0.5 * h * k1u, c_mid)
             k3u = v + 0.5 * h * k2v
             k3v = -nl.scalar_P(u + 0.5 * h * k2u, c_mid)
             k4u = v + h * k3v
-            c_x = nl.coeffs_at(x + h)
+            c_x = coeffs[k + 1].tolist()
             k4v = -nl.scalar_P(u + h * k3u, c_x)
             u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
@@ -319,12 +325,10 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
             escaped = True
             sign = 1 if u > 0 else -1
             break
-        x += h
         if not (math.isfinite(u) and math.isfinite(v)):
             escaped = True
             sign = 1 if us[-1] > 0 else -1
             break
-        xs.append(x)
         us.append(u)
         vs.append(v)
         if abs(u) > thr:
@@ -332,7 +336,7 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
             sign = 1 if u > 0 else -1
             break
     return ShootingPath(
-        xs=np.asarray(xs), us=np.asarray(us), vs=np.asarray(vs),
+        xs=nodes[:len(us)], us=np.asarray(us), vs=np.asarray(vs),
         escaped=escaped, escape_sign=sign,
     )
 

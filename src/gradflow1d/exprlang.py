@@ -15,10 +15,10 @@ NAME is one of: exp, sin, cos, tanh, sqrt, abs.  Trees are immutable,
 evaluation is deterministic, and non-finite intermediate results raise
 instead of propagating.
 
-`evaluate` walks the tree and is the reference.  `compile` turns a tree into
-one straight-line Python function that runs the same float operations in
-the same order and falls back to the walk on any failure, so both return
-the same bits and raise the same errors.
+`evaluate` walks the tree at one point and is the reference.  `sample`
+walks it once over an array of points, with the same float operations per
+point, and falls back to `evaluate` point by point on any failure, so both
+return the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "NonFiniteResultError",
     "parse",
     "evaluate",
-    "compile",
     "to_source",
     "sample",
 ]
@@ -249,7 +248,7 @@ def evaluate(e: Expr, x: float) -> float:
     Overflow, division by zero, and domain errors raise
     NonFiniteResultError carrying the offending subexpression.  An operator
     or function the language does not have (only a hand-built tree can
-    hold one) raises ExprError, as `compile` does.
+    hold one) raises ExprError.
     """
     if isinstance(e, Num):
         return e.value
@@ -336,104 +335,49 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-_OPERATORS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
-              "^": "pow({}, {})"}
-_COMPILED: dict = {}
-_COMPILED_MAX = 1024
-
-
-def compile(e: Expr):
-    """A function x -> evaluate(e, x), bitwise equal, raising the same errors.
-
-    The generated source holds only generated names (x, xf, vK, cK), the
-    operators + - * /, the helpers pow, isfinite, float, walk and errors,
-    and the names of FUNCTIONS; literals are bound as constants, never
-    formatted into it.  An operator outside + - * / ^ or a function outside
-    FUNCTIONS is an ExprError here.  A tree without x is evaluated once
-    instead.  Results are cached by the tree's repr, which, unlike tree
-    equality, tells 0.0 from -0.0 and 1 from 1.0.
-    """
-    key = repr(e)
-    f = _COMPILED.get(key)
-    if f is None:
-        if len(_COMPILED) >= _COMPILED_MAX:
-            _COMPILED.clear()
-        f = _COMPILED[key] = _build(e)
-    return f
-
-
-def _build(e: Expr):
-    def walk(x):
-        return evaluate(e, x)
-
-    gen = _Codegen()
-    result = gen.emit(e)
-    if not gen.uses_x:  # constant: no code generation
-        try:
-            value = walk(0.0)
-        except NonFiniteResultError:
-            return walk
-        return lambda x: value
-    # The finite checks run after the last operation.  That is the same
-    # decision as checking each node: an operation on a non-finite operand
-    # either raises or yields a node that is itself checked, and on any
-    # failure the walk runs and raises at the first bad node.
-    body = "".join(f"        {line}\n" for line in gen.lines)
-    ok = " and ".join(f"isfinite({v})" for v in gen.checked) or "True"
-    src = ("def f(x):\n    try:\n        xf = float(x)\n" + body
-           + f"        if {ok}:\n            return {result}\n"
-           "    except errors:\n"
-           "        pass\n    return walk(x)\n")
-    namespace = {"__builtins__": {}, "float": float, "isfinite": math.isfinite,
-                 "pow": math.pow, "walk": walk,
-                 "errors": (ArithmeticError, ValueError, TypeError),
-                 **FUNCTIONS, **gen.consts}
-    exec(src, namespace)
-    return namespace["f"]
-
-
-class _Codegen:
-    """Straight-line statements for a tree, operands before operators."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.checked: list[str] = []  # BinOp and Call results, as evaluate checks
-        self.consts: dict = {}
-        self.uses_x = False
-
-    def _assign(self, expr: str) -> str:
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return name
-
-    def emit(self, e: Expr) -> str:
-        """Append the statements computing e; return the name that holds it."""
-        if isinstance(e, Num):
-            name = f"c{len(self.consts)}"
-            self.consts[name] = e.value
-            return name
-        if isinstance(e, Var):
-            self.uses_x = True
-            return "xf"
-        if isinstance(e, Neg):
-            return self._assign(f"-{self.emit(e.operand)}")
-        if isinstance(e, BinOp):
-            if e.op not in _OPERATORS:
-                raise ExprError(f"cannot compile operator {e.op!r}")
-            a = self.emit(e.left)
-            b = self.emit(e.right)
-            name = self._assign(_OPERATORS[e.op].format(a, b))
-        elif isinstance(e, Call):
-            if e.func not in FUNCTIONS:
-                raise ExprError(f"cannot compile function {e.func!r}")
-            name = self._assign(f"float({e.func}({self.emit(e.arg)}))")
-        else:
-            raise TypeError(f"not an Expr node: {e!r}")
-        self.checked.append(name)
-        return name
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+              "^": np.frompyfunc(math.pow, 2, 1)}
+_ELEMENTWISE = {name: np.frompyfunc(f, 1, 1) for name, f in FUNCTIONS.items()}
 
 
 def sample(e: Expr, xs) -> np.ndarray:
-    """Evaluate e at every point of xs; raises on any non-finite value."""
-    f = compile(e)
-    return np.array([f(float(v)) for v in np.asarray(xs).ravel().tolist()])
+    """evaluate(e, x) at every point x of xs, raveled, as a new array.
+
+    One walk of the tree over the whole array: + - * / and negation are
+    float64 ufuncs, which round each element as the Python float operation
+    does, and the functions and pow run per element.  When a node raises,
+    or a BinOp or Call node holds a non-finite value, `evaluate` runs point
+    by point in xs order instead, so the bits and the error (type, source
+    and x) are those of the first failing point.  So does a hand-built tree
+    with an int literal or an operator or function the language lacks.
+    """
+    pts = np.asarray(xs, dtype=float).ravel()
+    try:
+        with np.errstate(all="ignore"):
+            return np.array(np.broadcast_to(_sample_tree(e, pts), pts.shape))
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return np.array([evaluate(e, x) for x in pts.tolist()])
+
+
+def _sample_tree(e: Expr, pts: np.ndarray):
+    """e over pts, an array, or a value for a tree without x; raises where
+    `evaluate` would at some point, and on a literal that is not a float,
+    whose type `evaluate` keeps."""
+    if isinstance(e, Num):
+        if not isinstance(e.value, float):
+            raise TypeError
+        return e.value
+    if isinstance(e, Var):
+        return pts
+    if isinstance(e, Neg):
+        return np.negative(_sample_tree(e.operand, pts))
+    if isinstance(e, BinOp):
+        r = _OPERATORS[e.op](_sample_tree(e.left, pts), _sample_tree(e.right, pts))
+    elif isinstance(e, Call):
+        r = _ELEMENTWISE[e.func](_sample_tree(e.arg, pts))
+    else:
+        raise TypeError
+    r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise FloatingPointError
+    return r

@@ -110,11 +110,10 @@ class Nonlinearity:
         self._dP = _fold([i * samples[i] for i in range(1, n)], -float(n), absolute)
         self._Q = _fold([None] + [a / (i + 1) for i, a in enumerate(samples)],
                         -1.0 / (n + 1), absolute)
-        # off-grid evaluation: the samples when every one agrees, else one
-        # compiled function per coefficient
+        # the grid samples when every one agrees, for the grid's constant
+        # equilibria; off the grid, `shoot` samples the expressions itself
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
-        self._coeff_funs = tuple(exprlang.compile(e) for e in spec.coeffs)
 
     def spatially_constant(self) -> bool:
         return self._constant is not None
@@ -163,16 +162,10 @@ class Nonlinearity:
         of `apply_P_unchecked`: written into out, work as scratch."""
         return _folded_horner(self._Q, v, out, work)
 
-    def coeffs_at(self, xval: float):
-        """a_0(x) .. a_{N-1}(x) at a single point, off-grid."""
-        if self._constant is not None:
-            return self._constant
-        return [f(xval) for f in self._coeff_funs]
-
     def scalar_P(self, uval: float, coeffs) -> float:
-        """P at a single u, with coeffs = coeffs_at(x); used by phase-plane
-        shooting.  Builtin abs and ** keep float operations (** raises
-        OverflowError)."""
+        """P at a single u, with coeffs the floats a_0(x) .. a_{N-1}(x) at one
+        point; used by phase-plane shooting.  Builtin abs and ** keep float
+        operations (** raises OverflowError)."""
         n = self.degree
         if self.signed_power:
             return horner(coeffs, uval) - uval * abs(uval) ** (n - 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def mms_errors(spec: problem.ProblemSpec, expr_x: str, expr_t: str,
     solver's own discretization error.
     """
     ex = exprlang.parse(expr_x)
-    t_fun = exprlang.compile(exprlang.parse(expr_t))
+    t_fun = partial(exprlang.evaluate, exprlang.parse(expr_t))
     errors = []
     for lev in range(refinements + 1):
         if spec.boundary == "periodic":

@@ -300,6 +300,20 @@ def test_empty_output_dir_exits_1(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == "error: output_dir must not be empty\n"
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_empty_output_dir_flag_exits_1(tmp_path, capsys, monkeypatch, command):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before checking the output directory")
+
+    # a given --output-dir wins over the config's, even when it is empty
+    monkeypatch.setattr(dynamics, "run", no_stepping)
+    data = _fisher_config(tmp_path / "unused", verify={"suites": ["blowup_timing"]})
+    argv = [command, _write(tmp_path, data), "--output-dir", "", "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: output_dir must not be empty\n"
+    assert not (tmp_path / "unused").exists()
+
+
 def test_equilibria_catalog_fisher(tmp_path):
     data = _fisher_config(tmp_path / "out")
     data["equilibria"] = {"constant_roots": True}

@@ -279,26 +279,48 @@ def _shoot_reference(nl, u, v, x0, x1, h, thr):
     return np.array(xs), np.array(us), np.array(vs)
 
 
-@pytest.mark.parametrize("coeffs, signed, start", [
-    (["0", "1+0.3*cos(0.7*x)"], False, (0.02, 0.0)),
-    (["0", "0.5+0.4*tanh(2*(x-0.3))", "0.1"], False, (0.03, 0.01)),
-    (["0.01*x", "1+0.5*exp(-((x-0.7)/1.3)^2)", "-0.2"], True, (0.5, 2.0)),
-    (["0", "1+0.3*cos(0.7*x)"], False, (2.0, 1.0)),  # escapes
+@pytest.mark.parametrize("coeffs, signed, start, grid", [
+    (["0", "1+0.3*cos(0.7*x)"], False, (0.02, 0.0), (64, "neumann0")),
+    (["0", "0.5+0.4*tanh(2*(x-0.3))", "0.1"], False, (0.03, 0.01), (64, "neumann0")),
+    (["0.01*x", "1+0.5*exp(-((x-0.7)/1.3)^2)", "-0.2"], True, (0.5, 2.0), (64, "neumann0")),
+    (["0", "1+0.3*cos(0.7*x)"], False, (2.0, 1.0), (64, "neumann0")),  # escapes
+    # constant on the grid only: every node sample of a_1 is exactly 1.0,
+    # since the nodes stop at x = 4.375, but a_1 reaches e^200 at x = 5
+    (["0", "1+exp(400*(x-4.5))"], False, (0.02, 0.0), (16, "periodic")),
 ])
-def test_shoot_matches_four_evaluation_loop(coeffs, signed, start):
+def test_shoot_matches_four_evaluation_loop(coeffs, signed, start, grid):
     # coefficients at x + h/2 are shared by stages 2 and 3, and stage 4's
     # x + h is the next step's x: the path must not move by a bit
+    m, boundary = grid
     spec = problem.spec_from_dict({
         "N": len(coeffs), "coeffs": coeffs, "box_half_length": 5.0,
-        "grid_points": 64, "signed_power": signed, "boundary": "neumann0",
+        "grid_points": m, "signed_power": signed, "boundary": boundary,
         "sup_guard": 1e3,
     })
     nl = _nl(spec)
-    assert not nl.spatially_constant()
+    assert nl.spatially_constant() == (m == 16)
     path = shoot(nl, *start, (-5.0, 5.0))
     want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
     for got, ref in zip((path.xs, path.us, path.vs), want):
         assert got.tobytes() == ref.tobytes()
+
+
+def test_shoot_raises_on_a_lattice_point_past_the_escape():
+    # every coefficient is sampled on the whole lattice, nodes first, before
+    # the first step: a_1 overflows beyond x = 4.855 (the node 5.0 and the
+    # midpoint 4.921875), and the path escapes near x = -3 long before, yet
+    # shoot raises at the node 5.0
+    spec = problem.spec_from_dict({
+        "N": 2, "coeffs": ["0", "1+0.1*x+exp(2000*(x-4.5))"], "box_half_length": 5.0,
+        "grid_points": 16, "boundary": "periodic", "sup_guard": 1e3,
+    })
+    nl = _nl(spec)
+    assert np.isfinite(nl.coeff_samples[1]).all()
+    xs, us, _ = _shoot_reference(nl, 2.0, 1.0, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
+    assert abs(us[-1]) > spec.sup_guard and xs[-1] < -2.9
+    with pytest.raises(exprlang.NonFiniteResultError) as exc:
+        shoot(nl, 2.0, 1.0, (-5.0, 5.0))
+    assert exc.value.x == 5.0
 
 
 # -- boundedness classification ---------------------------------------------------

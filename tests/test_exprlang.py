@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -161,25 +160,39 @@ def test_roundtrip_random_trees(tree):
     assert parse(to_source(tree)) == tree
 
 
-def _outcome(f, x):
-    """The value's type and bits, or the error's type, source and x."""
+def _outcome(f, xs):
+    """The array's dtype and bytes, or the error's type, source and x."""
     try:
-        v = f(x)
+        a = f(xs)
     except Exception as err:
         return type(err), getattr(err, "source", None), getattr(err, "x", None)
-    return type(v), struct.pack("<d", v)
+    return a.dtype, a.tobytes()
 
 
 def _walk(tree):
-    return lambda x: evaluate(tree, x)
+    return lambda xs: np.array([evaluate(tree, x) for x in xs])
 
 
-@settings(max_examples=500, deadline=None)
-@given(TREES, st.lists(POINTS, min_size=1, max_size=4))
+# `sample` walks the tree once over the whole array; these tests hold it to
+# the per-point walk `evaluate`.  500 trees in a tier-1 run; a profile that
+# asks for more than hypothesis's default of 100 examples (ci-deep in
+# tests/conftest.py) gets ten times its count
+_EXAMPLES = (10 * settings.default.max_examples
+             if settings.default.max_examples > 100 else 500)
+
+
+@settings(max_examples=_EXAMPLES, deadline=None)
+@given(TREES, st.lists(POINTS, min_size=1, max_size=8))
 def test_compiled_matches_tree_walk(tree, xs):
-    f = exprlang.compile(tree)
-    for x in xs:
-        assert _outcome(f, x) == _outcome(_walk(tree), x)
+    assert _outcome(lambda xs: sample(tree, xs), xs) == _outcome(_walk(tree), xs)
+
+
+# points on either side of each failing x where the expression is finite;
+# 2+1/(x-x) has none
+_NEIGHBOURS = {"exp(x)+1": (0.0, 1.0), "x^x": (2.0, 0.5),
+               "x*1e308*10": (0.0, 0.125), "tanh(x*1e308*10)": (0.0, 0.125),
+               "1/x": (1.0, -2.0), "2+1/(x-x)": (-1.0, 2.0), "2+1/(x-3)": (2.0, 4.0),
+               "sqrt(x)": (4.0, 0.0), "x^0.5": (4.0, 1.0), "cos(x)": (0.0, 1.0)}
 
 
 @pytest.mark.parametrize("src, x", [
@@ -188,34 +201,46 @@ def test_compiled_matches_tree_walk(tree, xs):
     ("x*1e308*10", 1.0),         # a non-finite product raises nothing itself
     ("tanh(x*1e308*10)", 1.0),   # nor does a finite value computed from it
     ("1/x", 0.0),                # division by zero
-    ("2+1/(x-x)", 3.0),
+    ("2+1/(x-x)", 3.0),          # fails at every x: the first point decides
+    ("2+1/(x-3)", 3.0),
     ("sqrt(x)", -1.0),           # domain errors
     ("x^0.5", -2.0),
     ("cos(x)", math.inf),
 ])
 def test_compiled_raises_like_tree_walk(src, x):
     tree = parse(src)
-    with pytest.raises(NonFiniteResultError) as want:
-        evaluate(tree, x)
-    with pytest.raises(NonFiniteResultError) as got:
-        exprlang.compile(tree)(x)
-    assert (got.value.source, got.value.x) == (want.value.source, want.value.x)
+    lo, hi = _NEIGHBOURS[src]
+    for xs in ([x], [lo, x, hi]):
+        with pytest.raises(NonFiniteResultError) as want:
+            _walk(tree)(xs)
+        with pytest.raises(NonFiniteResultError) as got:
+            sample(tree, xs)
+        assert (got.value.source, got.value.x) == (want.value.source, want.value.x)
+    assert got.value.x == (lo if src == "2+1/(x-x)" else x)
+
+
+def test_sample_raises_at_first_failing_point():
+    # the array walk meets sqrt's domain error at -4 first; evaluate, point
+    # by point, meets the division by zero at 1
+    with pytest.raises(NonFiniteResultError) as exc:
+        sample(parse("sqrt(x)+1/(x-1)"), [1.0, -4.0])
+    assert (exc.value.source, exc.value.x) == ("1.0/(x-1.0)", 1.0)
 
 
 def test_compiled_hand_built_literals():
-    # literals are bound, not printed, so inf, nan, -0.0 and ints keep their
-    # values, and the cache tells -0.0 from 0.0 and 1 from 1.0
+    # inf, nan, -0.0 and int literals keep their values, and an int literal
+    # alone keeps its type, as in evaluate
     trees = [BinOp("+", Var(), Num(0.0)), BinOp("+", Var(), Num(-0.0)),
              BinOp("*", Var(), Num(math.inf)), BinOp("-", Var(), Num(math.nan)),
              BinOp("/", Num(1), Var()), BinOp("/", Num(1.0), Var()),
              Neg(Num(-0.0)), Num(math.inf), BinOp("/", Num(1.0), Num(0.0)),
+             Num(1), Neg(Num(2)),
              # abs(inf) raises nothing and tanh hides it: only a check on
              # the Call node sees it
              BinOp("+", Var(), Call("tanh", Call("abs", Num(math.inf))))]
     for tree in trees:
-        f = exprlang.compile(tree)
-        for x in (-0.0, 0.0, 2.0):
-            assert _outcome(f, x) == _outcome(_walk(tree), x)
+        for xs in ([-0.0], [0.0], [2.0], [-0.0, 0.0, 2.0], [2.0, -0.0]):
+            assert _outcome(lambda xs: sample(tree, xs), xs) == _outcome(_walk(tree), xs)
 
 
 _UNKNOWN_NODES = [
@@ -230,8 +255,9 @@ _UNKNOWN_NODES = [
 
 @pytest.mark.parametrize("tree", _UNKNOWN_NODES)
 def test_compile_rejects_unknown_operators_and_functions(tree):
-    with pytest.raises(ExprError):
-        exprlang.compile(tree)
+    with pytest.raises(ExprError) as exc:
+        sample(tree, [0.5, 1.0])
+    assert not isinstance(exc.value, NonFiniteResultError)
 
 
 @pytest.mark.parametrize("tree", _UNKNOWN_NODES)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradflow1d import problem, verify
+from gradflow1d import exprlang, problem, verify
 from gradflow1d.equilibria import real_polynomial_roots
 from gradflow1d.grid import Field
 from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError, horner
@@ -131,7 +131,8 @@ def test_constant_field_matches_scalar_horner(fisher):
     for c in (-1.5, -0.3, 0.0, 0.4, 1.0, 2.5):
         got = fisher.apply_P_values(np.full(fisher.grid.m, c))
         assert np.allclose(got, scalar_p(c), atol=1e-14)
-        assert fisher.scalar_P(c, fisher.coeffs_at(0.0)) == pytest.approx(scalar_p(c), abs=1e-14)
+        got = fisher.scalar_P(c, fisher.constant_coefficients())
+        assert got == pytest.approx(scalar_p(c), abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,9 +207,10 @@ def _coefficient_exprs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_coefficient_exprs(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_scalar_and_vector_forms_agree(case, signed, seed):
-    # the two forms round in the same Horner order but sample the
-    # coefficients differently (numpy vs math), so they agree to a tolerance
-    # relative to the size of the summed terms, not bitwise
+    # both forms take the same coefficient bits at a node, sampled on the
+    # grid or evaluated at the point, but the vector form folds -u^N into
+    # the top coefficient, so P agrees to a tolerance relative to the size
+    # of the summed terms, not bitwise
     n, exprs = case
     nl = _nl(problem.spec_from_dict({
         "N": n, "coeffs": exprs, "box_half_length": 5.0, "grid_points": 16,
@@ -219,7 +221,9 @@ def test_scalar_and_vector_forms_agree(case, signed, seed):
     for j, (x, u) in enumerate(zip(nl.grid.nodes, v)):
         scale = abs(u) ** n + sum(abs(a[j]) * abs(u) ** i
                                   for i, a in enumerate(nl.coeff_samples))
-        coeffs = nl.coeffs_at(x)
+        coeffs = [exprlang.evaluate(e, x) for e in nl.spec.coeffs]
+        on_grid = [a[j] for a in nl.coeff_samples]
+        assert np.array(coeffs).tobytes() == np.array(on_grid).tobytes()
         assert abs(nl.scalar_P(u, coeffs) - p_vec[j]) <= 1e-13 * scale
 
 
