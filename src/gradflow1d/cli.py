@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 config error, 2 blow-up, 3 verification failure.
 All outputs are reproducible bit-for-bit for identical configs (seeds
 included) on one host with one numpy and BLAS build.  Across CPUs, the
 trajectory `simulate` writes (snapshots, step counts, times, sup norms,
-ut_sup) is host-independent: the step's solve is LAPACK dpttrs, which
-calls no BLAS, and P and Q use no power kernel.  The action, energy_cum
-and connection energies take sums of squares through BLAS ddot, and
-`connect` launches along an eigenpair from BLAS-backed LAPACK; OpenBLAS
-picks those kernels by CPU, so their last bits can change.
+ut_sup) and the eigenpairs `connect` launches along are host-independent:
+the step and inverse iteration solve with LAPACK dpttrs (no BLAS), P and Q
+use no power kernel, and dsbevx's eigenvalue matched under each OpenBLAS
+core type tested.  The action, energy_cum and connection energies take
+sums of squares through BLAS ddot, whose last bits depend on the CPU.
 """
 
 from __future__ import annotations

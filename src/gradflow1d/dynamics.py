@@ -136,10 +136,6 @@ class Trajectory:
         return self.stop_reason if self.stop_reason in (CONVERGED, T_MAX_REACHED) else BLOW_UP
 
     @property
-    def first_field(self) -> Field:
-        return self.snapshots[0][1]
-
-    @property
     def final_field(self) -> Field:
         return self.snapshots[-1][1]
 
@@ -304,7 +300,7 @@ def run(
             solver = solvers.get(dt)
             while solver is None and not reason:
                 try:
-                    solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt))
+                    solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt), 1.0)
                 except np.linalg.LinAlgError:
                     # not positive definite in floating point at this dt
                     dt *= 0.5

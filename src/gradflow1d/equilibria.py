@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eig_banded
 
 from . import exprlang
 from .functionals import action
 from .grid import Field, laplacian_values
 from .nonlinearity import Nonlinearity, RangeOverflowError, horner
-from .tridiag import SingularJacobianError, ring_band, thomas_solve
+from .tridiag import (ImplicitDiffusionSolver, SingularJacobianError, thomas_solve,
+                      top_eigenvalue)
 
 __all__ = [
     "Equilibrium",
@@ -353,46 +353,40 @@ class UnstableDirection:
 
 def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
                        max_iter: int = 10_000) -> UnstableDirection:
-    """Leading eigenpair of A = Lap_h + diag(dP(u)) by banded inverse iteration.
+    """Leading eigenpair of A = Lap_h + diag(dP(u)) by shifted inverse iteration.
 
-    The eigenvalue lam is the top one of A's ring-ordered band (LAPACK
-    dsbevx).  The direction comes from solving ((lam + d) I - A) w_k = w_{k-1}
-    with one Cholesky factor of the shifted band, starting from the constant
-    mode plus a fixed 1e-12 perturbation, until the unshifted residual
+    The eigenvalue lam is A's top one (`tridiag.top_eigenvalue`).  The
+    direction comes from solving ((lam + d) I - A) w_k = w_{k-1} with the
+    factor `ImplicitDiffusionSolver` takes at dt = 1 and diagonal
+    (lam + d) - dP, from the constant mode, until the unshifted residual
     max|A w - lam w| <= d with max w = 1, where
     d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
     the solves.  A has nonnegative off-diagonals and is irreducible, so by
-    Perron-Frobenius the direction is strictly positive; it is scaled to
-    maximum 1.  Raises PowerIterationError when dsbevx fails, the shifted
-    band is not positive definite or max_iter solves miss the bound.
+    Perron-Frobenius the direction is strictly positive and the constant
+    start has a component along it.  Raises PowerIterationError when dsbevx
+    fails, the shifted matrix is not positive definite in floating point or
+    max_iter solves miss the bound.
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field.values)
-    band, order = ring_band(g, dp)
     try:
-        lam = float(eig_banded(band, eigvals_only=True, select="i",
-                               select_range=(g.m - 1, g.m - 1))[0])
-    except LinAlgError as e:
+        lam = top_eigenvalue(g, dp)
+    except np.linalg.LinAlgError as e:
         raise PowerIterationError(f"leading eigenvalue not found: {e}") from e
     # lam and A w carry rounding of order eps * ||A||_inf, which passes
     # 1e-8 max(1, |lam|) once 4/h^2 nears 1e8; the floor keeps the shifted
-    # band positive definite and the residual bound reachable there
+    # matrix positive definite and the residual bound reachable there
     norm_a = 4.0 / g.h**2 + float(np.max(np.abs(dp)))
     tol = 1e-8 * max(1.0, abs(lam)) + 8.0 * np.finfo(float).eps * norm_a
-    shifted = -band
-    shifted[2] += lam + tol
     try:
-        factor = cholesky_banded(shifted)
-    except LinAlgError as e:
-        raise PowerIterationError(f"shifted band not positive definite: {e}") from e
+        shifted = ImplicitDiffusionSolver(g, 1.0, (lam + tol) - dp)
+    except np.linalg.LinAlgError as e:
+        raise PowerIterationError(f"shifted matrix not positive definite: {e}") from e
 
-    # the constant mode alone would do (Perron-Frobenius); the fixed
-    # perturbation sets the last digits that connections.csv records
-    w = np.ones(g.m) + 1e-12 * np.random.default_rng(0).standard_normal(g.m)
+    w = np.ones(g.m)
     for it in range(1, max_iter + 1):
-        x = cho_solve_banded((factor, False), w[order])
-        w = np.empty(g.m)
-        w[order] = x / x[np.argmax(np.abs(x))]
+        shifted.solve(w, w)
+        w /= w[np.argmax(np.abs(w))]
         resid = laplacian_values(w, g) + dp * w - lam * w
         if float(np.max(np.abs(resid))) <= tol:
             return UnstableDirection(

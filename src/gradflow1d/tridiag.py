@@ -1,24 +1,25 @@
-"""Banded linear solves on the grid.
+"""Banded linear solves and the top eigenvalue on the grid.
 
-  * `ring_band` stores A = Lap_h + diag(d) for every closure as one
+  * `_ring_band` stores A = Lap_h + diag(d) for every closure as one
     symmetric band of width 2; `thomas_solve` solves with it by banded LU
-    (Newton steps) and `equilibria.unstable_direction` takes A's leading
-    eigenpair from it.
-  * `ImplicitDiffusionSolver` factors I - dt*Lap_h once per (grid, dt) for
-    the time step as L D L^T (LAPACK dpttrf), with the periodic wrap handled
-    by a rank-one Sherman-Morrison correction, and solves with dpttrs.
+    (Newton steps) and `top_eigenvalue` takes A's largest eigenvalue from it
+    (LAPACK dsbevx).  No other module knows the band's layout.
+  * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (LAPACK
+    dpttrf), the periodic wrap by a rank-one Sherman-Morrison correction,
+    and solves with dpttrs: the time step with d = 1, once per (grid, dt),
+    and `equilibria.unstable_direction`'s inverse iteration.
 
-The time step's solve is host-independent: dpttrf and dpttrs are plain
-Fortran loops that call no BLAS, so their bits do not depend on the BLAS
-core type the CPU selects, and the correction is elementwise numpy.  The
-banded LU of `thomas_solve` (dgbtrf, dgbtrs) and the eigenpair of
-`equilibria.unstable_direction` call BLAS, as do the step's sums of squares
+That solve is host-independent: dpttrf and dpttrs are plain Fortran loops
+that call no BLAS, so their bits do not depend on the BLAS core type the CPU
+selects, and the correction is elementwise numpy.  The banded LU of
+`thomas_solve` (dgbtrf, dgbtrs) calls BLAS, as do the step's sums of squares
 (ddot, in `functionals`), and may round differently on another CPU.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 PIVOT_FLOOR = 1e-14
@@ -29,7 +30,7 @@ class SingularJacobianError(ArithmeticError):
     """A pivot of the banded LU fell to the floor of `thomas_solve` or below."""
 
 
-def ring_band(grid, d: np.ndarray):
+def _ring_band(grid, d: np.ndarray):
     """Lap_h + diag(d) as an upper band of width 2, in the ring order.
 
     The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
@@ -68,7 +69,7 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     A (the bare periodic Laplacian's last one) grows with M.  Returns x in
     node order.
     """
-    band, order = ring_band(grid, d)
+    band, order = _ring_band(grid, d)
     m = grid.m
     ab = np.zeros((7, m))  # A[i, j] at ab[4 + i - j, j]; rows 0-1 take the fill-in
     ab[2:5] = band
@@ -90,38 +91,49 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-class ImplicitDiffusionSolver:
-    """Prefactored solve of (I - dt*Lap_h) x = rhs for a fixed grid and dt.
+def top_eigenvalue(grid, d: np.ndarray) -> float:
+    """The largest eigenvalue of Lap_h + diag(d), by LAPACK dsbevx on the
+    ring band; raises np.linalg.LinAlgError when dsbevx fails."""
+    band, _ = _ring_band(grid, d)
+    return float(eig_banded(band, eigvals_only=True, select="i",
+                            select_range=(grid.m - 1, grid.m - 1))[0])
 
-    The matrix is symmetric positive definite for every boundary closure;
+
+class ImplicitDiffusionSolver:
+    """Prefactored solve of (diag(d) - dt*Lap_h) x = rhs for a fixed grid,
+    dt and d (a scalar or one value per node).
+
+    The caller keeps the matrix symmetric positive definite (d > 0 does);
     its tridiagonal part is factored as L D L^T, and periodic grids add a
     Sherman-Morrison rank-one correction for the wrap.  A factorization
     that finds a pivot <= 0 in floating point raises
     np.linalg.LinAlgError.
     """
 
-    def __init__(self, grid, dt: float):
+    def __init__(self, grid, dt: float, d):
         if dt <= 0:
             raise ValueError("dt > 0 required")
         self.grid = grid
         self.dt = float(dt)
+        self.d = d
         m = grid.m
         mu = self.dt / grid.h**2
-        diag = np.full(m, 1.0 + 2.0 * mu)
+        d = np.broadcast_to(np.asarray(d, dtype=float), (m,))
+        diag = d + 2.0 * mu
         if grid.boundary == "neumann0":
-            diag[0] = diag[-1] = 1.0 + mu
+            diag[[0, -1]] = d[[0, -1]] + mu
         if grid.boundary == "periodic":
-            # remove the -mu corners into u v^T with gamma = -(1+2mu)
-            gamma = -(1.0 + 2.0 * mu)
+            # remove the -mu corners into u v^T with gamma = -diag[0]
+            gamma = -float(diag[0])
             diag[0] -= gamma
             diag[-1] -= mu * mu / gamma
-        d, e, info = dpttrf(diag, np.full(m - 1, -mu), overwrite_d=1, overwrite_e=1)
+        self._d, self._e, info = dpttrf(diag, np.full(m - 1, -mu),
+                                        overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"{info}-th leading minor not positive definite")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpttrf")
-        self._d, self._e = d, e
         self._periodic = grid.boundary == "periodic"
         if self._periodic:
             u = np.zeros(m)
@@ -141,8 +153,8 @@ class ImplicitDiffusionSolver:
         return x
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """x with (I - dt*Lap_h) x = rhs, written into out; out may be rhs
-        itself, which the time step uses to solve in place."""
+        """x with (diag(d) - dt*Lap_h) x = rhs, written into out; out may be
+        rhs itself, to solve in place."""
         if out is not rhs:
             out[...] = rhs
         y = self._band_solve(out)
@@ -155,11 +167,11 @@ class ImplicitDiffusionSolver:
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,
                           lap_x: np.ndarray, rhs_sup: float) -> float:
-        """max|(I - dt*Lap_h) x - rhs| / max|rhs|.
+        """max|(diag(d) - dt*Lap_h) x - rhs| / max|rhs|.
 
         lap_x is laplacian_values(x) and rhs_sup is max|rhs|.  The ratio
         grows like mu*eps with mu = dt/h^2 even though the L D L^T solve is
         backward stable, so the time stepper does not check it.
         """
-        r = (x - self.dt * lap_x) - rhs
+        r = (self.d * x - self.dt * lap_x) - rhs
         return float(np.abs(r).max()) / (rhs_sup + 1e-300)

@@ -4,8 +4,8 @@
 prints the reproduction blob of a failing example, so a CI failure replays
 locally with `@reproduce_failure`.  `HYPOTHESIS_PROFILE=ci-deep` is the same
 with 500 examples per test; CI runs the bit-for-bit stepper test, the
-expression sampling tests (whose tree comparison takes ten times the count)
-and the config fuzz test under it.
+expression sampling tests (whose tree comparison takes ten times the count),
+the eigenpair and factor tests and the config fuzz test under it.
 Without either, local runs keep random exploration.
 """
 

@@ -254,7 +254,7 @@ def test_audit_front_row(front_traj):
     _, nl, traj = front_traj
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=0.01, dt_min=1e-9, dt_max=0.01)
-    plan = [LaunchSpec(u0=traj.first_field, t_max=30.0)]
+    plan = [LaunchSpec(u0=traj.snapshots[0][1], t_max=30.0)]
     table = connection_energy_audit(nl, catalog, plan, ctrl)
     row = table.rows[0]
     assert row.status == "growth"

@@ -73,7 +73,7 @@ def test_imex_step_pure_diffusion_eigenmode():
     dt = 0.02
     lam = (2.0 / g.h**2) * (1.0 - math.cos(k * g.h))
     expected = u.values / (1.0 + dt * lam)
-    got = ImplicitDiffusionSolver(g, dt).solve(u.values, np.empty(g.m))
+    got = ImplicitDiffusionSolver(g, dt, 1.0).solve(u.values, np.empty(g.m))
     assert np.allclose(got, expected, atol=1e-13)
 
 
@@ -216,7 +216,7 @@ def test_final_field_is_the_last_snapshot(stride):
     traj = run(spec, u0, ctrl, 0.064, tol_eq=0.0, nl=nl, snapshot_stride=stride)
     assert (traj.stop_reason, traj.steps) == (T_MAX_REACHED, 64)
     assert len(traj.snapshots) == 1 + 64 // stride + (64 % stride != 0)
-    assert traj.first_field is u0 and traj.snapshots[0] == (0.0, u0)
+    assert traj.snapshots[0][1] is u0 and traj.snapshots[0] == (0.0, u0)
     assert (traj.final_time, traj.final_field) == traj.snapshots[-1]
     assert traj.final_time == pytest.approx(0.064)
     times = [t for t, _ in traj.snapshots]
@@ -229,13 +229,14 @@ def test_final_field_is_the_last_snapshot(stride):
 def test_run_converges_immediately_at_equilibrium():
     spec, nl = _fisher()
     ctrl = StepControl()
-    traj = run(spec, Field.constant(nl.grid, 1.0), ctrl, 5.0, nl=nl)
+    u0 = Field.constant(nl.grid, 1.0)
+    traj = run(spec, u0, ctrl, 5.0, nl=nl)
     assert traj.status == CONVERGED
     assert traj.stop_reason == CONVERGED
     assert traj.steps == 0
     assert traj.diagnostics.ut_sup[0] == 0.0
-    assert traj.snapshots == [(0.0, traj.first_field)]
-    assert traj.final_field is traj.first_field
+    assert traj.snapshots == [(0.0, u0)]
+    assert traj.final_field is u0
 
 
 def test_run_logistic_converges_to_one():
@@ -394,7 +395,7 @@ def test_snapshots_less_than_1e6_apart_get_their_own_files(tmp_path):
 
 
 def test_recorded_fields_do_not_share_the_step_buffers():
-    # run reuses its arrays from step to step: every snapshot, first_field
+    # run reuses its arrays from step to step: every snapshot, the first one
     # and final_field must be a copy that later steps leave alone
     spec, nl = _fisher(m=32, boundary="neumann0")
     g = nl.grid
@@ -402,7 +403,7 @@ def test_recorded_fields_do_not_share_the_step_buffers():
     before = u0.values.tobytes()
     ctrl = StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-3)
     traj = run(spec, u0, ctrl, 0.04, nl=nl, snapshot_stride=1)
-    assert traj.first_field is u0 and u0.values.tobytes() == before
+    assert traj.snapshots[0][1] is u0 and u0.values.tobytes() == before
     fields = [f for _, f in traj.snapshots]
     assert len(fields) == traj.steps + 1 == 41
     assert traj.final_field is fields[-1]

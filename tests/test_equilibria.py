@@ -439,7 +439,7 @@ def _linearizations(draw):
     return _fisher_linearization(boundary, dp)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(_linearizations())
 def test_unstable_direction_matches_dense(case):
     nl, eq = case

@@ -140,6 +140,25 @@ def test_identity_residual_logistic(fisher):
     assert resid <= 0.01 * (10.0 / 6.0)
 
 
+def test_identity_residual_at_sup_guard_spans_the_recorded_rows():
+    # u' = -u^2 from -1 stops at sup_guard after a step that records no row;
+    # the action of the end state against the energy of the last row was
+    # off by that step (1.50% of the energy), the rows give 0.35%
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "0"], "box_half_length": 5.0,
+                                   "grid_points": 16, "boundary": "periodic",
+                                   "sup_guard": 1e6})
+    g = problem.make_grid(spec)
+    nl = Nonlinearity(spec, g)
+    ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-30, dt_max=1e-3, sup_guard=1e6)
+    traj = dynamics.run(spec, Field.constant(g, -1.0), ctrl, 2.0, nl=nl)
+    assert traj.stop_reason == "sup_guard"
+    d = traj.diagnostics
+    assert len(d) == traj.steps  # rows for steps 0 .. steps-1
+    energy = d.energy_cum[-1] - d.energy_cum[0]
+    assert identity_residual(traj, nl) == abs(energy - (d.action[-1] - d.action[0]))
+    assert identity_residual(traj, nl) <= 0.005 * energy
+
+
 def test_identity_residual_positive_for_non_solution(fisher):
     # a snapshot pair that is not a flow segment leaves a strictly positive
     # residual ~ (dt/2) * ||udot - F||^2

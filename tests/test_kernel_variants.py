@@ -1,5 +1,5 @@
-"""`simulate` writes the same trajectory under every BLAS and SIMD kernel
-variant the host offers.
+"""`simulate` writes the same trajectory, and every equilibrium the same
+leading eigenpair, under every BLAS and SIMD kernel variant the host offers.
 
 The time step calls no BLAS and no power kernel: the diffusion solve is
 LAPACK `dpttrf`/`dpttrs` (plain loops) and P and Q are elementwise
@@ -11,8 +11,13 @@ turned off.  The `action` and `energy_cum` columns take their sums of
 squares through `ndarray.dot`, BLAS `ddot`, whose bits depend on the core
 type; they are held to a relative 1e-9 only.
 
+`unstable_direction` solves its inverse iteration with the same `dpttrf`/
+`dpttrs` factor and elementwise numpy, and takes the eigenvalue from LAPACK
+`dsbevx`; the eigenvalue and the direction's bytes must not change either.
+
 Each variant runs `simulate` on the shipped `blowup`, `cubic` and `front`
-configs in its own interpreter, all variants at once.
+configs and `unstable_direction` on every member of the `cubic` and
+`fisher` catalogs in its own interpreter, all variants at once.
 """
 
 import csv
@@ -28,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("blowup", "cubic", "front")
+EIGEN_CONFIGS = ("cubic", "fisher")
 SUMMARY_KEYS = ("status", "stop_reason", "steps", "final_time")
 HOST_INDEPENDENT_COLUMNS = ("t", "dt", "sup_norm", "ut_sup")
 DDOT_COLUMNS = ("action", "energy_cum")
@@ -35,10 +41,19 @@ _KERNEL_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 _SCRIPT = """
 import sys
-from gradflow1d import cli
-for name in sys.argv[2:]:
+from gradflow1d import cli, equilibria
+from gradflow1d.nonlinearity import Nonlinearity
+out, simulated, eigen = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(",")
+for name in simulated:
     cli.main(["simulate", f"configs/{name}.json", "--quiet",
-              "--output-dir", f"{sys.argv[1]}/{name}"])
+              "--output-dir", f"{out}/{name}"])
+for name in eigen:
+    cfg = cli.load_config(f"configs/{name}.json")
+    nl = Nonlinearity(cfg.spec, cfg.u0.grid)
+    with open(f"{out}/{name}.eigenpairs", "w") as f:
+        for eq in cli.build_catalog(cfg, nl)[0]:
+            ud = equilibria.unstable_direction(nl, eq)
+            f.write(f"{ud.eigenvalue!r} {ud.direction.values.tobytes().hex()}\\n")
 """
 
 
@@ -79,7 +94,8 @@ def _run_all(tmp_path) -> dict:
     for name, extra in _variants().items():
         out = tmp_path / name
         procs[name] = (out, subprocess.Popen(
-            [sys.executable, "-c", _SCRIPT, str(out), *CONFIGS], cwd=ROOT,
+            [sys.executable, "-c", _SCRIPT, str(out), ",".join(CONFIGS),
+             ",".join(EIGEN_CONFIGS)], cwd=ROOT,
             env={**base, **extra}, stdout=subprocess.PIPE, stderr=subprocess.STDOUT))
     for name, (_, proc) in procs.items():
         output = proc.communicate(timeout=300)[0]
@@ -99,6 +115,11 @@ def _columns(path: Path) -> dict:
 def test_simulate_is_independent_of_the_kernel_variant(tmp_path):
     outs = _run_all(tmp_path)
     ref = outs.pop("default")
+    for config in EIGEN_CONFIGS:
+        want = (ref / f"{config}.eigenpairs").read_text()
+        assert len(want.splitlines()) >= 2, config
+        for variant, out in outs.items():
+            assert (out / f"{config}.eigenpairs").read_text() == want, (variant, config)
     for config in CONFIGS:
         want_dir = ref / config
         want_summary = json.loads((want_dir / "run_summary.json").read_text())

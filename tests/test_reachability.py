@@ -16,6 +16,9 @@ Every module under `src/gradflow1d` and `tests/` reads each name it
 imports.  Re-exports are exempt: all of `__init__.py`, and a module's
 names listed in its `__all__`; so is `from __future__ import annotations`.
 
+Only `tridiag` imports scipy: the band layout and every LAPACK call the
+package makes live in that one module.
+
 `src_lines` and `settable_parameters` count the package's size, the two
 numbers that track how simple it is; `python tests/test_reachability.py`
 prints them.
@@ -136,6 +139,27 @@ def test_import_guard_sees_an_unused_import(tmp_path):
                     "import os.path\nfrom math import inf, nan\n\n"
                     "__all__ = ['nan']\n\n\ndef f():\n    return os.path.sep\n")
     assert _unused_imports(path) == ["module.inf", "module.json"]
+
+
+def _scipy_importers(package: Path = PACKAGE) -> list[str]:
+    """The package's modules that import scipy or a part of it."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "scipy" for m in modules):
+                out.append(path.stem)
+                break
+    return out
+
+
+def test_only_tridiag_imports_scipy():
+    assert _scipy_importers() == ["tridiag"]
 
 
 def _bench_targets():

@@ -120,7 +120,7 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
         # is reused
         while dt not in solvers:
             try:
-                solvers[dt] = ImplicitDiffusionSolver(g, dt)
+                solvers[dt] = ImplicitDiffusionSolver(g, dt, 1.0)
             except np.linalg.LinAlgError:
                 dt *= 0.5
                 smooth = 0
