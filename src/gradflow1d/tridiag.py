@@ -14,13 +14,43 @@ that call no BLAS, so their bits do not depend on the BLAS core type the CPU
 selects, and the correction is elementwise numpy.  The banded LU of
 `thomas_solve` (dgbtrf, dgbtrs) calls BLAS, as do the step's sums of squares
 (ddot, in `functionals`), and may round differently on another CPU.
+
+The six LAPACK routines come from scipy's f2py extension `_flapack`, loaded
+by its file path: importing `scipy.linalg` costs more than the rest of the
+package together (scipy's array-API layer clones numpy's namespace).  It is
+registered as `scipy.linalg._flapack`, so a later `import scipy.linalg`
+reuses it, as this module reuses one already registered.  Without the file,
+a plain `from scipy.linalg import _flapack` serves; without scipy, that
+raises ImportError.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+
+_flapack = sys.modules.get("scipy.linalg._flapack")
+if _flapack is None:
+    _scipy = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    _path = next(filter(os.path.isfile, (
+        os.path.join(where, "linalg", "_flapack" + suffix)
+        for where in (_scipy and _scipy.submodule_search_locations or ())
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES)), None)
+    if _path is None:
+        from scipy.linalg import _flapack
+    else:
+        _loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _path)
+        _flapack = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(_loader.name, _loader))
+        _loader.exec_module(_flapack)
+        sys.modules[_loader.name] = _flapack
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+dsbevx, dlamch = _flapack.dsbevx, _flapack.dlamch
 
 PIVOT_FLOOR = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -93,10 +123,22 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def top_eigenvalue(grid, d: np.ndarray) -> float:
     """The largest eigenvalue of Lap_h + diag(d), by LAPACK dsbevx on the
-    ring band; raises np.linalg.LinAlgError when dsbevx fails."""
+    ring band: the call scipy's `eig_banded(band, eigvals_only=True,
+    select="i", select_range=(m-1, m-1))` makes, so the same bits.  Raises
+    ValueError on a non-finite d and np.linalg.LinAlgError when dsbevx
+    fails."""
     band, _ = _ring_band(grid, d)
-    return float(eig_banded(band, eigvals_only=True, select="i",
-                            select_range=(grid.m - 1, grid.m - 1))[0])
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    m = grid.m
+    # overwrite_ab: the band is this call's own scratch
+    w, _, _, _, info = dsbevx(band, 0.0, 0.0, m, m, compute_v=0, mmax=1, range=2,
+                              lower=0, overwrite_ab=1, abstol=2 * dlamch("s"))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dsbevx")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dsbevx did not converge (LAPACK info={info})")
+    return float(w[0])
 
 
 class ImplicitDiffusionSolver:

@@ -17,7 +17,9 @@ imports.  Re-exports are exempt: all of `__init__.py`, and a module's
 names listed in its `__all__`; so is `from __future__ import annotations`.
 
 Only `tridiag` imports scipy: the band layout and every LAPACK call the
-package makes live in that one module.
+package makes live in that one module.  A module counts as importing scipy
+when it imports it or names it, or a part of it, in a string constant, as a
+load by path does (`find_spec("scipy")`).
 
 `src_lines` and `settable_parameters` count the package's size, the two
 numbers that track how simple it is; `python tests/test_reachability.py`
@@ -142,7 +144,8 @@ def test_import_guard_sees_an_unused_import(tmp_path):
 
 
 def _scipy_importers(package: Path = PACKAGE) -> list[str]:
-    """The package's modules that import scipy or a part of it."""
+    """The package's modules that import scipy or a part of it, or name one
+    in a string constant such as "scipy" or "scipy.linalg._flapack"."""
     out = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -150,6 +153,9 @@ def _scipy_importers(package: Path = PACKAGE) -> list[str]:
                 modules = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _DOTTED.fullmatch(node.value)):
+                modules = [node.value]
             else:
                 continue
             if any(m.partition(".")[0] == "scipy" for m in modules):
@@ -160,6 +166,15 @@ def _scipy_importers(package: Path = PACKAGE) -> list[str]:
 
 def test_only_tridiag_imports_scipy():
     assert _scipy_importers() == ["tridiag"]
+
+
+def test_scipy_guard_sees_a_load_by_path(tmp_path):
+    # a module that only locates scipy counts; one that mentions scipy in
+    # prose does not
+    (tmp_path / "finder.py").write_text(
+        'import importlib.util\n\nSPEC = importlib.util.find_spec("scipy")\n')
+    (tmp_path / "prose.py").write_text('"""Needs no scipy."""\n\nX = "scipyx"\n')
+    assert _scipy_importers(tmp_path) == ["finder"]
 
 
 def _bench_targets():

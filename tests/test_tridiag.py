@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 from gradflow1d.grid import SpatialGrid, laplacian_values
-from gradflow1d.tridiag import ImplicitDiffusionSolver, SingularJacobianError, thomas_solve
+from gradflow1d.tridiag import (ImplicitDiffusionSolver, SingularJacobianError, _ring_band,
+                                thomas_solve, top_eigenvalue)
 
+ROOT = Path(__file__).resolve().parent.parent
 
 # 150 examples, or the profile's count when it is larger (CI's ci-deep: 500)
 _DEEP_EXAMPLES = max(150, settings.default.max_examples)
@@ -157,3 +165,95 @@ def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
     r = (x - dt * laplacian_values(x, g)) - rhs
     backward = np.abs(r).max() / ((1.0 + 4.0 * mu) * np.abs(x).max() + np.abs(rhs).max())
     assert backward <= 8 * np.finfo(float).eps
+
+
+@settings(max_examples=_DEEP_EXAMPLES, deadline=None)
+@given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 2048),
+       st.floats(-3.0, 8.0), st.integers(0, 2**32 - 1))
+def test_top_eigenvalue_is_eig_banded(boundary, m, log_scale, seed):
+    # top_eigenvalue makes the dsbevx call eig_banded makes, so the bits
+    # agree; d is a normal draw scaled by 1e-3 to 1e8
+    g = SpatialGrid(5.0, m, boundary)
+    d = 10.0**log_scale * np.random.default_rng(seed).standard_normal(m)
+    band, _ = _ring_band(g, d)
+    want = eig_banded(band, eigvals_only=True, select="i", select_range=(m - 1, m - 1))[0]
+    assert top_eigenvalue(g, d).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_top_eigenvalue_rejects_a_nonfinite_d(bad):
+    g = SpatialGrid(5.0, 16, "periodic")
+    d = np.zeros(g.m)
+    d[3] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        top_eigenvalue(g, d)
+
+
+def _python(code: str) -> list[str]:
+    """The stdout lines of `python -c code` in a fresh process, with this
+    checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+# whether scipy.linalg was imported, then the bytes of an eigenvalue, a
+# banded LU solve and a factored solve per closure, in hex
+_BYTES = """
+import sys
+import numpy as np
+from gradflow1d.grid import SpatialGrid
+from gradflow1d.tridiag import ImplicitDiffusionSolver, thomas_solve, top_eigenvalue
+print("scipy.linalg" in sys.modules)
+rng = np.random.default_rng(3)
+for boundary in ("periodic", "dirichlet0", "neumann0"):
+    g = SpatialGrid(5.0, 64, boundary)
+    d = 4.0 + rng.standard_normal(g.m)
+    rhs = rng.standard_normal(g.m)
+    solver = ImplicitDiffusionSolver(g, 0.01, 1.0 + rng.random(g.m))
+    print(np.float64(top_eigenvalue(g, d)).tobytes().hex(),
+          thomas_solve(g, d, rhs).tobytes().hex(),
+          solver.solve(rhs, np.empty(g.m)).tobytes().hex())
+"""
+
+
+def test_cli_start_up_loads_lapack_without_scipy_linalg():
+    # tridiag loads scipy's _flapack by path under its own name, so a later
+    # import of scipy.linalg reuses that module: one load, not two
+    assert _python(
+        "import sys\n"
+        "import gradflow1d.cli\n"
+        "from gradflow1d import tridiag\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.lapack\n"
+        "print(sys.modules['scipy.linalg._flapack'] is tridiag._flapack)\n"
+        "print(scipy.linalg.lapack.dpttrf is tridiag.dpttrf)\n") == ["False", "True", "True"]
+
+
+def test_fallback_import_gives_the_same_bytes():
+    # with no extension suffix to try, tridiag finds no file by path and
+    # takes _flapack from a plain import of scipy.linalg
+    by_path = _python(_BYTES)
+    fallback = _python(
+        "import importlib.machinery\n"
+        "import numpy\n"
+        "suffixes = list(importlib.machinery.EXTENSION_SUFFIXES)\n"
+        "importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+        "import gradflow1d.tridiag\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = suffixes\n" + _BYTES)
+    assert by_path[0] == "False" and fallback[0] == "True"
+    assert len(by_path) == 4 and fallback[1:] == by_path[1:]
+
+
+def test_no_scipy_is_an_import_error():
+    assert _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # find_spec finds no scipy\n"
+        "try:\n"
+        "    import gradflow1d.tridiag\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n") == ["ImportError"]
