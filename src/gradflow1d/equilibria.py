@@ -363,16 +363,13 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
     the solves.  A has nonnegative off-diagonals and is irreducible, so by
     Perron-Frobenius the direction is strictly positive and the constant
-    start has a component along it.  Raises PowerIterationError when dsbevx
-    fails, the shifted matrix is not positive definite in floating point or
-    max_iter solves miss the bound.
+    start has a component along it.  Raises PowerIterationError when the
+    shifted matrix is not positive definite in floating point or max_iter
+    solves miss the bound.
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field.values)
-    try:
-        lam = top_eigenvalue(g, dp)
-    except np.linalg.LinAlgError as e:
-        raise PowerIterationError(f"leading eigenvalue not found: {e}") from e
+    lam = top_eigenvalue(g, dp)
     # lam and A w carry rounding of order eps * ||A||_inf, which passes
     # 1e-8 max(1, |lam|) once 4/h^2 nears 1e8; the floor keeps the shifted
     # matrix positive definite and the residual bound reachable there

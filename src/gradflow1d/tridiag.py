@@ -2,20 +2,21 @@
 
   * `_ring_band` stores A = Lap_h + diag(d) for every closure as one
     symmetric band of width 2; `thomas_solve` solves with it by banded LU
-    (Newton steps) and `top_eigenvalue` takes A's largest eigenvalue from it
-    (LAPACK dsbevx).  No other module knows the band's layout.
+    (Newton steps).  No other module knows the band's layout.
   * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (LAPACK
     dpttrf), the periodic wrap by a rank-one Sherman-Morrison correction,
     and solves with dpttrs: the time step with d = 1, once per (grid, dt),
-    and `equilibria.unstable_direction`'s inverse iteration.
+    `equilibria.unstable_direction`'s inverse iteration, and each probe of
+    `top_eigenvalue`'s bisection for A's largest eigenvalue.
 
-That solve is host-independent: dpttrf and dpttrs are plain Fortran loops
-that call no BLAS, so their bits do not depend on the BLAS core type the CPU
-selects, and the correction is elementwise numpy.  The banded LU of
-`thomas_solve` (dgbtrf, dgbtrs) calls BLAS, as do the step's sums of squares
-(ddot, in `functionals`), and may round differently on another CPU.
+That factor, its solve and so the eigenvalue are host-independent: dpttrf
+and dpttrs are plain Fortran loops that call no BLAS, so their bits do not
+depend on the BLAS core type the CPU selects, and the correction is
+elementwise numpy.  The banded LU of `thomas_solve` (dgbtrf, dgbtrs) calls
+BLAS, as do the step's sums of squares (ddot, in `functionals`), and may
+round differently on another CPU.
 
-The six LAPACK routines come from scipy's f2py extension `_flapack`, loaded
+The four LAPACK routines come from scipy's f2py extension `_flapack`, loaded
 by its file path: importing `scipy.linalg` costs more than the rest of the
 package together (scipy's array-API layer clones numpy's namespace).  It is
 registered as `scipy.linalg._flapack`, so a later `import scipy.linalg`
@@ -50,7 +51,6 @@ if _flapack is None:
         sys.modules[_loader.name] = _flapack
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
-dsbevx, dlamch = _flapack.dsbevx, _flapack.dlamch
 
 PIVOT_FLOOR = 1e-14
 EPS = float(np.finfo(float).eps)
@@ -122,23 +122,34 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def top_eigenvalue(grid, d: np.ndarray) -> float:
-    """The largest eigenvalue of Lap_h + diag(d), by LAPACK dsbevx on the
-    ring band: the call scipy's `eig_banded(band, eigvals_only=True,
-    select="i", select_range=(m-1, m-1))` makes, so the same bits.  Raises
-    ValueError on a non-finite d and np.linalg.LinAlgError when dsbevx
-    fails."""
+    """The largest eigenvalue of A = Lap_h + diag(d), by bisection on whether
+    sigma I - A is positive definite.  Lap_h is negative semidefinite, so lam
+    lies in [max(max_i A_ii, R(1)), max(d)], R(1) the Rayleigh quotient of
+    the constant vector; the bracket is halved while its midpoint is a float
+    strictly inside it, and the upper end is returned.  Raises ValueError on
+    a non-finite d."""
     band, _ = _ring_band(grid, d)
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    m = grid.m
-    # overwrite_ab: the band is this call's own scratch
-    w, _, _, _, info = dsbevx(band, 0.0, 0.0, m, m, compute_v=0, mmax=1, range=2,
-                              lower=0, overwrite_ab=1, abstol=2 * dlamch("s"))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dsbevx")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dsbevx did not converge (LAPACK info={info})")
-    return float(w[0])
+    rayleigh = float(np.mean(d))
+    if grid.boundary == "dirichlet0":
+        rayleigh -= 2.0 / (grid.m * grid.h**2)
+    lo, hi = max(float(band[2].max()), rayleigh), float(np.max(d))
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (lo, mid) if _positive_definite(grid, mid - d) else (mid, hi)
+    return hi
+
+
+def _positive_definite(grid, shifted: np.ndarray) -> bool:
+    """Whether diag(shifted) - Lap_h, with a positive diagonal, is positive
+    definite: dpttrf must factor its tridiagonal part and, on `periodic`,
+    where the matrix is that part less a rank one, the Sherman-Morrison
+    denominator det(matrix)/det(part) must be positive."""
+    try:
+        solver = ImplicitDiffusionSolver(grid, 1.0, shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return not solver._periodic or solver._denom > 0.0
 
 
 class ImplicitDiffusionSolver:

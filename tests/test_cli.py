@@ -543,19 +543,24 @@ def test_connect_short_front_is_failed_row(tmp_path):
     assert rows[0]["fit_quality"] == "nan"
 
 
-def test_connect_without_eigenpair_is_failed_row(tmp_path):
-    # at half-length 1e100 LAPACK's dsbevx does not converge on the u = 0
-    # launch's band; that row fails with no run, and the other still runs
+def test_connect_without_eigenpair_is_failed_row(tmp_path, capsys):
+    # at half-length 1e-100, 1/h^2 is near 1e204 and inverse iteration on
+    # the u = 0 launch's shifted matrix misses its residual bound; that row
+    # fails with no run, and the front still runs
     data = json.loads((CONFIGS / "fisher.json").read_text())
-    data["spec"]["box_half_length"] = 1e100
-    for launch in data["connect"]["launches"]:
-        launch["t_max"] = 1.0
+    data["spec"]["box_half_length"] = 1e-100
+    data["connect"]["launches"] = [
+        {"kind": "launch", "from_value": 0.0, "amplitude": 1e-3, "t_max": 1.0},
+        {"kind": "front", "initial_condition": "0.5", "t_max": 1.0},
+    ]
     data["output_dir"] = str(tmp_path / "out")
-    assert main(["connect", _write(tmp_path, data), "--quiet"]) == EXIT_VERIFY
+    assert main(["connect", _write(tmp_path, data)]) == EXIT_VERIFY
     with open(tmp_path / "out" / "connections.csv") as f:
         rows = list(csv.DictReader(f))
-    assert [r["status"] for r in rows] == ["no_direction", "undecided"]
+    assert [r["status"] for r in rows] == ["no_direction", "converged"]
     assert rows[0]["from"] == "0" and rows[0]["total_energy"] == "nan"
+    assert "launch 0: no_direction [0->None] FAIL; no convergence after 10000 solves" \
+        in capsys.readouterr().out
 
 
 def test_equilibria_shooting_scan(tmp_path):

@@ -12,8 +12,9 @@ squares through `ndarray.dot`, BLAS `ddot`, whose bits depend on the core
 type; they are held to a relative 1e-9 only.
 
 `unstable_direction` solves its inverse iteration with the same `dpttrf`/
-`dpttrs` factor and elementwise numpy, and takes the eigenvalue from LAPACK
-`dsbevx`; the eigenvalue and the direction's bytes must not change either.
+`dpttrs` factor and elementwise numpy, and finds the eigenvalue by bisection
+on that factor; the eigenvalue and the direction's bytes must not change
+either.
 
 Each variant runs `simulate` on the shipped `blowup`, `cubic` and `front`
 configs and `unstable_direction` on every member of the `cubic` and
