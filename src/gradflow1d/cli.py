@@ -50,12 +50,12 @@ EXIT_BLOW_UP = 2
 EXIT_VERIFY = 3
 
 
-# the keys each object may hold; `control` and `verify.control` are checked
-# by StepControl, `spec` by problem.spec_from_dict (its keys: problem.SPEC_KEYS)
+# the keys each object may hold; `control` is checked by StepControl, `spec`
+# by problem.spec_from_dict (its keys: problem.SPEC_KEYS)
 SECTION_KEYS = {
     "equilibria": {"constant_roots", "newton_guesses", "shooting"},
     "connect": {"match_tol", "tail_tol", "launches"},
-    "verify": {"control", "suites", "t_max"},
+    "verify": {"suites"},
 }
 TOP_KEYS = {"spec", "control", "initial_condition", "t_max", "snapshot_stride",
             "output_dir", "seed", "tol_eq", *SECTION_KEYS}
@@ -85,8 +85,6 @@ class RunConfig:
     tail_tol: float
     launches: list  # LaunchSpecs; from_value is resolved by `cmd_connect`
     suites: tuple
-    verify_control: dynamics.StepControl | None  # None: the suite's default
-    verify_t_max: float | None
 
 
 def load_config(path: str) -> RunConfig:
@@ -115,11 +113,10 @@ def load_config(path: str) -> RunConfig:
     if unknown:
         raise SpecValidationError(f"unknown verify suites {unknown}; "
                                   f"known: {list(verify.SUITES)}")
-    verify_control = read_object(ver.get("control", {}), "verify.control")
     output_dir = read_string(data.get("output_dir", "out"), "output_dir")
     return RunConfig(
         spec=spec,
-        control=_control(data.get("control", {}), "control", spec),
+        control=_control(data.get("control", {}), spec),
         u0=_sampled(grid, data.get("initial_condition", "0"), "initial_condition"),
         t_max=t_max,
         snapshot_stride=read_integer(data, "snapshot_stride", 64, 1),
@@ -136,11 +133,6 @@ def load_config(path: str) -> RunConfig:
         launches=[_launch(entry, grid, t_max)
                   for entry in read_list(conn, "launches", "connect")],
         suites=tuple(suites),
-        # an empty verify.control keeps the suite's default
-        verify_control=(_control(verify_control, "verify.control", spec)
-                        if verify_control else None),
-        verify_t_max=(None if ver.get("t_max") is None
-                      else read_positive(ver, "t_max", None, "verify")),
     )
 
 
@@ -172,14 +164,14 @@ def _launch(entry, grid, t_max: float) -> connections.LaunchSpec:
                                   amplitude=amplitude, t_max=run_t_max)
 
 
-def _control(value, what: str, spec) -> dynamics.StepControl:
-    """A StepControl from a config object; sup_guard defaults to the spec's."""
-    data = {"sup_guard": spec.sup_guard, **read_object(value, what)}
-    data = {key: read_number(data, key, None, what) for key in data}
+def _control(value, spec) -> dynamics.StepControl:
+    """The StepControl of the `control` object; sup_guard defaults to the spec's."""
+    data = {"sup_guard": spec.sup_guard, **read_object(value, "control")}
+    data = {key: read_number(data, key, None, "control") for key in data}
     try:
         return dynamics.StepControl(**data)
     except (TypeError, ValueError) as e:
-        raise SpecValidationError(f"bad {what} section: {e}") from e
+        raise SpecValidationError(f"bad control section: {e}") from e
 
 
 def _sampled(grid, value, what: str) -> Field:
@@ -197,11 +189,12 @@ def _say(quiet: bool, *args) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
+    nl = Nonlinearity(cfg.spec, cfg.u0.grid)
     traj = dynamics.run(cfg.spec, cfg.u0, cfg.control, cfg.t_max, cfg.tol_eq,
-                        snapshot_stride=cfg.snapshot_stride)
+                        nl=nl, snapshot_stride=cfg.snapshot_stride)
     summary = traj.summary_dict()
     summary["coefficient_norms"] = [
-        {"L1": l1, "Linf": li} for l1, li in problem.coefficient_norms(cfg.spec)
+        {"L1": l1, "Linf": li} for l1, li in problem.coefficient_norms(nl)
     ]
     summary["note"] = ("domain truncated to a box; constant coefficients are "
                        "integrable on the box only")
@@ -247,7 +240,7 @@ def build_catalog(cfg: RunConfig, nl: Nonlinearity):
                 continue
             guess = Field(g, np.interp(g.nodes, path.xs, path.us))
             eq = replace(equilibria.newton_refine(nl, guess), source="shooting")
-            if eq.residual <= equilibria.RESIDUAL_TOL_SHOOTING and is_new(eq):
+            if is_new(eq):
                 catalog.append(eq)
         except (ValueError, ArithmeticError) as e:
             errors.append({"source": "shooting", "start": shot, "error": str(e)})
@@ -306,8 +299,7 @@ def cmd_connect(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    results = verify.default_suites(seed=cfg.seed, ctrl=cfg.verify_control,
-                                    t_max=cfg.verify_t_max, names=cfg.suites)
+    results = verify.default_suites(cfg.seed, cfg.suites)
     for res in results:
         _say(quiet, f"{res.name}: {'pass' if res.passed else 'FAIL'}")
     os.makedirs(out_dir, exist_ok=True)

@@ -115,9 +115,9 @@ def launch_connection(
     *,
     catalog,
     nl: Nonlinearity,
-    tol_eq: float = dynamics.DEFAULT_TOL_EQ,
-    match_tol: float = DEFAULT_MATCH_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tol_eq: float,
+    match_tol: float,
+    tail_tol: float,
 ) -> ConnectionReport:
     """Run from eq_from + amplitude*direction and account for the energy."""
     u0 = Field(eq_from.field.grid, eq_from.field.values + amplitude * direction.values)
@@ -230,9 +230,9 @@ def connection_energy_audit(
     plan,
     ctrl: dynamics.StepControl,
     *,
-    tol_eq: float = dynamics.DEFAULT_TOL_EQ,
-    match_tol: float = DEFAULT_MATCH_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tol_eq: float,
+    match_tol: float,
+    tail_tol: float,
 ) -> AuditTable:
     """Run a batch of launches and audit the finite-energy dichotomy.
 

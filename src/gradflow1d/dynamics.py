@@ -188,15 +188,17 @@ def run(
     t_max: float,
     tol_eq: float = DEFAULT_TOL_EQ,
     *,
+    nl: Nonlinearity,
     forcing=None,
     snapshot_stride: int = 64,
-    nl: Nonlinearity | None = None,
 ) -> Trajectory:
     """Advance from u0 until convergence (sup|Lap(u) + P(u)| < tol_eq),
     blow-up, or t_max.
 
-    forcing, when given, is a callable t -> ndarray added to P(u); a value
-    that does not broadcast to the grid raises ValueError.
+    nl is the reaction of spec on u0's grid, which the caller builds once;
+    one built for another spec or grid raises ValueError.  forcing, when
+    given, is a callable t -> ndarray added to P(u); a value that does not
+    broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
 
     Every finite check tests a reduction the step takes anyway: max|x| (the
@@ -217,10 +219,8 @@ def run(
     if not snapshot_stride >= 1:
         raise ValueError("snapshot_stride >= 1 required")
     g = u0.grid
-    if g != problem.make_grid(spec):
-        raise ValueError("u0 grid does not match the problem spec")
-    if nl is None:
-        nl = Nonlinearity(spec, g)
+    if nl.spec != spec or nl.grid != g:
+        raise ValueError("the reaction is not the problem spec's on u0's grid")
 
     diag = DiagnosticSeries()
     add_t, add_dt, add_sup, add_action, add_energy, add_ut = diag.appenders()
@@ -316,7 +316,7 @@ def run(
                 multiply(p_now, dt, x)
             else:
                 multiply(add(p_now, forcing(t), x), dt, x)
-            solver.solve(add(u, x, x), x)
+            solver.solve(add(u, x, x))
             sup_u = float(maximum(absolute(x, work)))
             if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
                 reason = "nonfinite_state"

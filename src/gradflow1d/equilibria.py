@@ -89,7 +89,9 @@ def nearest(catalog, field: Field) -> tuple[int | None, float]:
     return best, best_d
 
 
-def _make_equilibrium(nl, values, source) -> Equilibrium:
+def _make_equilibrium(nl, values, source, residual: float) -> Equilibrium:
+    """The equilibrium at values; residual is their `equilibrium_residual`,
+    which every caller has computed already."""
     f = Field(nl.grid, values)
     try:
         a = action(nl, f)
@@ -100,7 +102,7 @@ def _make_equilibrium(nl, values, source) -> Equilibrium:
     below, above = classify_boundedness(f, (-nl.spec.sup_guard, nl.spec.sup_guard))
     return Equilibrium(
         field=f,
-        residual=equilibrium_residual(nl, values),
+        residual=residual,
         action=a,
         bounded_below=below,
         bounded_above=above,
@@ -219,7 +221,7 @@ def constant_equilibria(nl: Nonlinearity) -> list[Equilibrium]:
             continue
         seen.append(root)
         try:
-            out.append(_make_equilibrium(nl, values, "constant"))
+            out.append(_make_equilibrium(nl, values, "constant", resid))
         except RangeOverflowError as e:
             log.warning("%s", e)
     return out
@@ -240,7 +242,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
     r = float(np.max(np.abs(resid)))
     for _ in range(max_iter):
         if r < tol:
-            return _make_equilibrium(nl, u, "newton")
+            return _make_equilibrium(nl, u, "newton", r)
         dp = nl.apply_dP(u)
         delta = thomas_solve(nl.grid, dp, -resid)
         step = 1.0
@@ -261,7 +263,7 @@ def newton_refine(nl: Nonlinearity, guess: Field, max_iter: int = 50,
             )
         u, resid, r = trial, resid_t, r_t
     if r < tol:
-        return _make_equilibrium(nl, u, "newton")
+        return _make_equilibrium(nl, u, "newton", r)
     raise NewtonNoConvergenceError(f"residual {r:.3g} after {max_iter} iterations")
 
 
@@ -382,7 +384,7 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
 
     w = np.ones(g.m)
     for it in range(1, max_iter + 1):
-        shifted.solve(w, w)
+        shifted.solve(w)
         w /= w[np.argmax(np.abs(w))]
         resid = laplacian_values(w, g) + dp * w - lam * w
         if float(np.max(np.abs(resid))) <= tol:

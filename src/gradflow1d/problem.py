@@ -214,15 +214,15 @@ def canonical_text(spec: ProblemSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2)
 
 
-def coefficient_norms(spec: ProblemSpec) -> list[tuple[float, float]]:
-    """Discrete (L1, Linf) of each coefficient on the truncated box.
+def coefficient_norms(nl) -> list[tuple[float, float]]:
+    """Discrete (L1, Linf) of each coefficient on the truncated box, read off
+    the samples of the reaction nl (a `Nonlinearity`) on its grid.
 
     Constants are integrable here even though they are not on the whole
     line; run summaries record these norms so the truncation is visible.
     """
-    g = make_grid(spec)
     out = []
-    for e in spec.coeffs:
-        f = Field(g, np.abs(exprlang.sample(e, g.nodes)))
+    for a in nl.coeff_samples:
+        f = Field(nl.grid, np.abs(a))
         out.append((integrate(f), sup_norm(f)))
     return out

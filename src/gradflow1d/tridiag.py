@@ -60,6 +60,16 @@ class SingularJacobianError(ArithmeticError):
     """A pivot of the banded LU fell to the floor of `thomas_solve` or below."""
 
 
+def _diagonal(grid, d: np.ndarray) -> np.ndarray:
+    """The diagonal of Lap_h + diag(d), in node order."""
+    inv_h2 = 1.0 / grid.h**2
+    diag = -2.0 * inv_h2 + d
+    if grid.boundary == "neumann0":
+        diag[0] += inv_h2
+        diag[-1] += inv_h2
+    return diag
+
+
 def _ring_band(grid, d: np.ndarray):
     """Lap_h + diag(d) as an upper band of width 2, in the ring order.
 
@@ -75,12 +85,8 @@ def _ring_band(grid, d: np.ndarray):
     pos = np.empty(m, dtype=np.intp)
     pos[order] = np.arange(m)
     inv_h2 = 1.0 / grid.h**2
-    diag = -2.0 * inv_h2 + d
-    if grid.boundary == "neumann0":
-        diag[0] += inv_h2
-        diag[-1] += inv_h2
     band = np.zeros((3, m))
-    band[2] = diag[order]
+    band[2] = _diagonal(grid, d)[order]
     left, right = pos[:-1], pos[1:]  # band rows of nodes j and j+1
     band[2 - np.abs(right - left), np.maximum(left, right)] = inv_h2
     if grid.boundary == "periodic":
@@ -128,13 +134,13 @@ def top_eigenvalue(grid, d: np.ndarray) -> float:
     the constant vector; the bracket is halved while its midpoint is a float
     strictly inside it, and the upper end is returned.  Raises ValueError on
     a non-finite d."""
-    band, _ = _ring_band(grid, d)
-    if not np.isfinite(band).all():
+    diag = _diagonal(grid, d)  # A's off-diagonal 1/h^2 is finite on every grid
+    if not np.isfinite(diag).all():
         raise ValueError("array must not contain infs or NaNs")
     rayleigh = float(np.mean(d))
     if grid.boundary == "dirichlet0":
         rayleigh -= 2.0 / (grid.m * grid.h**2)
-    lo, hi = max(float(band[2].max()), rayleigh), float(np.max(d))
+    lo, hi = max(float(diag.max()), rayleigh), float(np.max(d))
     while lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (lo, mid) if _positive_definite(grid, mid - d) else (mid, hi)
     return hi
@@ -192,31 +198,30 @@ class ImplicitDiffusionSolver:
             u = np.zeros(m)
             u[0] = gamma
             u[-1] = -mu
-            self._z = z = self._band_solve(u)
+            self._band_solve(u)
+            self._z = u
             self._corner = -mu / gamma
-            self._denom = float(1.0 + (z[0] + self._corner * z[-1]))
+            self._denom = float(1.0 + (u[0] + self._corner * u[-1]))
             self._zs = np.empty(m)  # scratch of the rank-one correction
 
-    def _band_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve with the L D L^T factor, overwriting b when it is a
-        contiguous float array (dpttrs copies any other)."""
-        x, info = dpttrs(self._d, self._e, b, overwrite_b=1)
+    def _band_solve(self, b: np.ndarray) -> None:
+        """Solve with the L D L^T factor in place, overwriting b, a writable
+        contiguous float64 array (of any other dpttrs makes a copy)."""
+        _, info = dpttrs(self._d, self._e, b, overwrite_b=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpttrs")
-        return x
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """x with (diag(d) - dt*Lap_h) x = rhs, written into out; out may be
-        rhs itself, to solve in place."""
-        if out is not rhs:
-            out[...] = rhs
-        y = self._band_solve(out)
-        if not np.may_share_memory(y, out):
-            out[...] = y
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (diag(d) - dt*Lap_h) x = b, written over b; returns b.
+        Raises ValueError, with b unchanged, unless b is a writable
+        contiguous float64 array."""
+        if b.dtype != np.float64 or not b.flags.carray:
+            raise ValueError("solve in place needs a writable contiguous float64 array")
+        self._band_solve(b)
         if self._periodic:
-            vy = out.item(0) + self._corner * out.item(-1)
-            np.subtract(out, np.multiply(self._z, vy / self._denom, self._zs), out)
-        return out
+            vy = b.item(0) + self._corner * b.item(-1)
+            np.subtract(b, np.multiply(self._z, vy / self._denom, self._zs), b)
+        return b
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,
                           lap_x: np.ndarray, rhs_sup: float) -> float:

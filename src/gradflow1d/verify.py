@@ -51,7 +51,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
 
-def fisher_spec(grid_points=256, boundary="periodic") -> problem.ProblemSpec:
+def fisher_spec(grid_points, boundary="periodic") -> problem.ProblemSpec:
     """N=2, a_1 = 1, a_0 = 0: reaction u - u^2, half-length 5."""
     return problem.spec_from_dict({
         "N": 2,
@@ -62,7 +62,7 @@ def fisher_spec(grid_points=256, boundary="periodic") -> problem.ProblemSpec:
     })
 
 
-def cubic_spec(grid_points=256) -> problem.ProblemSpec:
+def cubic_spec(grid_points) -> problem.ProblemSpec:
     """N=3, a_1 = 1, others 0: reaction u - u^3, periodic, half-length 5."""
     return problem.spec_from_dict({
         "N": 3,
@@ -187,15 +187,14 @@ def monotonicity_violations(traj: dynamics.Trajectory) -> int:
 
 
 _MONOTONICITY_RUNS_EACH = 10  # per instance, Fisher and cubic
+_MONOTONICITY_CONTROL = dynamics.StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-2)
+_MONOTONICITY_T_MAX = 3.0
 
 
-def suite_action_monotonicity(seed: int = 0,
-                              ctrl: dynamics.StepControl | None = None,
-                              t_max: float = 3.0) -> SuiteResult:
-    """Randomized Fisher and cubic runs; the discrete action never decreases
-    beyond the 10*dt slack on any accepted step."""
-    if ctrl is None:
-        ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-9, dt_max=1e-2)
+def suite_action_monotonicity(seed: int) -> SuiteResult:
+    """Randomized Fisher and cubic runs, each to t = 3 under the suite's
+    step control; the discrete action never decreases beyond the 10*dt
+    slack on any accepted step."""
     rng = np.random.default_rng(seed)
     total_violations = 0
     statuses = []
@@ -207,7 +206,8 @@ def suite_action_monotonicity(seed: int = 0,
         nl = Nonlinearity(spec, g)
         for _ in range(_MONOTONICITY_RUNS_EACH):
             u0 = Field(g, base + span * random_smooth_field(g, rng).values)
-            traj = dynamics.run(spec, u0, ctrl, t_max, nl=nl)
+            traj = dynamics.run(spec, u0, _MONOTONICITY_CONTROL, _MONOTONICITY_T_MAX,
+                                nl=nl)
             total_violations += monotonicity_violations(traj)
             statuses.append(traj.status)
     return SuiteResult("action_monotonicity", total_violations == 0, {
@@ -325,7 +325,8 @@ def suite_blowup_timing() -> SuiteResult:
     })
     g = problem.make_grid(spec)
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-3)
-    traj = dynamics.run(spec, Field.constant(g, -1.0), ctrl, t_max=2.0)
+    traj = dynamics.run(spec, Field.constant(g, -1.0), ctrl, t_max=2.0,
+                        nl=Nonlinearity(spec, g))
     err = abs(traj.final_time - 1.0)
     passed = traj.status == dynamics.BLOW_UP and err <= 0.05
     return SuiteResult("blowup_timing", passed, {
@@ -346,7 +347,7 @@ _GRADIENT_EPS = 1e-5  # central-difference step along v
 _GRADIENT_TOL = 1e-6
 
 
-def suite_gradient_consistency(seed: int = 0) -> SuiteResult:
+def suite_gradient_consistency(seed: int) -> SuiteResult:
     """Directional finite difference of the action matches the inner product
     with laplacian(u) + P(u) for seeded (u, v) pairs on all closures."""
     rng = np.random.default_rng(seed)
@@ -375,22 +376,13 @@ def suite_gradient_consistency(seed: int = 0) -> SuiteResult:
     })
 
 
-def default_suites(seed: int = 0,
-                   ctrl: dynamics.StepControl | None = None,
-                   t_max: float | None = None,
-                   names=SUITES) -> list[SuiteResult]:
-    """The suites run by the CLI `verify` subcommand, in `SUITES` order.
+_SEEDED_SUITES = ("action_monotonicity", "gradient_consistency")
 
-    Only the suites in names are built.  seed seeds the randomized runs and
-    the gradient-consistency pairs.  ctrl and t_max override the
-    randomized-runs suite only (they exist so a deliberately out-of-range
-    step size can be shown to break monotonicity).
-    """
-    mono_kwargs = {"seed": seed, "ctrl": ctrl}
-    if t_max is not None:
-        mono_kwargs["t_max"] = t_max
-    kwargs = {"action_monotonicity": mono_kwargs,
-              "gradient_consistency": {"seed": seed}}
+
+def default_suites(seed: int, names) -> list[SuiteResult]:
+    """The suites in names, run in `SUITES` order at their stated
+    parameters, as the CLI `verify` subcommand runs them; seed seeds the
+    randomized runs and the gradient-consistency pairs."""
     # looked up per call, so a rebound module attribute is the one that runs
-    return [globals()[f"suite_{name}"](**kwargs.get(name, {}))
-            for name in SUITES if name in names]
+    suites = [(name, globals()[f"suite_{name}"]) for name in SUITES if name in names]
+    return [suite(seed) if name in _SEEDED_SUITES else suite() for name, suite in suites]

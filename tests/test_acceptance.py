@@ -12,6 +12,10 @@ from gradflow1d import connections, dynamics, equilibria, problem, verify
 from gradflow1d.grid import Field, sup_norm
 from gradflow1d.nonlinearity import Nonlinearity
 
+# the audit tolerances a config without them runs with
+TOLERANCES = {"tol_eq": dynamics.DEFAULT_TOL_EQ, "match_tol": connections.DEFAULT_MATCH_TOL,
+              "tail_tol": connections.DEFAULT_TAIL_TOL}
+
 TARGET = 10.0 / 6.0  # action gap of the Fisher 0 -> 1 connection on L = 10
 
 
@@ -38,7 +42,8 @@ def connection_report(fisher_setup):
     _, nl, catalog, ctrl = fisher_setup
     direction = equilibria.unstable_direction(nl, catalog[0]).direction
     return connections.launch_connection(
-        catalog[0], direction, 1e-3, ctrl, 60.0, catalog=catalog, nl=nl)
+        catalog[0], direction, 1e-3, ctrl, 60.0, catalog=catalog, nl=nl,
+        **TOLERANCES)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +67,7 @@ def test_criterion_1_logistic_connection_energy(connection_report):
 
 
 def test_criterion_2_action_monotonicity():
-    res = verify.suite_action_monotonicity(seed=0, t_max=3.0)
+    res = verify.suite_action_monotonicity(seed=0)
     _report("2 action monotonicity", res.passed,
             f"{res.details['runs']} runs, "
             f"{res.details['hard_violations']} hard violations")
@@ -148,7 +153,8 @@ def test_criterion_9_convergence_detection(fisher_setup, connection_report,
     # add a relaxation from the stable side
     direction = equilibria.unstable_direction(nl, catalog[1]).direction
     relax = connections.launch_connection(
-        catalog[1], direction, 1e-4, ctrl, 60.0, catalog=catalog, nl=nl)
+        catalog[1], direction, 1e-4, ctrl, 60.0, catalog=catalog, nl=nl,
+        **TOLERANCES)
     runs.append(relax.trajectory)
 
     checked = 0

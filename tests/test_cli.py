@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradflow1d import dynamics, problem
+from gradflow1d import dynamics, exprlang, problem, verify
 from gradflow1d.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
@@ -189,6 +189,11 @@ _BAD_CONFIGS = {
         ("connect", "launches"),
         [{"kind": "launch", "from_value": 1.0, "amplitude": True, "t_max": 5.0}]),
     "verify.t_max-true": (("verify", "t_max"), True),
+    # the suites run at their stated parameters: a step control or run
+    # length for them is an unknown verify field, valid value or not
+    "verify.control-valid": (("verify", "control"), {"dt_init": 1e-3, "dt_min": 1e-9,
+                                                     "dt_max": 1e-2}),
+    "verify.t_max-valid": (("verify", "t_max"), 3.0),
     "control.dt_max-true": (("control", "dt_max"), True),
     "sup_guard-true": (("spec", "sup_guard"), True),
     "box_half_length-str": (("spec", "box_half_length"), "5"),
@@ -637,35 +642,46 @@ def test_verify_unknown_suite_is_config_error(tmp_path, suites):
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_monotonicity_fails_with_huge_dt(tmp_path):
+def test_verify_monotonicity_fails_with_huge_dt():
     # bypassing the explicit-increment guard with a large fixed step breaks
-    # the discrete monotonicity of the action
-    data = _fisher_config(tmp_path / "out")
-    data["verify"] = {
-        "suites": ["action_monotonicity"],
-        "control": {"dt_init": 25.0, "dt_min": 25.0, "dt_max": 25.0,
-                    "increment_limit": 100.0},
-        "t_max": 100.0,
-    }
-    cfg = _write(tmp_path, data)
-    assert main(["verify", cfg, "--quiet"]) == EXIT_VERIFY
+    # the discrete monotonicity of the action: the suite's first Fisher run
+    # at dt 25 instead of its step control
+    spec = verify.fisher_spec(grid_points=64)
+    g = problem.make_grid(spec)
+    u0 = Field(g, 0.5 + 0.4 * verify.random_smooth_field(g, np.random.default_rng(0)).values)
+    ctrl = dynamics.StepControl(dt_init=25.0, dt_min=25.0, dt_max=25.0,
+                                increment_limit=100.0)
+    traj = dynamics.run(spec, u0, ctrl, 100.0, nl=Nonlinearity(spec, g))
+    assert verify.monotonicity_violations(traj) > 0
+
+
+def test_verify_exits_3_when_a_suite_fails(tmp_path, monkeypatch):
+    # a failing suite fails the report and the exit code; the config's seed
+    # reaches the seeded suite
+    monkeypatch.setattr(verify, "suite_action_monotonicity", lambda seed: verify.SuiteResult(
+        "action_monotonicity", False, {"seed": seed}))
+    data = _fisher_config(tmp_path / "out", seed=7,
+                          verify={"suites": ["action_monotonicity"]})
+    assert main(["verify", _write(tmp_path, data), "--quiet"]) == EXIT_VERIFY
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-    assert report["all_passed"] is False
+    assert report == {"suites": [{"name": "action_monotonicity", "passed": False,
+                                  "details": {"seed": 7}}],
+                      "all_passed": False}
 
 
-def test_verify_empty_control_is_the_suite_default(tmp_path):
-    # a spec sup_guard of 0.5 would end the Fisher runs (data up to 0.9) as
-    # blow-up if an empty verify.control were built into a StepControl
-    reports = []
-    for name, section in (("none", {}), ("empty", {"control": {}})):
-        data = _fisher_config(tmp_path / name)
-        data["spec"]["sup_guard"] = 0.5
-        data["verify"] = {"suites": ["action_monotonicity"], **section}
-        assert main(["verify", _write(tmp_path, data, f"{name}.json"), "--quiet"]) == EXIT_OK
-        reports.append((tmp_path / name / "verify_report.json").read_bytes())
-    assert reports[0] == reports[1]
-    [suite] = json.loads(reports[0])["suites"]
-    assert "blow_up" not in suite["details"]["statuses"]
+def test_simulate_samples_each_expression_once(tmp_path, monkeypatch):
+    # the spec check samples the N coefficients, the initial condition is
+    # sampled once, and the run's reaction samples the N coefficients that
+    # the summary's coefficient norms then read: 2N + 1 samples
+    calls = []
+    sample = exprlang.sample
+    monkeypatch.setattr(exprlang, "sample", lambda *a: calls.append(a) or sample(*a))
+    data = _fisher_config(tmp_path / "out", t_max=0.01)
+    data["spec"].update(N=3, coeffs=["0.1*sin(x)", "1+0.1*cos(x)", "0.2*x/5"])
+    assert main(["simulate", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    assert len(calls) == 2 * 3 + 1
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert len(summary["coefficient_norms"]) == 3
 
 
 def test_shipped_configs_load():

@@ -44,7 +44,7 @@ def _base(path: Path) -> dict:
         launch["t_max"] = 0.5
     data["equilibria"] = {**data.get("equilibria", {}),
                           "shooting": [{"u_left": 0.0, "slope": 0.5}]}
-    data["verify"] = {"suites": ["gradient_consistency"], "t_max": 0.5}
+    data["verify"] = {"suites": ["gradient_consistency"]}
     return data
 
 
@@ -91,22 +91,38 @@ def _is_non_finite(path, value) -> bool:
     return value in _NON_FINITE
 
 
+def _run_all(data, tmp: str):
+    """[(command, exit code, stderr, output dir)] of every subcommand on data."""
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps(data))
+    runs = []
+    for command in SUBCOMMANDS:
+        out = Path(tmp) / command
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, str(config), "--output-dir", str(out), "--quiet"])
+        runs.append((command, code, err.getvalue(), out))
+    return runs
+
+
+def test_every_base_config_is_valid():
+    # a mutation of an invalid base would only ever test the config error
+    for name, data in _BASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for command, code, err, _ in _run_all(data, tmp):
+                assert code in (0, 2, 3), (name, command, err)
+
+
 @settings(deadline=None)
 @given(_mutated_configs())
 def test_mutated_config_keeps_exit_code_contract(mutated):
     data, changes = mutated
     non_finite = any(_is_non_finite(path, value) for path, value in changes)
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(data))
-        for command in SUBCOMMANDS:
-            out = Path(tmp) / command
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, str(config), "--output-dir", str(out), "--quiet"])
+        for command, code, err, out in _run_all(data, tmp):
             assert code in (0, 1, 2, 3), command
             if non_finite:
                 assert code == EXIT_CONFIG, command
             if code == EXIT_CONFIG:
-                assert err.getvalue().startswith("error: "), command
+                assert err.startswith("error: "), command
                 assert not out.exists(), command

@@ -13,6 +13,10 @@ from gradflow1d.connections import (
 from gradflow1d.grid import Field
 from gradflow1d.nonlinearity import Nonlinearity
 
+# the audit tolerances a config without them runs with
+TOLERANCES = {"tol_eq": dynamics.DEFAULT_TOL_EQ, "match_tol": connections.DEFAULT_MATCH_TOL,
+              "tail_tol": connections.DEFAULT_TAIL_TOL}
+
 
 @pytest.fixture(scope="module")
 def fisher_setup():
@@ -30,7 +34,7 @@ def test_zero_to_one_connection(fisher_setup):
     _, nl, catalog, ctrl = fisher_setup
     ud = equilibria.unstable_direction(nl, catalog[0])
     rep = launch_connection(catalog[0], ud.direction, 1e-3, ctrl, 60.0,
-                            catalog=catalog, nl=nl)
+                            catalog=catalog, nl=nl, **TOLERANCES)
     target = 10.0 / 6.0
     assert rep.status == CONNECTED
     assert rep.from_index == 0
@@ -48,7 +52,7 @@ def test_relaxation_back_to_stable(fisher_setup):
     amp = 1e-4
     ud = equilibria.unstable_direction(nl, catalog[1])
     rep = launch_connection(catalog[1], ud.direction, amp, ctrl, 60.0,
-                            catalog=catalog, nl=nl)
+                            catalog=catalog, nl=nl, **TOLERANCES)
     assert rep.status == CONNECTED
     assert rep.from_index == 1 and rep.to_index == 1
     assert rep.total_energy < 1e-6
@@ -68,7 +72,7 @@ def test_negative_amplitude_blows_up():
     ud = equilibria.unstable_direction(nl, catalog[0])
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
     rep = launch_connection(catalog[0], ud.direction, -0.1, ctrl, 30.0,
-                            catalog=catalog, nl=nl)
+                            catalog=catalog, nl=nl, **TOLERANCES)
     assert rep.status == dynamics.BLOW_UP
     assert rep.trajectory.escape_sign == -1
     # scalar oracle: u(t) = -0.1/(1 - 0.1 t) escapes at t* = 10
@@ -80,7 +84,7 @@ def test_connected_reports_satisfy_invariants(fisher_setup):
     for idx, amp in ((0, 1e-3), (1, 1e-4)):
         ud = equilibria.unstable_direction(nl, catalog[idx])
         rep = launch_connection(catalog[idx], ud.direction, amp, ctrl, 60.0,
-                                catalog=catalog, nl=nl)
+                                catalog=catalog, nl=nl, **TOLERANCES)
         assert rep.status == CONNECTED
         assert rep.total_energy >= 0.0
         assert rep.action_gap >= 0.0
@@ -199,7 +203,7 @@ def test_report_passed_follows_status(status, passed):
 
 def test_audit_empty_plan(fisher_setup):
     _, nl, catalog, ctrl = fisher_setup
-    table = connection_energy_audit(nl, catalog, [], ctrl)
+    table = connection_energy_audit(nl, catalog, [], ctrl, **TOLERANCES)
     assert table.rows == []
     assert table.all_passed
 
@@ -210,7 +214,7 @@ def test_audit_batch(fisher_setup, tmp_path):
         LaunchSpec(from_index=0, amplitude=1e-3, t_max=60.0),
         LaunchSpec(from_index=1, amplitude=1e-4, t_max=60.0),
     ]
-    table = connection_energy_audit(nl, catalog, plan, ctrl)
+    table = connection_energy_audit(nl, catalog, plan, ctrl, **TOLERANCES)
     assert [r.passed for r in table.rows] == [True, True]
     assert table.all_passed
     out = tmp_path / "connections.csv"
@@ -231,7 +235,7 @@ def test_audit_excludes_blowup():
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
     plan = [LaunchSpec(from_index=0, amplitude=-0.1, t_max=30.0)]
-    table = connection_energy_audit(nl, catalog, plan, ctrl)
+    table = connection_energy_audit(nl, catalog, plan, ctrl, **TOLERANCES)
     assert table.rows[0].status == dynamics.BLOW_UP
     assert table.rows[0].passed is None
     assert table.all_passed  # excluded rows do not fail the audit
@@ -244,7 +248,7 @@ def test_audit_excludes_front_blowup():
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-2)
     plan = [LaunchSpec(u0=Field.from_expr(nl.grid, "-1.5+0.01*cos(x)"), t_max=30.0)]
-    table = connection_energy_audit(nl, catalog, plan, ctrl)
+    table = connection_energy_audit(nl, catalog, plan, ctrl, **TOLERANCES)
     assert table.rows[0].status == dynamics.BLOW_UP
     assert table.rows[0].passed is None
     assert table.all_passed
@@ -255,7 +259,7 @@ def test_audit_front_row(front_traj):
     catalog = equilibria.constant_equilibria(nl)
     ctrl = dynamics.StepControl(dt_init=0.01, dt_min=1e-9, dt_max=0.01)
     plan = [LaunchSpec(u0=traj.snapshots[0][1], t_max=30.0)]
-    table = connection_energy_audit(nl, catalog, plan, ctrl)
+    table = connection_energy_audit(nl, catalog, plan, ctrl, **TOLERANCES)
     row = table.rows[0]
     assert row.status == "growth"
     assert row.passed

@@ -48,7 +48,7 @@ def test_step_control_validation():
             StepControl(**{field: math.inf})
 
 
-def _one_step(spec, u, dt, nl=None):
+def _one_step(spec, u, dt, nl):
     """The field after exactly one IMEX step of size dt."""
     ctrl = StepControl(dt_init=dt, dt_min=dt, dt_max=dt, increment_limit=1e9)
     traj = run(spec, u, ctrl, dt, tol_eq=0.0, nl=nl)
@@ -73,7 +73,7 @@ def test_imex_step_pure_diffusion_eigenmode():
     dt = 0.02
     lam = (2.0 / g.h**2) * (1.0 - math.cos(k * g.h))
     expected = u.values / (1.0 + dt * lam)
-    got = ImplicitDiffusionSolver(g, dt, 1.0).solve(u.values, np.empty(g.m))
+    got = ImplicitDiffusionSolver(g, dt, 1.0).solve(u.values.copy())
     assert np.allclose(got, expected, atol=1e-13)
 
 
@@ -105,6 +105,19 @@ def test_run_rejects_snapshot_stride_below_one():
             snapshot_stride=0)
 
 
+def test_run_rejects_a_reaction_of_another_spec_or_grid():
+    # a reaction built for another spec, or on another grid, is a caller
+    # error: it would step an equation the spec does not describe
+    spec, nl = _fisher()
+    cubic = verify.cubic_spec(grid_points=64)
+    coarse, coarse_nl = _fisher(m=32)
+    u0 = Field.constant(nl.grid, 0.5)
+    for other_spec, other_nl, start in ((cubic, nl, u0), (spec, coarse_nl, u0),
+                                        (coarse, coarse_nl, u0)):
+        with pytest.raises(ValueError, match="reaction"):
+            run(other_spec, start, StepControl(), 1.0, nl=other_nl)
+
+
 def test_run_halves_dt_when_factorization_fails():
     # at dt ~ 1e15 on neumann0, dpttrf finds the matrix not positive definite
     # in floating point; that halves dt, it raises no exception
@@ -133,7 +146,8 @@ def test_fine_grid_fixed_dt_is_not_blow_up():
     spec = verify.fisher_spec(grid_points=32768)
     g = problem.make_grid(spec)
     u0 = Field(g, 0.5 + 0.1 * np.sin(0.2 * np.pi * g.nodes))
-    traj = run(spec, u0, StepControl(dt_init=0.1, dt_min=0.1, dt_max=0.1), 1.0)
+    traj = run(spec, u0, StepControl(dt_init=0.1, dt_min=0.1, dt_max=0.1), 1.0,
+               nl=Nonlinearity(spec, g))
     assert (traj.status, traj.steps) == (T_MAX_REACHED, 10)
 
 
@@ -143,7 +157,7 @@ def test_dt_reaches_dt_max_on_a_fine_grid():
     spec = verify.cubic_spec(grid_points=4096)
     g = problem.make_grid(spec)
     u0 = Field(g, 0.5 * np.sin(0.2 * np.pi * g.nodes))
-    traj = run(spec, u0, StepControl(dt_max=1e-2), 1.0)
+    traj = run(spec, u0, StepControl(dt_max=1e-2), 1.0, nl=Nonlinearity(spec, g))
     assert traj.status == T_MAX_REACHED
     assert traj.diagnostics.dt.max() == 1e-2
     assert traj.steps == 125
@@ -184,7 +198,7 @@ def _blow_up_case(reason):
                                     if r not in (CONVERGED, T_MAX_REACHED)])
 def test_run_names_each_blow_up_cause(reason):
     spec, u0, ctrl, t_max, forcing = _blow_up_case(reason)
-    traj = run(spec, u0, ctrl, t_max, forcing=forcing)
+    traj = run(spec, u0, ctrl, t_max, nl=Nonlinearity(spec, u0.grid), forcing=forcing)
     assert traj.status == BLOW_UP
     assert traj.stop_reason == reason
     if reason == "sup_guard":
@@ -252,7 +266,7 @@ def test_run_blowup_negative_quadratic():
     # oracle: u' = -u^2 from -1 gives u(t) = -1/(1-t), blow-up at t* = 1
     spec, g = _zero_reaction(m=16)
     ctrl = StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-3)
-    traj = run(spec, Field.constant(g, -1.0), ctrl, 2.0)
+    traj = run(spec, Field.constant(g, -1.0), ctrl, 2.0, nl=Nonlinearity(spec, g))
     assert traj.status == BLOW_UP
     assert abs(traj.final_time - 1.0) <= 0.05
     assert traj.escape_sign == -1
@@ -303,7 +317,7 @@ def test_even_degree_blowup_escapes_downward():
     spec, g = _zero_reaction(m=16, n=2)
     for c in (-0.5, -1.0, -2.0):
         ctrl = StepControl(dt_init=1e-3, dt_min=1e-7, dt_max=1e-3)
-        traj = run(spec, Field.constant(g, c), ctrl, 5.0)
+        traj = run(spec, Field.constant(g, c), ctrl, 5.0, nl=Nonlinearity(spec, g))
         assert traj.status == BLOW_UP
         assert traj.escape_sign == -1
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gradflow1d.cli import load_config
+from gradflow1d.nonlinearity import Nonlinearity
 from gradflow1d.problem import (
     SpecValidationError,
     canonical_text,
@@ -117,7 +118,7 @@ def test_canonical_field_names():
 
 def test_coefficient_norms_constant():
     spec = spec_from_dict(FISHER)
-    norms = coefficient_norms(spec)
+    norms = coefficient_norms(Nonlinearity(spec, make_grid(spec)))
     assert norms[0] == (0.0, 0.0)
     l1, linf = norms[1]
     assert l1 == pytest.approx(10.0)
@@ -134,7 +135,7 @@ def test_coefficient_norms_gaussian():
         "box_half_length": 6.0,
         "grid_points": 512,
     })
-    l1, linf = coefficient_norms(spec)[0]
+    l1, linf = coefficient_norms(Nonlinearity(spec, make_grid(spec)))[0]
     assert l1 == pytest.approx(oracle, abs=1e-6)
     assert l1 == pytest.approx(math.sqrt(math.pi), abs=1e-6)
     assert linf == pytest.approx(1.0)

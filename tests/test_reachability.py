@@ -21,6 +21,11 @@ package makes live in that one module.  A module counts as importing scipy
 when it imports it or names it, or a part of it, in a string constant, as a
 load by path does (`find_spec("scipy")`).
 
+Every optional parameter of a package function is set by some call in the
+package or in `bench/*.py`, and left at its default by another; the few
+that no such call sets are listed in `TEST_ONLY_OPTIONS`, each with its
+reason.  An option only tests set, or a default only tests use, fails.
+
 `src_lines` and `settable_parameters` count the package's size, the two
 numbers that track how simple it is; `python tests/test_reachability.py`
 prints them.
@@ -30,6 +35,7 @@ import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from gradflow1d import verify
@@ -204,6 +210,93 @@ def test_every_traced_name_exists():
         except (ImportError, AttributeError, KeyError):
             missing.append(f"{t.module}:{t.path}")
     assert missing == []
+
+
+# the optional parameters that no program call sets, and why each stays
+TEST_ONLY_OPTIONS = {
+    "equilibria.unstable_direction.max_iter":
+        "bench/tracer.py reads its default through the signature",
+    "equilibria.newton_refine.max_iter": "tests step Newton one iteration at a time",
+    "equilibria.newton_refine.tol": "tests step Newton one iteration at a time",
+    "connections.energy_growth_diagnostic.window_fraction":
+        "acceptance criterion 4's contrast uses a window of 0.1",
+}
+
+
+def _optional_parameters(package: Path):
+    """{(called name, module.qualified name.parameter): (index among a
+    call's positional arguments, None for a keyword-only one; its name)} per
+    optional parameter.  A method's called name is its own, or its class's
+    for `__init__`, and a call does not pass its instance."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, qual, _, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = qual != name
+            called = qual.partition(".")[0] if name == "__init__" else name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                out[called, f"{path.stem}.{qual}.{arg.arg}"] = (i - method, arg.arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[called, f"{path.stem}.{qual}.{arg.arg}"] = (None, arg.arg)
+    return out
+
+
+def _test_only_options(package: Path = PACKAGE, callers=None) -> list[str]:
+    """The optional parameters of package's functions that serve tests only:
+    those no call in package or in callers (default: `bench/*.py`) sets, by
+    keyword, by position or through `*` or `**`, and those every such call
+    sets, whose default no call uses.  Calls match by the called name."""
+    options = _optional_parameters(package)
+    files = sorted(package.glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py") if callers is None else callers)
+    calls, sets = Counter(), Counter()
+    for path in files:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            called = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            keywords = {k.arg for k in call.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for (name, option), (index, arg) in options.items():
+                if name == called:
+                    calls[option] += 1
+                    sets[option] += (arg in keywords or None in keywords or starred
+                                     or (index is not None and index < len(call.args)))
+    return sorted(option for _, option in options
+                  if sets[option] == 0 or sets[option] == calls[option])
+
+
+def test_every_option_is_set_by_the_program():
+    assert _test_only_options() == sorted(TEST_ONLY_OPTIONS)
+
+
+def test_option_guard_on_a_toy_package(tmp_path):
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "toy.py").write_text(
+        "class Solver:\n"
+        "    def __init__(self, a, b=1):\n"
+        "        self.a = a\n"
+        "\n"
+        "    def step(self, x, y=2, *, z=3):\n"
+        "        return x\n"
+        "\n"
+        "def f(u, v=0, *, w=None):\n"
+        "    return Solver(u).step(u, v)\n"
+        "\n"
+        "def g(p=1, q=2):\n"
+        "    return f(p, **{'w': q}), f(p)\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("import toy\n\ntoy.g(*(1,))\ntoy.g()\n")
+    # step's y: its one call sets it, so its default serves no call
+    assert _test_only_options(package, [caller]) == [
+        "toy.Solver.__init__.b", "toy.Solver.step.y", "toy.Solver.step.z"]
 
 
 def src_lines(package: Path = PACKAGE) -> int:

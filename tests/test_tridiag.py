@@ -101,7 +101,7 @@ def test_implicit_diffusion_residual(boundary, dt):
         solver = ImplicitDiffusionSolver(g, dt, d)
         for _ in range(5):
             rhs = rng.standard_normal(g.m)
-            x = solver.solve(rhs, np.empty(g.m))
+            x = solver.solve(rhs.copy())
             lap_x = laplacian_values(x, g)
             assert solver.relative_residual(x, rhs, lap_x,
                                             float(np.abs(rhs).max())) <= 1e-12
@@ -112,8 +112,27 @@ def test_implicit_diffusion_identity_on_constants():
     for boundary in ("periodic", "neumann0"):
         g = SpatialGrid(5.0, 64, boundary)
         solver = ImplicitDiffusionSolver(g, 0.37, 1.0)
-        x = solver.solve(np.full(g.m, 4.2), np.empty(g.m))
+        x = solver.solve(np.full(g.m, 4.2))
         assert np.allclose(x, 4.2, atol=1e-13)
+
+
+def test_implicit_diffusion_solves_in_place():
+    # the solution is written over b; an array dpttrs would copy (strided,
+    # not float64, read-only) is a ValueError and keeps its values
+    g = SpatialGrid(5.0, 32, "periodic")
+    solver = ImplicitDiffusionSolver(g, 0.05, 1.0)
+    rhs = np.random.default_rng(9).standard_normal(g.m)
+    b = rhs.copy()
+    x = solver.solve(b)
+    assert x is b
+    assert np.allclose(x - 0.05 * laplacian_values(x, g), rhs, atol=1e-12)
+    read_only = np.ones(g.m)
+    read_only.setflags(write=False)
+    for bad in (np.ones(2 * g.m)[::2], np.ones(g.m, dtype=np.float32), read_only):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="in place"):
+            solver.solve(bad)
+        assert np.array_equal(bad, before)
 
 
 def test_implicit_diffusion_vs_dense():
@@ -124,7 +143,7 @@ def test_implicit_diffusion_vs_dense():
     mat = np.eye(g.m) - dt * lap
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(g.m)
-    x = ImplicitDiffusionSolver(g, dt, 1.0).solve(rhs, np.empty(g.m))
+    x = ImplicitDiffusionSolver(g, dt, 1.0).solve(rhs.copy())
     assert np.allclose(x, np.linalg.solve(mat, rhs), atol=1e-12)
 
 
@@ -144,7 +163,7 @@ def test_implicit_diffusion_vs_dense_property(boundary, m, mu, spread, seed):
     mat = np.diag(np.broadcast_to(d, (m,))) - dt * lap
     rhs = rng.standard_normal(m)
     ref = np.linalg.solve(mat, rhs)
-    x = ImplicitDiffusionSolver(g, dt, d).solve(rhs, np.empty(m))
+    x = ImplicitDiffusionSolver(g, dt, d).solve(rhs.copy())
     err = np.abs(x - ref).max() / np.abs(ref).max()
     assert err <= 16 * np.finfo(float).eps * np.linalg.cond(mat, np.inf)
 
@@ -161,7 +180,7 @@ def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
     mu = 10.0**log_mu
     dt = mu * g.h**2
     rhs = np.random.default_rng(seed).standard_normal(m)
-    x = ImplicitDiffusionSolver(g, dt, 1.0).solve(rhs, np.empty(m))
+    x = ImplicitDiffusionSolver(g, dt, 1.0).solve(rhs.copy())
     r = (x - dt * laplacian_values(x, g)) - rhs
     backward = np.abs(r).max() / ((1.0 + 4.0 * mu) * np.abs(x).max() + np.abs(rhs).max())
     assert backward <= 8 * np.finfo(float).eps
@@ -248,7 +267,7 @@ for boundary in ("periodic", "dirichlet0", "neumann0"):
     solver = ImplicitDiffusionSolver(g, 0.01, 1.0 + rng.random(g.m))
     print(np.float64(top_eigenvalue(g, d)).tobytes().hex(),
           thomas_solve(g, d, rhs).tobytes().hex(),
-          solver.solve(rhs, np.empty(g.m)).tobytes().hex())
+          solver.solve(rhs.copy()).tobytes().hex())
 """
 
 
