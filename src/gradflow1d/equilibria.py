@@ -192,15 +192,15 @@ def constant_equilibria(nl: Nonlinearity) -> list[Equilibrium]:
     this grid (nonzero constants under dirichlet0 walls) are dropped with a
     log record.
     """
-    if not nl.spatially_constant():
+    consts = nl.constant_coefficients()
+    if consts is None:
         raise NonConstantCoefficientsError(
             "constant equilibria require spatially constant coefficients"
         )
-    consts = nl.constant_coefficients()
-    n = nl.degree
+    n = nl.spec.N
     out = []
     seen = []
-    if nl.signed_power:
+    if nl.spec.signed_power:
         # -c|c|^{N-1} equals -c^N for c >= 0 and (-1)^N c^N for c < 0;
         # probe both polynomial branches on their own half-lines
         pos = [r for r in real_polynomial_roots(list(consts) + [-1.0])
@@ -284,12 +284,13 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     """RK4 on the steady phase-plane system (u, v): u' = v, v' = -P(u).
 
     The step is the largest that divides x_span evenly and is at most a
-    quarter of the grid spacing.  Escape (|u| beyond the spec's sup_guard)
-    is flagged, not an error.  Every coefficient is sampled before the first
-    step on the lattice the steps reach, the nodes x0 + h + ... + h and
-    their midpoints, so a coefficient that is non-finite at any lattice
-    point raises NonFiniteResultError even where the path would escape
-    before reaching it.
+    quarter of the grid spacing.  Escape (|u| beyond the spec's sup_guard,
+    or a step that overflows to a non-finite u or v, signed by the last
+    finite u) is flagged, not an error.  Every coefficient is sampled
+    before the first step on the lattice the steps reach, the nodes
+    x0 + h + ... + h and their midpoints, so a coefficient that is
+    non-finite at any lattice point raises NonFiniteResultError even where
+    the path would escape before reaching it.
     """
     x0, x1 = x_span
     if not x1 > x0:
@@ -311,22 +312,17 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     sign = 0
     c_x = coeffs[0].tolist()
     for k in range(n_steps):
-        try:
-            k1u, k1v = v, -nl.scalar_P(u, c_x)
-            c_mid = coeffs[n_steps + 1 + k].tolist()
-            k2u = v + 0.5 * h * k1v
-            k2v = -nl.scalar_P(u + 0.5 * h * k1u, c_mid)
-            k3u = v + 0.5 * h * k2v
-            k3v = -nl.scalar_P(u + 0.5 * h * k2u, c_mid)
-            k4u = v + h * k3v
-            c_x = coeffs[k + 1].tolist()
-            k4v = -nl.scalar_P(u + h * k3u, c_x)
-            u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        except OverflowError:
-            escaped = True
-            sign = 1 if u > 0 else -1
-            break
+        k1u, k1v = v, -nl.scalar_P(u, c_x)
+        c_mid = coeffs[n_steps + 1 + k].tolist()
+        k2u = v + 0.5 * h * k1v
+        k2v = -nl.scalar_P(u + 0.5 * h * k1u, c_mid)
+        k3u = v + 0.5 * h * k2v
+        k3v = -nl.scalar_P(u + 0.5 * h * k2u, c_mid)
+        k4u = v + h * k3v
+        c_x = coeffs[k + 1].tolist()
+        k4v = -nl.scalar_P(u + h * k3u, c_x)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not (math.isfinite(u) and math.isfinite(v)):
             escaped = True
             sign = 1 if us[-1] > 0 else -1

@@ -10,6 +10,7 @@ of u^N, and in signed mode with even N, u|u|^(N-1) = |u| u^(N-1) makes the
 top coefficient a_{N-1} - |u| (with odd N the signed term is u^N).  Only
 elementwise multiplies, adds, subtractions and |.| run, no power kernel,
 so the values do not depend on the SIMD kernels numpy picks for the CPU.
+At one point, `scalar_P` runs P's fold on floats.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ class Nonlinearity:
             a.setflags(write=False)
             samples.append(a)
         self.coeff_samples = tuple(samples)
-        n = self.degree = spec.N
-        self.signed_power = spec.signed_power
+        n = spec.N
         # P, P' and Q with their leading terms -u^N, -N u^(N-1) and
         # -u^(N+1)/(N+1) folded into the top coefficient, sampled once like
         # P's; in signed mode with even N the fold takes |u| for one factor u
-        absolute = self.signed_power and n % 2 == 0
+        absolute = self._absolute = spec.signed_power and n % 2 == 0
+        self._below_top = range(n - 2, -1, -1)  # `scalar_P`'s Horner order
         self._P = _fold(samples, -1.0, absolute)
         self._dP = _fold([i * samples[i] for i in range(1, n)], -float(n), absolute)
         self._Q = _fold([None] + [a / (i + 1) for i, a in enumerate(samples)],
@@ -115,12 +116,9 @@ class Nonlinearity:
         self._constant = (tuple(float(a[0]) for a in samples)
                           if all(np.ptp(a) == 0.0 for a in samples) else None)
 
-    def spatially_constant(self) -> bool:
-        return self._constant is not None
-
-    def constant_coefficients(self) -> tuple[float, ...]:
-        if self._constant is None:
-            raise ValueError("coefficients are not spatially constant")
+    def constant_coefficients(self) -> tuple[float, ...] | None:
+        """a_0 .. a_{N-1} as floats when every grid sample of each agrees,
+        else None."""
         return self._constant
 
     def _check(self, out: np.ndarray, what: str) -> np.ndarray:
@@ -164,9 +162,11 @@ class Nonlinearity:
 
     def scalar_P(self, uval: float, coeffs) -> float:
         """P at a single u, with coeffs the floats a_0(x) .. a_{N-1}(x) at one
-        point; used by phase-plane shooting.  Builtin abs and ** keep float
-        operations (** raises OverflowError)."""
-        n = self.degree
-        if self.signed_power:
-            return horner(coeffs, uval) - uval * abs(uval) ** (n - 1)
-        return horner(coeffs, uval) - uval**n
+        point; used by phase-plane shooting.  The fold of `_folded_horner`
+        on floats, so at a node's samples it equals `apply_P_values` there
+        up to the sign of zero.  Only *, + and - run, which never raise:
+        an overflow gives inf or nan."""
+        acc = coeffs[-1] - (abs(uval) if self._absolute else uval)
+        for i in self._below_top:
+            acc = acc * uval + coeffs[i]
+        return acc

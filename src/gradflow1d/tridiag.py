@@ -1,13 +1,15 @@
 """Banded linear solves and the top eigenvalue on the grid.
 
-  * `_ring_band` stores A = Lap_h + diag(d) for every closure as one
-    symmetric band of width 2; `thomas_solve` solves with it by banded LU
-    (Newton steps).  No other module knows the band's layout.
+  * `thomas_solve` solves A x = rhs, A = Lap_h + diag(d), by banded LU
+    (Newton steps), A in a ring order that makes one band of width 2 hold
+    every closure.  No other module knows the band's layout.
   * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (LAPACK
     dpttrf), the periodic wrap by a rank-one Sherman-Morrison correction,
     and solves with dpttrs: the time step with d = 1, once per (grid, dt),
-    `equilibria.unstable_direction`'s inverse iteration, and each probe of
-    `top_eigenvalue`'s bisection for A's largest eigenvalue.
+    and `equilibria.unstable_direction`'s inverse iteration.  Its
+    constructor is the one test of positive definiteness: it raises
+    LinAlgError on a matrix that is not, and each probe of
+    `top_eigenvalue`'s bisection for A's largest eigenvalue is one call.
 
 That factor, its solve and so the eigenvalue are host-independent: dpttrf
 and dpttrs are plain Fortran loops that call no BLAS, so their bits do not
@@ -70,52 +72,38 @@ def _diagonal(grid, d: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _ring_band(grid, d: np.ndarray):
-    """Lap_h + diag(d) as an upper band of width 2, in the ring order.
+def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (Lap_h + diag(d)) x = rhs by banded LU with partial pivoting.
 
+    The name is kept because the benchmark's tracer wraps it by that name.
     The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
-    the periodic wrap included, at most two places apart, so one band holds
-    every closure; the wrap entry is zero off `periodic`.  Returns the band
-    in LAPACK upper storage and the order (band row k is node order[k]).
+    the periodic wrap included, at most two places apart, so A in that
+    order goes into LAPACK general-band storage (kl = ku = 2) for every
+    closure and is factored by dgbtrf.  Raises SingularJacobianError when
+    the factor is exactly singular or its smallest |U_ii| is at or below
+    max(PIVOT_FLOOR, M*eps) * max|diag A|: the rounding pivot of a singular
+    A (the bare periodic Laplacian's last one) grows with M.  Returns x in
+    node order.
     """
     m = grid.m
-    order = np.empty(m, dtype=np.intp)
+    order = np.empty(m, dtype=np.intp)  # ring position k holds node order[k]
     order[0::2] = np.arange((m + 1) // 2)
     order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
     pos = np.empty(m, dtype=np.intp)
     pos[order] = np.arange(m)
     inv_h2 = 1.0 / grid.h**2
-    band = np.zeros((3, m))
-    band[2] = _diagonal(grid, d)[order]
-    left, right = pos[:-1], pos[1:]  # band rows of nodes j and j+1
-    band[2 - np.abs(right - left), np.maximum(left, right)] = inv_h2
-    if grid.boundary == "periodic":
-        band[1, 1] = inv_h2  # nodes 0 and m-1 sit at band rows 0 and 1
-    return band, order
-
-
-def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (Lap_h + diag(d)) x = rhs by banded LU with partial pivoting.
-
-    The name is kept because the benchmark's tracer wraps it by that name.
-    The ring band is copied into LAPACK general-band storage (kl = ku = 2)
-    and factored by dgbtrf.  Raises SingularJacobianError when the factor
-    is exactly singular or its smallest |U_ii| is at or below
-    max(PIVOT_FLOOR, M*eps) * max|diag A|: the rounding pivot of a singular
-    A (the bare periodic Laplacian's last one) grows with M.  Returns x in
-    node order.
-    """
-    band, order = _ring_band(grid, d)
-    m = grid.m
     ab = np.zeros((7, m))  # A[i, j] at ab[4 + i - j, j]; rows 0-1 take the fill-in
-    ab[2:5] = band
-    ab[5, :-1] = band[1, 1:]  # the lower triangle, by symmetry
-    ab[6, :-2] = band[0, 2:]
+    ab[4] = _diagonal(grid, d)[order]
+    floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(ab[4]).max())
+    left, right = pos[:-1], pos[1:]  # ring positions of nodes j and j+1
+    ab[4 + left - right, right] = inv_h2
+    ab[4 + right - left, left] = inv_h2
+    if grid.boundary == "periodic":
+        ab[3, 1] = ab[5, 0] = inv_h2  # nodes 0 and m-1 sit at positions 0 and 1
     lu, ipiv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgbtrf")
     pivot = float(np.abs(lu[4]).min())
-    floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(band[2]).max())
     if info > 0 or pivot <= floor:
         raise SingularJacobianError(
             f"smallest pivot {pivot!r} at or below {floor!r}")
@@ -142,31 +130,25 @@ def top_eigenvalue(grid, d: np.ndarray) -> float:
         rayleigh -= 2.0 / (grid.m * grid.h**2)
     lo, hi = max(float(diag.max()), rayleigh), float(np.max(d))
     while lo < (mid := (lo + hi) / 2) < hi:
-        lo, hi = (lo, mid) if _positive_definite(grid, mid - d) else (mid, hi)
+        try:
+            ImplicitDiffusionSolver(grid, 1.0, mid - d)  # factors mid I - A
+        except np.linalg.LinAlgError:
+            lo = mid
+        else:
+            hi = mid
     return hi
-
-
-def _positive_definite(grid, shifted: np.ndarray) -> bool:
-    """Whether diag(shifted) - Lap_h, with a positive diagonal, is positive
-    definite: dpttrf must factor its tridiagonal part and, on `periodic`,
-    where the matrix is that part less a rank one, the Sherman-Morrison
-    denominator det(matrix)/det(part) must be positive."""
-    try:
-        solver = ImplicitDiffusionSolver(grid, 1.0, shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return not solver._periodic or solver._denom > 0.0
 
 
 class ImplicitDiffusionSolver:
     """Prefactored solve of (diag(d) - dt*Lap_h) x = rhs for a fixed grid,
     dt and d (a scalar or one value per node).
 
-    The caller keeps the matrix symmetric positive definite (d > 0 does);
-    its tridiagonal part is factored as L D L^T, and periodic grids add a
-    Sherman-Morrison rank-one correction for the wrap.  A factorization
-    that finds a pivot <= 0 in floating point raises
-    np.linalg.LinAlgError.
+    Its tridiagonal part is factored as L D L^T, and periodic grids add a
+    Sherman-Morrison rank-one correction for the wrap.  A matrix that is
+    not positive definite in floating point raises np.linalg.LinAlgError:
+    the factorization finds a pivot <= 0 or, on periodic, the correction's
+    denominator, det(matrix)/det(tridiagonal part), is not positive.
+    d > 0 keeps the matrix positive definite in exact arithmetic.
     """
 
     def __init__(self, grid, dt: float, d):
@@ -182,6 +164,8 @@ class ImplicitDiffusionSolver:
         if grid.boundary == "neumann0":
             diag[[0, -1]] = d[[0, -1]] + mu
         if grid.boundary == "periodic":
+            if not diag[0] > 0.0:  # gamma = 0 would divide by zero
+                raise np.linalg.LinAlgError("1-th leading minor not positive definite")
             # remove the -mu corners into u v^T with gamma = -diag[0]
             gamma = -float(diag[0])
             diag[0] -= gamma
@@ -202,6 +186,10 @@ class ImplicitDiffusionSolver:
             self._z = u
             self._corner = -mu / gamma
             self._denom = float(1.0 + (u[0] + self._corner * u[-1]))
+            if not self._denom > 0.0:
+                # det(matrix) / det(tridiagonal part), by the determinant lemma
+                raise np.linalg.LinAlgError(
+                    f"Sherman-Morrison denominator {self._denom!r} not positive")
             self._zs = np.empty(m)  # scratch of the rank-one correction
 
     def _band_solve(self, b: np.ndarray) -> None:
@@ -228,7 +216,7 @@ class ImplicitDiffusionSolver:
         """max|(diag(d) - dt*Lap_h) x - rhs| / max|rhs|.
 
         lap_x is laplacian_values(x) and rhs_sup is max|rhs|.  The ratio
-        grows like mu*eps with mu = dt/h^2 even though the L D L^T solve is
+        grows like mu*eps with mu = dt/h^2 even though the solve is normwise
         backward stable, so the time stepper does not check it.
         """
         r = (self.d * x - self.dt * lap_x) - rhs

@@ -92,6 +92,24 @@ def test_simulate_blowup_with_tiny_dt_min_stops_at_sup_guard(tmp_path):
     assert summary["final_sup_norm"] > 1e12
 
 
+@pytest.mark.parametrize("m, t_max", ((256, 50.0), (2048, 5.0)))
+def test_simulate_stiff_periodic_is_no_blow_up(tmp_path, capsys, m, t_max):
+    # Fisher near u = 1 on a box of half-length 1e-6, dt up to 1: at
+    # mu = dt/h^2 of 1e16 and more the periodic wrap's Sherman-Morrison
+    # denominator rounds to zero (M = 256) or below (M = 2048).  The factor
+    # rejects such a dt and the step halves it; neither a ZeroDivisionError
+    # nor a diverging solve that sup_guard labels blow_up.  The end values
+    # are not checked: the wrap's error at this mu still leaves them wrong
+    data = _fisher_config(tmp_path / "out", t_max=t_max,
+                          initial_condition="1+1e-3*cos(3.141592653589793/1e-6*x)")
+    data["spec"].update(box_half_length=1e-6, grid_points=m)
+    data["control"] = {"dt_init": 1.0, "dt_min": 1e-9, "dt_max": 1.0}
+    assert main(["simulate", _write(tmp_path, data), "--quiet"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["status"] != "blow_up"
+
+
 def test_missing_config_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"), "--quiet"]) == EXIT_CONFIG
 

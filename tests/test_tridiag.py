@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradflow1d import tridiag
 from gradflow1d.grid import SpatialGrid, laplacian_values
 from gradflow1d.tridiag import (ImplicitDiffusionSolver, SingularJacobianError,
-                                _positive_definite, thomas_solve, top_eigenvalue)
+                                thomas_solve, top_eigenvalue)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,23 +201,41 @@ def test_top_eigenvalue_vs_dense_property(boundary, m, log_scale, seed):
 
 
 def test_top_eigenvalue_probe_reads_the_periodic_denominator():
-    # sigma below the top eigenvalue leaves sigma I - A indefinite, yet its
-    # tridiagonal part, the wrap removed, is often positive definite: only
-    # the Sherman-Morrison denominator rejects such a sigma
+    # sigma below the top eigenvalue leaves sigma I - A indefinite, and the
+    # factor of each such sigma raises; its tridiagonal part, the wrap
+    # removed, is often positive definite, and then only the Sherman-Morrison
+    # denominator rejects the sigma
     rng = np.random.default_rng(11)
-    tridiagonal_passed = 0
+    by_denominator = 0
     for _ in range(200):
         g = SpatialGrid(5.0, int(rng.integers(8, 65)), "periodic")
         d = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.m)
         lam = np.linalg.eigvalsh(_dense(g, d))[-1]
         shifted = (lam - 0.1 * max(1.0, abs(lam))) - d
-        assert not _positive_definite(g, shifted)
-        try:
+        with pytest.raises(np.linalg.LinAlgError) as exc:
             ImplicitDiffusionSolver(g, 1.0, shifted)
-        except np.linalg.LinAlgError:
-            continue
-        tridiagonal_passed += 1
-    assert tridiagonal_passed > 0
+        by_denominator += "denominator" in str(exc.value)
+    assert by_denominator > 0
+
+
+@pytest.mark.parametrize("m, denom", ((256, r"0\.0 "), (2048, "-")), ids=("zero", "negative"))
+def test_implicit_diffusion_rejects_a_nonpositive_denominator(m, denom):
+    # at mu = dt/h^2 near 1e16 and beyond, the wrap's Sherman-Morrison
+    # denominator of I - dt Lap_h rounds to zero or below: the constructor
+    # raises where a solve would divide by it or return a wrong x
+    g = SpatialGrid(1e-6, m, "periodic")
+    with pytest.raises(np.linalg.LinAlgError, match=f"denominator {denom}"):
+        ImplicitDiffusionSolver(g, 1.0, 1.0)
+
+
+def test_implicit_diffusion_rejects_a_zero_periodic_corner():
+    # the wrap's split divides by the first diagonal entry; zero there is a
+    # matrix that is not positive definite, not a ZeroDivisionError
+    g = SpatialGrid(5.0, 16, "periodic")
+    d = np.ones(g.m)
+    d[0] = -2.0 / g.h**2
+    with pytest.raises(np.linalg.LinAlgError, match="1-th leading minor"):
+        ImplicitDiffusionSolver(g, 1.0, d)
 
 
 def test_top_eigenvalue_of_constant_d_runs_no_probe(monkeypatch):
@@ -225,7 +243,7 @@ def test_top_eigenvalue_of_constant_d_runs_no_probe(monkeypatch):
     # the bracket [max A_ii or R(1), max d] is closed from the start
     def no_probe(*args):
         raise AssertionError("probed")
-    monkeypatch.setattr(tridiag, "_positive_definite", no_probe)
+    monkeypatch.setattr(tridiag, "ImplicitDiffusionSolver", no_probe)
     for boundary in ("periodic", "neumann0"):
         assert top_eigenvalue(SpatialGrid(5.0, 64, boundary), np.full(64, 1.0)) == 1.0
 
