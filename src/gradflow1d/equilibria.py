@@ -18,8 +18,7 @@ from . import exprlang
 from .functionals import action
 from .grid import Field, laplacian_values
 from .nonlinearity import Nonlinearity, RangeOverflowError, horner
-from .tridiag import (ImplicitDiffusionSolver, SingularJacobianError, thomas_solve,
-                      top_eigenvalue)
+from .tridiag import EPS, ImplicitDiffusionSolver, SingularJacobianError, thomas_solve
 
 __all__ = [
     "Equilibrium",
@@ -310,19 +309,24 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
     u, v = float(u_left), float(slope_left)
     escaped = False
     sign = 0
+    # 0.5*h*k and (h/6)*s evaluate as (0.5*h)*k and (h/6)*s: hoisting the
+    # products keeps every bit.  Rows become lists as the steps reach them,
+    # so the lattice is never held twice
+    half, sixth = 0.5 * h, h / 6.0
+    p = nl.scalar_P
     c_x = coeffs[0].tolist()
-    for k in range(n_steps):
-        k1u, k1v = v, -nl.scalar_P(u, c_x)
-        c_mid = coeffs[n_steps + 1 + k].tolist()
-        k2u = v + 0.5 * h * k1v
-        k2v = -nl.scalar_P(u + 0.5 * h * k1u, c_mid)
-        k3u = v + 0.5 * h * k2v
-        k3v = -nl.scalar_P(u + 0.5 * h * k2u, c_mid)
+    for c_mid, c_next in zip(map(np.ndarray.tolist, coeffs[n_steps + 1:]),
+                             map(np.ndarray.tolist, coeffs[1:n_steps + 1])):
+        k1v = -p(u, c_x)
+        k2u = v + half * k1v
+        k2v = -p(u + half * v, c_mid)
+        k3u = v + half * k2v
+        k3v = -p(u + half * k2u, c_mid)
         k4u = v + h * k3v
-        c_x = coeffs[k + 1].tolist()
-        k4v = -nl.scalar_P(u + h * k3u, c_x)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k4v = -p(u + h * k3u, c_next)
+        u = u + sixth * (v + 2 * k2u + 2 * k3u + k4u)
+        v = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+        c_x = c_next
         if not (math.isfinite(u) and math.isfinite(v)):
             escaped = True
             sign = 1 if us[-1] > 0 else -1
@@ -351,42 +355,62 @@ class UnstableDirection:
 
 def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
                        max_iter: int = 10_000) -> UnstableDirection:
-    """Leading eigenpair of A = Lap_h + diag(dP(u)) by shifted inverse iteration.
+    """Leading eigenpair of A = Lap_h + diag(dP(u)) by Noda iteration.
 
-    The eigenvalue lam is A's top one (`tridiag.top_eigenvalue`).  The
-    direction comes from solving ((lam + d) I - A) w_k = w_{k-1} with the
-    factor `ImplicitDiffusionSolver` takes at dt = 1 and diagonal
-    (lam + d) - dP, from the constant mode, until the unshifted residual
-    max|A w - lam w| <= d with max w = 1, where
-    d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|).  `iterations` counts
-    the solves.  A has nonnegative off-diagonals and is irreducible, so by
-    Perron-Frobenius the direction is strictly positive and the constant
-    start has a component along it.  Raises PowerIterationError when the
-    shifted matrix is not positive definite in floating point or max_iter
-    solves miss the bound.
+    A has nonnegative off-diagonals and is irreducible, so by
+    Perron-Frobenius its top eigenvector is strictly positive, and for a
+    positive w the Collatz-Wielandt quotients (A w)_i / w_i bracket the top
+    eigenvalue.  From the constant mode, each step solves
+    (sigma I - A) w_k = w_{k-1} with the factor `ImplicitDiffusionSolver`
+    takes at dt = 1 and diagonal sigma - dP, sigma the upper quotient of
+    w_{k-1} capped at max dP (Lap_h <= 0 bounds lam by it; the cap also
+    stands in for the quotients of a w whose entries underflowed).  sigma
+    falls to lam quadratically (Noda 1971, Elsner 1976).  Once sigma is
+    within rounding of lam, its factor is rejected, and the steps go on as
+    inverse iteration on one factor at sigma + d.  lam is the Rayleigh
+    quotient of w, with max w = 1.  Once max|A w - lam w| <= d, where
+    d = 1e-8 max(1, |lam|) + 8 eps (4/h^2 + max|dP|), one more solve on the
+    same factor squares away the error of order |A w - lam w|^2 / gap that
+    the bound leaves in lam, and the loop stops; the start w = 1 stops at
+    once.  `iterations` counts the solves.  Raises PowerIterationError when the matrix at
+    sigma + d is not positive definite in floating point or max_iter solves
+    miss the bound.
     """
     g = nl.grid
     dp = nl.apply_dP(eq.field.values)
-    lam = top_eigenvalue(g, dp)
+    dp_max = float(dp.max())
     # lam and A w carry rounding of order eps * ||A||_inf, which passes
     # 1e-8 max(1, |lam|) once 4/h^2 nears 1e8; the floor keeps the shifted
     # matrix positive definite and the residual bound reachable there
     norm_a = 4.0 / g.h**2 + float(np.max(np.abs(dp)))
-    tol = 1e-8 * max(1.0, abs(lam)) + 8.0 * np.finfo(float).eps * norm_a
-    try:
-        shifted = ImplicitDiffusionSolver(g, 1.0, (lam + tol) - dp)
-    except np.linalg.LinAlgError as e:
-        raise PowerIterationError(f"shifted matrix not positive definite: {e}") from e
-
     w = np.ones(g.m)
-    for it in range(1, max_iter + 1):
-        shifted.solve(w)
+    step = shifted = None  # shifted: the one factor once sigma is rejected
+    polished = False
+    for it in range(max_iter + 1):
+        aw = laplacian_values(w, g) + dp * w
+        # summed by add.reduce, not the BLAS ddot of np.dot, for the same
+        # bits on every host
+        lam = float(np.add.reduce(w * aw) / np.add.reduce(w * w))
+        tol = 1e-8 * max(1.0, abs(lam)) + 8.0 * EPS * norm_a
+        met = float(np.max(np.abs(aw - lam * w))) <= tol
+        if met and (step is None or polished):
+            return UnstableDirection(eigenvalue=lam, direction=Field(g, w),
+                                     iterations=it)
+        if it == max_iter:
+            break
+        if met:
+            polished = True  # one more solve on the same factor
+        elif shifted is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sigma = min(float(np.fmax.reduce(aw / w)), dp_max)  # NaN skipped
+            try:
+                step = ImplicitDiffusionSolver(g, 1.0, sigma - dp)
+            except np.linalg.LinAlgError:
+                try:
+                    step = shifted = ImplicitDiffusionSolver(g, 1.0, (sigma + tol) - dp)
+                except np.linalg.LinAlgError as e:
+                    raise PowerIterationError(
+                        f"shifted matrix not positive definite: {e}") from e
+        step.solve(w)
         w /= w[np.argmax(np.abs(w))]
-        resid = laplacian_values(w, g) + dp * w - lam * w
-        if float(np.max(np.abs(resid))) <= tol:
-            return UnstableDirection(
-                eigenvalue=lam,
-                direction=Field(g, w),
-                iterations=it,
-            )
     raise PowerIterationError(f"no convergence after {max_iter} solves")

@@ -1,4 +1,4 @@
-"""Banded linear solves and the top eigenvalue on the grid.
+"""Banded linear solves on the grid.
 
   * `thomas_solve` solves A x = rhs, A = Lap_h + diag(d), by banded LU
     (Newton steps), A in a ring order that makes one band of width 2 hold
@@ -6,17 +6,16 @@
   * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (LAPACK
     dpttrf), the periodic wrap by a rank-one Sherman-Morrison correction,
     and solves with dpttrs: the time step with d = 1, once per (grid, dt),
-    and `equilibria.unstable_direction`'s inverse iteration.  Its
-    constructor is the one test of positive definiteness: it raises
-    LinAlgError on a matrix that is not, and each probe of
-    `top_eigenvalue`'s bisection for A's largest eigenvalue is one call.
+    and each step of `equilibria.unstable_direction`'s Noda iteration for
+    A's leading eigenpair.  Its constructor is the one test of positive
+    definiteness: it raises LinAlgError on a matrix that is not.
 
-That factor, its solve and so the eigenvalue are host-independent: dpttrf
-and dpttrs are plain Fortran loops that call no BLAS, so their bits do not
-depend on the BLAS core type the CPU selects, and the correction is
-elementwise numpy.  The banded LU of `thomas_solve` (dgbtrf, dgbtrs) calls
-BLAS, as do the step's sums of squares (ddot, in `functionals`), and may
-round differently on another CPU.
+That factor and its solve are host-independent: dpttrf and dpttrs are plain
+Fortran loops that call no BLAS, so their bits do not depend on the BLAS
+core type the CPU selects, and the correction is elementwise numpy.  The
+banded LU of `thomas_solve` (dgbtrf, dgbtrs) calls BLAS, as do the step's
+sums of squares (ddot, in `functionals`), and may round differently on
+another CPU.
 
 The four LAPACK routines come from scipy's f2py extension `_flapack`, loaded
 by its file path: importing `scipy.linalg` costs more than the rest of the
@@ -62,16 +61,6 @@ class SingularJacobianError(ArithmeticError):
     """A pivot of the banded LU fell to the floor of `thomas_solve` or below."""
 
 
-def _diagonal(grid, d: np.ndarray) -> np.ndarray:
-    """The diagonal of Lap_h + diag(d), in node order."""
-    inv_h2 = 1.0 / grid.h**2
-    diag = -2.0 * inv_h2 + d
-    if grid.boundary == "neumann0":
-        diag[0] += inv_h2
-        diag[-1] += inv_h2
-    return diag
-
-
 def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (Lap_h + diag(d)) x = rhs by banded LU with partial pivoting.
 
@@ -93,7 +82,10 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     pos[order] = np.arange(m)
     inv_h2 = 1.0 / grid.h**2
     ab = np.zeros((7, m))  # A[i, j] at ab[4 + i - j, j]; rows 0-1 take the fill-in
-    ab[4] = _diagonal(grid, d)[order]
+    diag = -2.0 * inv_h2 + d
+    if grid.boundary == "neumann0":
+        diag[[0, -1]] += inv_h2
+    ab[4] = diag[order]
     floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(ab[4]).max())
     left, right = pos[:-1], pos[1:]  # ring positions of nodes j and j+1
     ab[4 + left - right, right] = inv_h2
@@ -113,30 +105,6 @@ def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     out = np.empty(m)
     out[order] = x
     return out
-
-
-def top_eigenvalue(grid, d: np.ndarray) -> float:
-    """The largest eigenvalue of A = Lap_h + diag(d), by bisection on whether
-    sigma I - A is positive definite.  Lap_h is negative semidefinite, so lam
-    lies in [max(max_i A_ii, R(1)), max(d)], R(1) the Rayleigh quotient of
-    the constant vector; the bracket is halved while its midpoint is a float
-    strictly inside it, and the upper end is returned.  Raises ValueError on
-    a non-finite d."""
-    diag = _diagonal(grid, d)  # A's off-diagonal 1/h^2 is finite on every grid
-    if not np.isfinite(diag).all():
-        raise ValueError("array must not contain infs or NaNs")
-    rayleigh = float(np.mean(d))
-    if grid.boundary == "dirichlet0":
-        rayleigh -= 2.0 / (grid.m * grid.h**2)
-    lo, hi = max(float(diag.max()), rayleigh), float(np.max(d))
-    while lo < (mid := (lo + hi) / 2) < hi:
-        try:
-            ImplicitDiffusionSolver(grid, 1.0, mid - d)  # factors mid I - A
-        except np.linalg.LinAlgError:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 class ImplicitDiffusionSolver:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradflow1d import dynamics, exprlang, problem, verify
+from gradflow1d import dynamics, equilibria, exprlang, problem, verify
 from gradflow1d.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
@@ -566,10 +566,13 @@ def test_connect_short_front_is_failed_row(tmp_path):
     assert rows[0]["fit_quality"] == "nan"
 
 
-def test_connect_without_eigenpair_is_failed_row(tmp_path, capsys):
-    # at half-length 1e-100, 1/h^2 is near 1e204 and inverse iteration on
-    # the u = 0 launch's shifted matrix misses its residual bound; that row
-    # fails with no run, and the front still runs
+def test_connect_without_eigenpair_is_failed_row(tmp_path, capsys, monkeypatch):
+    # no shipped-scale input leaves an equilibrium without its eigenpair, so
+    # the eigenpair fails here by hand: the launch row fails with no run, and
+    # the front still runs
+    def no_eigenpair(nl, eq):
+        raise equilibria.PowerIterationError("no convergence after 10000 solves")
+    monkeypatch.setattr(equilibria, "unstable_direction", no_eigenpair)
     data = json.loads((CONFIGS / "fisher.json").read_text())
     data["spec"]["box_half_length"] = 1e-100
     data["connect"]["launches"] = [

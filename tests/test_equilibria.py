@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradflow1d import exprlang, problem, verify
+from gradflow1d import equilibria, exprlang, problem, verify
 from gradflow1d.equilibria import (
     Equilibrium,
     NewtonNoConvergenceError,
@@ -22,7 +22,8 @@ from gradflow1d.equilibria import (
     unstable_direction,
 )
 from gradflow1d.grid import BOUNDARIES, Field, laplacian_values
-from gradflow1d.nonlinearity import Nonlinearity, horner
+from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError, horner
+from gradflow1d.tridiag import ImplicitDiffusionSolver
 
 
 def _nl(spec, **kw):
@@ -277,6 +278,39 @@ def _shoot_reference(nl, u, v, x0, x1, h, thr):
     return np.array(xs), np.array(us), np.array(vs)
 
 
+_NUMBER = st.floats(-2.0, 2.0).map(lambda c: f"({c!r})")
+
+
+@st.composite
+def _shooting_coefficient(draw):
+    """A constant, or a smooth profile in x from the shipped families."""
+    level = draw(_NUMBER)
+    if draw(st.booleans()):
+        return level
+    family = draw(st.sampled_from(("cos({k}*x)", "tanh({k}*(x-{c}))",
+                                   "exp(-((x-{c})/{k})^2)")))
+    profile = family.format(k=draw(st.floats(0.1, 3.0).map(repr)), c=draw(_NUMBER))
+    return f"{level}+{draw(_NUMBER)}*{profile}"
+
+
+def _assert_shoot_matches_reference(coeffs, signed, start, grid):
+    """`shoot`'s path is the four-evaluation reference loop's, bit for bit:
+    coefficients at x + h/2 are shared by stages 2 and 3, and stage 4's
+    x + h is the next step's x.  Returns the Nonlinearity."""
+    m, boundary = grid
+    spec = problem.spec_from_dict({
+        "N": len(coeffs), "coeffs": coeffs, "box_half_length": 5.0,
+        "grid_points": m, "signed_power": signed, "boundary": boundary,
+        "sup_guard": 1e3,
+    })
+    nl = _nl(spec)
+    path = shoot(nl, *start, (-5.0, 5.0))
+    want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
+    for got, ref in zip((path.xs, path.us, path.vs), want):
+        assert got.tobytes() == ref.tobytes()
+    return nl
+
+
 @pytest.mark.parametrize("coeffs, signed, start, grid", [
     (["0", "1+0.3*cos(0.7*x)"], False, (0.02, 0.0), (64, "neumann0")),
     (["0", "0.5+0.4*tanh(2*(x-0.3))", "0.1"], False, (0.03, 0.01), (64, "neumann0")),
@@ -287,20 +321,36 @@ def _shoot_reference(nl, u, v, x0, x1, h, thr):
     (["0", "1+exp(400*(x-4.5))"], False, (0.02, 0.0), (16, "periodic")),
 ])
 def test_shoot_matches_four_evaluation_loop(coeffs, signed, start, grid):
-    # coefficients at x + h/2 are shared by stages 2 and 3, and stage 4's
-    # x + h is the next step's x: the path must not move by a bit
-    m, boundary = grid
-    spec = problem.spec_from_dict({
-        "N": len(coeffs), "coeffs": coeffs, "box_half_length": 5.0,
-        "grid_points": m, "signed_power": signed, "boundary": boundary,
-        "sup_guard": 1e3,
-    })
-    nl = _nl(spec)
-    assert (nl.constant_coefficients() is not None) == (m == 16)
-    path = shoot(nl, *start, (-5.0, 5.0))
-    want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
-    for got, ref in zip((path.xs, path.us, path.vs), want):
-        assert got.tobytes() == ref.tobytes()
+    nl = _assert_shoot_matches_reference(coeffs, signed, start, grid)
+    assert (nl.constant_coefficients() is not None) == (grid[0] == 16)
+
+
+_NUMBER = st.floats(-2.0, 2.0).map(lambda c: f"({c!r})")
+
+
+@st.composite
+def _shooting_coefficient(draw):
+    """A constant, or a smooth profile in x from the shipped families."""
+    level = draw(_NUMBER)
+    if draw(st.booleans()):
+        return level
+    family = draw(st.sampled_from(("cos({k}*x)", "tanh({k}*(x-{c}))",
+                                   "exp(-((x-{c})/{k})^2)")))
+    profile = family.format(k=draw(st.floats(0.1, 3.0).map(repr)), c=draw(_NUMBER))
+    return f"{level}+{draw(_NUMBER)}*{profile}"
+
+
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
+@given(coeffs=st.integers(2, 4).flatmap(
+           lambda n: st.lists(_shooting_coefficient(), min_size=n, max_size=n)),
+       signed=st.booleans(),
+       # starts near 0 mostly stay bounded; far ones mostly pass the 1e3
+       # guard or overflow against P's leading -u^N
+       start=st.one_of(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                       st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+       grid=st.tuples(st.integers(8, 64), st.sampled_from(BOUNDARIES)))
+def test_shoot_matches_four_evaluation_loop_property(coeffs, signed, start, grid):
+    _assert_shoot_matches_reference(coeffs, signed, start, grid)
 
 
 def test_shoot_raises_on_a_lattice_point_past_the_escape():
@@ -416,6 +466,70 @@ def test_unstable_direction_fine_grid(boundary):
     norm_a = 4.0 / nl.grid.h**2 + 1.5
     assert abs(ud.eigenvalue - lam) <= 1e-8 * max(1.0, abs(lam)) + 8 * np.finfo(float).eps * norm_a
     assert np.all(ud.direction.values > 0.0)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(st.sampled_from(BOUNDARIES), st.integers(8, 256), st.floats(-3.0, 8.0),
+       st.integers(0, 2**32 - 1))
+def test_unstable_direction_vs_dense_property(boundary, m, log_scale, seed):
+    # dP is a normal draw scaled by 1e-3 to 1e8, a localized top eigenvector
+    # at the large scales: every draw has its eigenpair, and lam, the
+    # Rayleigh quotient after the last solve, is within a few
+    # eps * (4/h^2 + max|dP|) of the dense eigenvalue
+    nl, eq = _fisher_linearization(
+        boundary, 10.0**log_scale * np.random.default_rng(seed).standard_normal(m))
+    want = np.linalg.eigvalsh(_dense_linearization(nl, eq))[-1]
+    bound = 64 * np.finfo(float).eps * (4.0 / nl.grid.h**2
+                                        + np.abs(nl.apply_dP(eq.field.values)).max())
+    assert abs(unstable_direction(nl, eq).eigenvalue - want) <= bound
+
+
+@pytest.mark.parametrize("boundary", ("periodic", "neumann0"))
+@pytest.mark.parametrize("half", (5.0, 1e-100))
+@pytest.mark.parametrize("level", (1.0, -2.0))
+def test_unstable_direction_of_constant_dp_builds_no_factor(monkeypatch, boundary,
+                                                            half, level):
+    # the constant mode is the top eigenvector on periodic and neumann0, so
+    # the start meets the bound exactly, whatever 1/h^2 is
+    def no_factor(*args):
+        raise AssertionError("factored")
+    monkeypatch.setattr(equilibria, "ImplicitDiffusionSolver", no_factor)
+    nl, eq = _fisher_linearization(boundary, np.full(64, level), box_half_length=half)
+    ud = unstable_direction(nl, eq)
+    assert ud.eigenvalue == level and ud.iterations == 0
+    assert ud.direction.values.tobytes() == np.ones(64).tobytes()
+
+
+@pytest.mark.parametrize("dp", ("inf", "-inf"))
+def test_unstable_direction_rejects_a_nonfinite_dp(dp):
+    # u = -/+1e308 makes dP = 1 - 2u overflow to +/-inf; Nonlinearity.apply_dP
+    # rejects it before any solve
+    nl, eq = _fisher_linearization("periodic", np.zeros(16))
+    values = np.zeros(16)
+    values[3] = -math.copysign(1e308, float(dp))
+    eq = replace(eq, field=Field(nl.grid, values))
+    with pytest.raises(RangeOverflowError, match=r"dP\(u\) overflowed"):
+        unstable_direction(nl, eq)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("m", (16, 256, 2048))
+@pytest.mark.parametrize("profile", (
+    "1+0.3*cos(0.7*x)", "0.5+0.4*tanh(2*(x-0.3))", "1+0.5*exp(-((x-0.7)/1.3)^2)"))
+def test_unstable_direction_builds_few_factors(monkeypatch, boundary, m, profile):
+    # Noda's shift falls to lam quadratically: a smooth varying dP, as in the
+    # catalogs of varying coefficients, takes at most 10 factors per eigenpair
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ImplicitDiffusionSolver(*args)
+    monkeypatch.setattr(equilibria, "ImplicitDiffusionSolver", counted)
+    g = problem.make_grid(_fisher_box(5.0, m, boundary))
+    nl, eq = _fisher_linearization(boundary, exprlang.sample(exprlang.parse(profile),
+                                                             g.nodes))
+    unstable_direction(nl, eq)
+    assert 1 <= len(built) <= 10
 
 
 def test_unstable_direction_max_iter_exhausted():

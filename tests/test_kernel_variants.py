@@ -11,10 +11,10 @@ turned off.  The `action` and `energy_cum` columns take their sums of
 squares through `ndarray.dot`, BLAS `ddot`, whose bits depend on the core
 type; they are held to a relative 1e-9 only.
 
-`unstable_direction` solves its inverse iteration with the same `dpttrf`/
-`dpttrs` factor and elementwise numpy, and finds the eigenvalue by bisection
-on that factor; the eigenvalue and the direction's bytes must not change
-either.
+`unstable_direction`'s Noda iteration factors and solves with the same
+`dpttrf`/`dpttrs` and elementwise numpy, and takes the eigenvalue as a
+Rayleigh quotient summed by numpy's `add.reduce`; the eigenvalue and the
+direction's bytes must not change either.
 
 Each variant runs `simulate` on the shipped `blowup`, `cubic` and `front`
 configs and `unstable_direction` on every member of the `cubic` and

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradflow1d import tridiag
 from gradflow1d.grid import SpatialGrid, laplacian_values
-from gradflow1d.tridiag import (ImplicitDiffusionSolver, SingularJacobianError,
-                                thomas_solve, top_eigenvalue)
+from gradflow1d.tridiag import ImplicitDiffusionSolver, SingularJacobianError, thomas_solve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -154,7 +152,7 @@ def test_implicit_diffusion_vs_dense_property(boundary, m, mu, spread, seed):
     # diag(d) - dt Lap_h is symmetric positive definite for d > 0 and both
     # solves are backward stable, so the forward error is a small multiple of
     # eps * cond; d is the step's scalar 1 at spread 0, else it varies over
-    # spread decades, as inverse iteration's (lam + shift) - dP does
+    # spread decades, as the eigenpair's sigma - dP does
     g = SpatialGrid(5.0, m, boundary)
     dt = mu * g.h**2
     rng = np.random.default_rng(seed)
@@ -186,25 +184,11 @@ def test_implicit_diffusion_backward_stable_property(boundary, m, log_mu, seed):
     assert backward <= 8 * np.finfo(float).eps
 
 
-@settings(max_examples=_DEEP_EXAMPLES, deadline=None)
-@given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 256),
-       st.floats(-3.0, 8.0), st.integers(0, 2**32 - 1))
-def test_top_eigenvalue_vs_dense_property(boundary, m, log_scale, seed):
-    # the bisection stops where the computed factor of sigma I - A changes
-    # verdict, within a few eps * ||A||_inf of the dense eigenvalue; d is a
-    # normal draw scaled by 1e-3 to 1e8
-    g = SpatialGrid(5.0, m, boundary)
-    d = 10.0**log_scale * np.random.default_rng(seed).standard_normal(m)
-    want = np.linalg.eigvalsh(_dense(g, d))[-1]
-    bound = 64 * np.finfo(float).eps * (4.0 / g.h**2 + np.abs(d).max())
-    assert abs(top_eigenvalue(g, d) - want) <= bound
-
-
-def test_top_eigenvalue_probe_reads_the_periodic_denominator():
-    # sigma below the top eigenvalue leaves sigma I - A indefinite, and the
-    # factor of each such sigma raises; its tridiagonal part, the wrap
-    # removed, is often positive definite, and then only the Sherman-Morrison
-    # denominator rejects the sigma
+def test_implicit_diffusion_rejects_by_the_periodic_denominator():
+    # sigma below the top eigenvalue of A = Lap_h + diag(d) leaves
+    # sigma I - A indefinite, and its factor raises; the tridiagonal part,
+    # the wrap removed, is often positive definite, and then only the
+    # Sherman-Morrison denominator rejects it
     rng = np.random.default_rng(11)
     by_denominator = 0
     for _ in range(200):
@@ -238,25 +222,6 @@ def test_implicit_diffusion_rejects_a_zero_periodic_corner():
         ImplicitDiffusionSolver(g, 1.0, d)
 
 
-def test_top_eigenvalue_of_constant_d_runs_no_probe(monkeypatch):
-    # the constant mode is the top eigenvector on periodic and neumann0, so
-    # the bracket [max A_ii or R(1), max d] is closed from the start
-    def no_probe(*args):
-        raise AssertionError("probed")
-    monkeypatch.setattr(tridiag, "ImplicitDiffusionSolver", no_probe)
-    for boundary in ("periodic", "neumann0"):
-        assert top_eigenvalue(SpatialGrid(5.0, 64, boundary), np.full(64, 1.0)) == 1.0
-
-
-@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
-def test_top_eigenvalue_rejects_a_nonfinite_d(bad):
-    g = SpatialGrid(5.0, 16, "periodic")
-    d = np.zeros(g.m)
-    d[3] = bad
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        top_eigenvalue(g, d)
-
-
 def _python(code: str) -> list[str]:
     """The stdout lines of `python -c code` in a fresh process, with this
     checkout's src/ first on PYTHONPATH."""
@@ -269,13 +234,17 @@ def _python(code: str) -> list[str]:
     return done.stdout.splitlines()
 
 
-# whether scipy.linalg was imported, then the bytes of an eigenvalue, a
-# banded LU solve and a factored solve per closure, in hex
+# whether scipy.linalg was imported, then the bytes of a leading eigenpair
+# (eigenvalue and direction), a banded LU solve and a factored solve per
+# closure, in hex
 _BYTES = """
 import sys
 import numpy as np
-from gradflow1d.grid import SpatialGrid
-from gradflow1d.tridiag import ImplicitDiffusionSolver, thomas_solve, top_eigenvalue
+from gradflow1d import problem
+from gradflow1d.equilibria import Equilibrium, unstable_direction
+from gradflow1d.grid import Field, SpatialGrid
+from gradflow1d.nonlinearity import Nonlinearity
+from gradflow1d.tridiag import ImplicitDiffusionSolver, thomas_solve
 print("scipy.linalg" in sys.modules)
 rng = np.random.default_rng(3)
 for boundary in ("periodic", "dirichlet0", "neumann0"):
@@ -283,7 +252,12 @@ for boundary in ("periodic", "dirichlet0", "neumann0"):
     d = 4.0 + rng.standard_normal(g.m)
     rhs = rng.standard_normal(g.m)
     solver = ImplicitDiffusionSolver(g, 0.01, 1.0 + rng.random(g.m))
-    print(np.float64(top_eigenvalue(g, d)).tobytes().hex(),
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "1"], "box_half_length": 5.0,
+                                   "grid_points": 64, "boundary": boundary})
+    eq = Equilibrium(Field(g, 0.5 * (1.0 - d)), np.nan, np.nan, True, True, "newton")
+    ud = unstable_direction(Nonlinearity(spec, g), eq)  # dP = 1 - 2u, about d
+    print(np.float64(ud.eigenvalue).tobytes().hex(),
+          ud.direction.values.tobytes().hex(),
           thomas_solve(g, d, rhs).tobytes().hex(),
           solver.solve(rhs.copy()).tobytes().hex())
 """
