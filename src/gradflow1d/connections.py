@@ -81,12 +81,14 @@ def _window_start(t: np.ndarray, fraction: float) -> int:
 
 
 def tail_energy_rate(diag: dynamics.DiagnosticSeries, fraction: float) -> float:
-    """Energy added per unit time over the trailing fraction of the run."""
+    """Energy added per unit time over the trailing fraction of the run; NaN on overflow."""
     t = diag.t
     e = diag.energy_cum
     if len(t) < 2 or t[-1] <= t[0]:
         return 0.0
     i = _window_start(t, fraction)
+    if not (math.isfinite(e[i]) and math.isfinite(e[-1])):
+        return math.nan
     return float((e[-1] - e[i]) / (t[-1] - t[i]))
 
 
@@ -170,7 +172,8 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
     """Least-squares slope of cumulative energy vs t over the trailing window.
 
     A travelling front shows a positive rate with fit quality near 1; a
-    connecting run shows the rate falling to zero.
+    connecting run shows the rate falling to zero.  Both are NaN when the
+    energy in the window overflowed.
     """
     diag = traj.diagnostics
     if len(diag) < GROWTH_MIN_ROWS:
@@ -178,6 +181,8 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
             f"trajectory has fewer than {GROWTH_MIN_ROWS} diagnostic rows")
     i = _window_start(diag.t, window_fraction)
     tw, ew = diag.t[i:], diag.energy_cum[i:]
+    if not np.isfinite(ew).all():
+        return GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
     slope, intercept = np.polyfit(tw, ew, 1)
     fitted = slope * tw + intercept
     ss_res = float(np.sum((ew - fitted) ** 2))

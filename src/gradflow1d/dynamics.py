@@ -12,12 +12,9 @@ so a blow-up reaches sup_guard or dt_min in a few thousand steps.  The
 forward-Euler defect per step is about (N-1)/2 times the relative growth:
 for u' = -u^2 from -1 (the shipped blow-up config, 3260 steps) the energy
 identity misses the action gain by 0.40% of the energy.  The solve has no
-residual guard: it is normwise backward stable at every dt.  Its error is
-not uniform across closures: (I - dt*Lap_h) x = 1 at M = 16 misses x = 1
-by 7.8e-11 at mu = dt/h^2 = 1e12 and 7.7e-14 at mu = 1e15 on neumann0, but
-the periodic wrap's rank-one correction loses accuracy as mu*eps grows,
-1.3e-5 and 5.8e-2 there.  Numerical failure modes land in the trajectory
-status and stop_reason, never in exceptions.
+residual guard: it is normwise backward stable at every dt.  Numerical
+failure modes land in the trajectory status and stop_reason, never in
+exceptions.
 """
 
 from __future__ import annotations

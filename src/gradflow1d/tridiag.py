@@ -1,25 +1,22 @@
-"""Banded linear solves on the grid.
+"""Tridiagonal linear solves on the grid, by four LAPACK routines that are
+plain Fortran loops calling no BLAS, so their bits do not depend on the CPU.
 
-  * `thomas_solve` solves A x = rhs, A = Lap_h + diag(d), by banded LU
-    (Newton steps), A in a ring order that makes one band of width 2 hold
-    every closure.  No other module knows the band's layout.
-  * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (LAPACK
-    dpttrf), the periodic wrap by a rank-one Sherman-Morrison correction,
+  * `thomas_solve` solves A x = rhs, A = Lap_h + diag(d), by LU with partial
+    pivoting (dgttrf, dgttrs): each Newton step.
+  * `ImplicitDiffusionSolver` factors diag(d) - dt*Lap_h as L D L^T (dpttrf)
     and solves with dpttrs: the time step with d = 1, once per (grid, dt),
-    and each step of `equilibria.unstable_direction`'s Noda iteration for
-    A's leading eigenpair.  Its constructor is the one test of positive
-    definiteness: it raises LinAlgError on a matrix that is not.
+    and each step of `equilibria.unstable_direction`'s Noda iteration.  Its
+    constructor is the one test of positive definiteness.
 
-That factor and its solve are host-independent: dpttrf and dpttrs are plain
-Fortran loops that call no BLAS, so their bits do not depend on the BLAS
-core type the CPU selects, and the correction is elementwise numpy.  The
-banded LU of `thomas_solve` (dgbtrf, dgbtrs) calls BLAS, as do the step's
-sums of squares (ddot, in `functionals`), and may round differently on
-another CPU.
+Both border the periodic wrap off node 0: they factor T = A[1:, 1:] and
+finish with node 0's Schur complement s.  The Laplacian sends constants to
+zero, so A.1 = d, and s follows from y = T^-1 d[1:]: s = d_0 + mu*(y_first
++ y_last) for the step's matrix (mu = dt/h^2; no term cancels when d >= 0)
+and s = d_0 - (y_first + y_last)/h^2 for Newton's.
 
-The four LAPACK routines come from scipy's f2py extension `_flapack`, loaded
-by its file path: importing `scipy.linalg` costs more than the rest of the
-package together (scipy's array-API layer clones numpy's namespace).  It is
+The routines come from scipy's f2py extension `_flapack`, loaded by its
+file path: importing `scipy.linalg` costs more than the rest of the package
+together (scipy's array-API layer clones numpy's namespace).  It is
 registered as `scipy.linalg._flapack`, so a later `import scipy.linalg`
 reuses it, as this module reuses one already registered.  Without the file,
 a plain `from scipy.linalg import _flapack` serves; without scipy, that
@@ -50,7 +47,7 @@ if _flapack is None:
             importlib.util.spec_from_loader(_loader.name, _loader))
         _loader.exec_module(_flapack)
         sys.modules[_loader.name] = _flapack
-dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 PIVOT_FLOOR = 1e-14
@@ -58,65 +55,68 @@ EPS = float(np.finfo(float).eps)
 
 
 class SingularJacobianError(ArithmeticError):
-    """A pivot of the banded LU fell to the floor of `thomas_solve` or below."""
+    """A pivot of `thomas_solve`, or its periodic Schur complement, fell to the floor."""
 
 
 def thomas_solve(grid, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (Lap_h + diag(d)) x = rhs by banded LU with partial pivoting.
+    """Solve (Lap_h + diag(d)) x = rhs by tridiagonal LU with partial
+    pivoting; on a periodic grid, by the border of node 0.
 
     The name is kept because the benchmark's tracer wraps it by that name.
-    The ring order 0, m-1, 1, m-2, ... puts every pair of grid neighbours,
-    the periodic wrap included, at most two places apart, so A in that
-    order goes into LAPACK general-band storage (kl = ku = 2) for every
-    closure and is factored by dgbtrf.  Raises SingularJacobianError when
-    the factor is exactly singular or its smallest |U_ii| is at or below
-    max(PIVOT_FLOOR, M*eps) * max|diag A|: the rounding pivot of a singular
-    A (the bare periodic Laplacian's last one) grows with M.  Returns x in
-    node order.
+    Raises SingularJacobianError when a pivot is zero or min|U_ii|, or on
+    periodic |s|, is at most max(PIVOT_FLOOR, M*eps) * max|diag A| (a
+    singular A's rounding pivot can grow with M), so also on a singular T.
     """
     m = grid.m
-    order = np.empty(m, dtype=np.intp)  # ring position k holds node order[k]
-    order[0::2] = np.arange((m + 1) // 2)
-    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
-    pos = np.empty(m, dtype=np.intp)
-    pos[order] = np.arange(m)
     inv_h2 = 1.0 / grid.h**2
-    ab = np.zeros((7, m))  # A[i, j] at ab[4 + i - j, j]; rows 0-1 take the fill-in
     diag = -2.0 * inv_h2 + d
     if grid.boundary == "neumann0":
         diag[[0, -1]] += inv_h2
-    ab[4] = diag[order]
-    floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(ab[4]).max())
-    left, right = pos[:-1], pos[1:]  # ring positions of nodes j and j+1
-    ab[4 + left - right, right] = inv_h2
-    ab[4 + right - left, left] = inv_h2
-    if grid.boundary == "periodic":
-        ab[3, 1] = ab[5, 0] = inv_h2  # nodes 0 and m-1 sit at positions 0 and 1
-    lu, ipiv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+    floor = max(PIVOT_FLOOR, m * EPS) * float(np.abs(diag).max())
+    periodic = grid.boundary == "periodic"
+    if periodic:
+        diag = diag[1:]
+    off = np.full(diag.size - 1, inv_h2)
+    *lu, info = dgttrf(off, diag, off)  # dl, U's diagonal, du, du2, ipiv
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgbtrf")
-    pivot = float(np.abs(lu[4]).min())
+        raise ValueError(f"illegal value in argument {-info} of dgttrf")
+    pivot = float(np.abs(lu[1]).min())
     if info > 0 or pivot <= floor:
         raise SingularJacobianError(
             f"smallest pivot {pivot!r} at or below {floor!r}")
-    x, info = dgbtrs(lu, 2, 2, rhs[order], ipiv)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dgbtrs")
-    out = np.empty(m)
-    out[order] = x
-    return out
+
+    def solve_t(b):
+        x, info = dgttrs(*lu, b)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dgttrs")
+        return x
+
+    if not periodic:
+        return solve_t(rhs)
+    y = solve_t(d[1:])  # A.1 = d, so T^-1 A[1:, 0] = y - 1
+    schur = float(d[0] - inv_h2 * (y[0] + y[-1]))
+    if not abs(schur) > floor:
+        raise SingularJacobianError(
+            f"Schur complement {schur!r} of node 0 at or below {floor!r}")
+
+    def bordered(b):
+        g = solve_t(b[1:])
+        x0 = (b[0] - inv_h2 * (g[0] + g[-1])) / schur
+        return np.concatenate(((x0,), g - x0 * (y - 1.0)))
+
+    # T can be far worse conditioned than A: one step of refinement
+    x = bordered(rhs)
+    return x + bordered(rhs - (inv_h2 * (np.roll(x, 1) - 2.0 * x + np.roll(x, -1)) + d * x))
 
 
 class ImplicitDiffusionSolver:
     """Prefactored solve of (diag(d) - dt*Lap_h) x = rhs for a fixed grid,
     dt and d (a scalar or one value per node).
 
-    Its tridiagonal part is factored as L D L^T, and periodic grids add a
-    Sherman-Morrison rank-one correction for the wrap.  A matrix that is
-    not positive definite in floating point raises np.linalg.LinAlgError:
-    the factorization finds a pivot <= 0 or, on periodic, the correction's
-    denominator, det(matrix)/det(tridiagonal part), is not positive.
-    d > 0 keeps the matrix positive definite in exact arithmetic.
+    A matrix that is not positive definite in floating point raises
+    np.linalg.LinAlgError: the L D L^T factor of it, or on periodic of T,
+    finds a pivot <= 0, or on periodic s <= 0 (A is positive definite
+    exactly when T is and s > 0, by Haynsworth's inertia additivity).
     """
 
     def __init__(self, grid, dt: float, d):
@@ -126,43 +126,36 @@ class ImplicitDiffusionSolver:
         self.dt = float(dt)
         self.d = d
         m = grid.m
-        mu = self.dt / grid.h**2
+        self._mu = mu = self.dt / grid.h**2
         d = np.broadcast_to(np.asarray(d, dtype=float), (m,))
         diag = d + 2.0 * mu
         if grid.boundary == "neumann0":
             diag[[0, -1]] = d[[0, -1]] + mu
-        if grid.boundary == "periodic":
-            if not diag[0] > 0.0:  # gamma = 0 would divide by zero
-                raise np.linalg.LinAlgError("1-th leading minor not positive definite")
-            # remove the -mu corners into u v^T with gamma = -diag[0]
-            gamma = -float(diag[0])
-            diag[0] -= gamma
-            diag[-1] -= mu * mu / gamma
-        self._d, self._e, info = dpttrf(diag, np.full(m - 1, -mu),
+        self._periodic = grid.boundary == "periodic"
+        if self._periodic:
+            diag = diag[1:]
+        self._d, self._e, info = dpttrf(diag, np.full(diag.size - 1, -mu),
                                         overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"{info}-th leading minor not positive definite")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpttrf")
-        self._periodic = grid.boundary == "periodic"
         if self._periodic:
-            u = np.zeros(m)
-            u[0] = gamma
-            u[-1] = -mu
-            self._band_solve(u)
-            self._z = u
-            self._corner = -mu / gamma
-            self._denom = float(1.0 + (u[0] + self._corner * u[-1]))
-            if not self._denom > 0.0:
-                # det(matrix) / det(tridiagonal part), by the determinant lemma
+            yw = np.zeros((m - 1, 2), order="F")  # dpttrs takes it without a copy
+            yw[:, 0] = d[1:]
+            yw[[0, -1], 1] = 1.0
+            self._band_solve(yw)
+            y, self._w = yw[:, 0], yw[:, 1]  # w = T^-1 (e_first + e_last)
+            self._schur = float(d[0] + mu * (y[0] + y[-1]))
+            if not self._schur > 0.0:
                 raise np.linalg.LinAlgError(
-                    f"Sherman-Morrison denominator {self._denom!r} not positive")
-            self._zs = np.empty(m)  # scratch of the rank-one correction
+                    f"Schur complement {self._schur!r} of node 0 not positive")
+            self._ws = np.empty(m - 1)  # scratch of the border's update
 
     def _band_solve(self, b: np.ndarray) -> None:
         """Solve with the L D L^T factor in place, overwriting b, a writable
-        contiguous float64 array (of any other dpttrs makes a copy)."""
+        Fortran-contiguous float64 array (of any other dpttrs makes a copy)."""
         _, info = dpttrs(self._d, self._e, b, overwrite_b=1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpttrs")
@@ -173,10 +166,14 @@ class ImplicitDiffusionSolver:
         contiguous float64 array."""
         if b.dtype != np.float64 or not b.flags.carray:
             raise ValueError("solve in place needs a writable contiguous float64 array")
-        self._band_solve(b)
-        if self._periodic:
-            vy = b.item(0) + self._corner * b.item(-1)
-            np.subtract(b, np.multiply(self._z, vy / self._denom, self._zs), b)
+        if not self._periodic:
+            self._band_solve(b)
+            return b
+        g = b[1:]
+        self._band_solve(g)
+        x0 = (b.item(0) + self._mu * (g.item(0) + g.item(-1))) / self._schur
+        b[0] = x0
+        g += np.multiply(self._w, self._mu * x0, self._ws)
         return b
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,

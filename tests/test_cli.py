@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradflow1d import dynamics, equilibria, exprlang, problem, verify
+from gradflow1d import connections, dynamics, equilibria, exprlang, problem, verify
 from gradflow1d.cli import (
     EXIT_BLOW_UP,
     EXIT_CONFIG,
@@ -94,12 +94,9 @@ def test_simulate_blowup_with_tiny_dt_min_stops_at_sup_guard(tmp_path):
 
 @pytest.mark.parametrize("m, t_max", ((256, 50.0), (2048, 5.0)))
 def test_simulate_stiff_periodic_is_no_blow_up(tmp_path, capsys, m, t_max):
-    # Fisher near u = 1 on a box of half-length 1e-6, dt up to 1: at
-    # mu = dt/h^2 of 1e16 and more the periodic wrap's Sherman-Morrison
-    # denominator rounds to zero (M = 256) or below (M = 2048).  The factor
-    # rejects such a dt and the step halves it; neither a ZeroDivisionError
-    # nor a diverging solve that sup_guard labels blow_up.  The end values
-    # are not checked: the wrap's error at this mu still leaves them wrong
+    # Fisher near u = 1 on a box of half-length 1e-6, dt up to 1: mu = dt/h^2
+    # is 1.6e16 (M = 256) and 1.0e18 (M = 2048).  Every dt factors, so no dt
+    # is halved, and the flow relaxes to u = 1 within rounding
     data = _fisher_config(tmp_path / "out", t_max=t_max,
                           initial_condition="1+1e-3*cos(3.141592653589793/1e-6*x)")
     data["spec"].update(box_half_length=1e-6, grid_points=m)
@@ -108,6 +105,11 @@ def test_simulate_stiff_periodic_is_no_blow_up(tmp_path, capsys, m, t_max):
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["status"] != "blow_up"
+    with open(tmp_path / "out" / "diagnostics.csv") as f:
+        assert {float(r["dt"]) for r in list(csv.DictReader(f))[1:]} == {1.0}
+    last = max((tmp_path / "out").glob("snap_*.csv"), key=lambda p: float(p.stem[5:]))
+    u = np.loadtxt(last, delimiter=",", skiprows=1)[:, 1]
+    assert np.abs(u - 1.0).max() <= 1e-11
 
 
 def test_missing_config_file(tmp_path):
@@ -569,10 +571,20 @@ def test_connect_short_front_is_failed_row(tmp_path):
 def test_connect_without_eigenpair_is_failed_row(tmp_path, capsys, monkeypatch):
     # no shipped-scale input leaves an equilibrium without its eigenpair, so
     # the eigenpair fails here by hand: the launch row fails with no run, and
-    # the front still runs
+    # the front still runs.  On this box 1/h^2 is about 1e200, so the
+    # energy's resid*resid overflows to inf: the front's tail rate and fit
+    # are NaN without a warning, and the row fails as t_max_reached, its
+    # constant state at the logistic flow's value 1/(1 + e^-1) from 0.5
     def no_eigenpair(nl, eq):
         raise equilibria.PowerIterationError("no convergence after 10000 solves")
     monkeypatch.setattr(equilibria, "unstable_direction", no_eigenpair)
+    tables = []
+    audit = connections.connection_energy_audit
+
+    def kept(*args, **kwargs):
+        tables.append(audit(*args, **kwargs))
+        return tables[-1]
+    monkeypatch.setattr(connections, "connection_energy_audit", kept)
     data = json.loads((CONFIGS / "fisher.json").read_text())
     data["spec"]["box_half_length"] = 1e-100
     data["connect"]["launches"] = [
@@ -583,10 +595,16 @@ def test_connect_without_eigenpair_is_failed_row(tmp_path, capsys, monkeypatch):
     assert main(["connect", _write(tmp_path, data)]) == EXIT_VERIFY
     with open(tmp_path / "out" / "connections.csv") as f:
         rows = list(csv.DictReader(f))
-    assert [r["status"] for r in rows] == ["no_direction", "converged"]
+    assert [r["status"] for r in rows] == ["no_direction", "t_max_reached"]
     assert rows[0]["from"] == "0" and rows[0]["total_energy"] == "nan"
-    assert "launch 0: no_direction [0->None] FAIL; no convergence after 10000 solves" \
-        in capsys.readouterr().out
+    assert rows[1]["total_energy"] == "inf"
+    assert rows[1]["tail_rate"] == rows[1]["fit_quality"] == "nan"
+    front = tables[0].rows[1].trajectory
+    assert front.final_time == 1.0
+    assert np.abs(front.final_field.values - 1.0 / (1.0 + np.exp(-1.0))).max() <= 1e-4
+    out = capsys.readouterr().out
+    assert "launch 0: no_direction [0->None] FAIL; no convergence after 10000 solves" in out
+    assert "launch 1: t_max_reached [None->None] FAIL" in out
 
 
 def test_equilibria_shooting_scan(tmp_path):

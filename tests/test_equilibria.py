@@ -484,6 +484,39 @@ def test_unstable_direction_vs_dense_property(boundary, m, log_scale, seed):
     assert abs(unstable_direction(nl, eq).eigenvalue - want) <= bound
 
 
+def _scan_draws(*wanted):
+    """{i: (half-length, dP)} for the wanted draws i of a seeded scan over
+    extreme scales: half-lengths 1e-150 to 1e150, M 8 to 256 and dP a normal
+    draw scaled by 1e-300 to 1e300, each log-uniform."""
+    rng = np.random.default_rng(7)
+    draws = {}
+    for i in range(max(wanted) + 1):
+        half = 10.0 ** rng.uniform(-150.0, 150.0)
+        m = int(rng.integers(8, 257))
+        dp = 10.0 ** rng.uniform(-300.0, 300.0) * rng.standard_normal(m)
+        if i in wanted:
+            draws[i] = (half, dp)
+    return draws
+
+
+_EXTREME_DRAWS = _scan_draws(114, 324, 435)
+
+
+@pytest.mark.parametrize("draw", sorted(_EXTREME_DRAWS))
+def test_unstable_direction_at_extreme_periodic_scales(draw):
+    # (half-length, M, dP scale) of (1.6e-118, 194, 1.2e237), (8.1e-128, 178,
+    # 2.0e254) and (2.0e-121, 148, 8.2e232): with a Sherman-Morrison wrap in
+    # the factor, no eigenpair after 10000 solves.  The bordered factor finds
+    # each, lam within 64 eps * (4/h^2 + max|dP|) of the dense eigenvalue
+    half, dp = _EXTREME_DRAWS[draw]
+    nl, eq = _fisher_linearization("periodic", dp, box_half_length=half)
+    ud = unstable_direction(nl, eq)
+    scale = 4.0 / nl.grid.h**2 + np.abs(dp).max()
+    want = np.linalg.eigvalsh(_dense_linearization(nl, eq) / scale)[-1]
+    assert abs(ud.eigenvalue / scale - want) <= 64 * np.finfo(float).eps
+    assert ud.direction.values.min() >= 0.0 and ud.direction.values.max() == 1.0
+
+
 @pytest.mark.parametrize("boundary", ("periodic", "neumann0"))
 @pytest.mark.parametrize("half", (5.0, 1e-100))
 @pytest.mark.parametrize("level", (1.0, -2.0))
@@ -541,7 +574,7 @@ def test_unstable_direction_max_iter_exhausted():
 @st.composite
 def _linearizations(draw):
     boundary = draw(st.sampled_from(BOUNDARIES))
-    m = draw(st.integers(8, 64))  # odd and even: the ring order depends on parity
+    m = draw(st.integers(8, 64))  # odd and even: T = A[1:, 1:] has M - 1 rows
     level = draw(st.floats(-5.0, 5.0))
     if draw(st.booleans()):
         dp = np.full(m, level)

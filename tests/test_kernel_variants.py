@@ -14,11 +14,14 @@ type; they are held to a relative 1e-9 only.
 `unstable_direction`'s Noda iteration factors and solves with the same
 `dpttrf`/`dpttrs` and elementwise numpy, and takes the eigenvalue as a
 Rayleigh quotient summed by numpy's `add.reduce`; the eigenvalue and the
-direction's bytes must not change either.
+direction's bytes must not change either.  Newton's step solves with
+`dgttrf`/`dgttrs` (plain loops) and the periodic border in elementwise
+numpy, so the bytes of Newton's equilibria must not change either.
 
 Each variant runs `simulate` on the shipped `blowup`, `cubic` and `front`
-configs and `unstable_direction` on every member of the `cubic` and
-`fisher` catalogs in its own interpreter, all variants at once.
+configs, `unstable_direction` on every member of the `cubic` and `fisher`
+catalogs, and Newton's catalog of a Fisher spec with a_1 = 1 + 0.3cos(0.7x)
+on each closure, in its own interpreter, all variants at once.
 """
 
 import csv
@@ -38,9 +41,11 @@ EIGEN_CONFIGS = ("cubic", "fisher")
 SUMMARY_KEYS = ("status", "stop_reason", "steps", "final_time")
 HOST_INDEPENDENT_COLUMNS = ("t", "dt", "sup_norm", "ut_sup")
 DDOT_COLUMNS = ("action", "energy_cum")
+BOUNDARIES = ("periodic", "dirichlet0", "neumann0")
 _KERNEL_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 _SCRIPT = """
+import json
 import sys
 from gradflow1d import cli, equilibria
 from gradflow1d.nonlinearity import Nonlinearity
@@ -55,6 +60,16 @@ for name in eigen:
         for eq in cli.build_catalog(cfg, nl)[0]:
             ud = equilibria.unstable_direction(nl, eq)
             f.write(f"{ud.eigenvalue!r} {ud.direction.values.tobytes().hex()}\\n")
+for boundary in ("periodic", "dirichlet0", "neumann0"):
+    data = json.load(open("configs/fisher.json"))
+    data["spec"].update(coeffs=["0", "1+0.3*cos(0.7*x)"], boundary=boundary)
+    data["equilibria"] = {"constant_roots": False, "newton_guesses": ["1", "0.9+0.1*cos(x)"]}
+    with open(f"{out}/varcoef_{boundary}.json", "w") as f:
+        json.dump(data, f)
+    cfg = cli.load_config(f"{out}/varcoef_{boundary}.json")
+    with open(f"{out}/varcoef_{boundary}.catalog", "w") as f:
+        for eq in cli.build_catalog(cfg, Nonlinearity(cfg.spec, cfg.u0.grid))[0]:
+            f.write(f"{eq.residual!r} {eq.field.values.tobytes().hex()}\\n")
 """
 
 
@@ -116,6 +131,12 @@ def _columns(path: Path) -> dict:
 def test_simulate_is_independent_of_the_kernel_variant(tmp_path):
     outs = _run_all(tmp_path)
     ref = outs.pop("default")
+    for boundary in BOUNDARIES:
+        want = (ref / f"varcoef_{boundary}.catalog").read_text()
+        assert len(want.splitlines()) >= 1, boundary
+        for variant, out in outs.items():
+            assert (out / f"varcoef_{boundary}.catalog").read_text() == want, \
+                (variant, boundary)
     for config in EIGEN_CONFIGS:
         want = (ref / f"{config}.eigenpairs").read_text()
         assert len(want.splitlines()) >= 2, config

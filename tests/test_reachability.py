@@ -16,8 +16,8 @@ Every module under `src/gradflow1d` and `tests/` reads each name it
 imports.  Re-exports are exempt: all of `__init__.py`, and a module's
 names listed in its `__all__`; so is `from __future__ import annotations`.
 
-Only `tridiag` imports scipy: the band layout and every LAPACK call the
-package makes live in that one module.  A module counts as importing scipy
+Only `tridiag` imports scipy: every LAPACK call the package makes lives in
+that one module.  A module counts as importing scipy
 when it imports it or names it, or a part of it, in a string constant, as a
 load by path does (`find_spec("scipy")`).
 

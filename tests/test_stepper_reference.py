@@ -2,10 +2,11 @@
 
 `reference_run` is the earlier form of the IMEX loop in `dynamics.run`: a
 `Field` per step, LAPACK `dpttrs` on the solver's L D L^T factor with a
-copied right-hand side and the periodic Sherman-Morrison correction written
-out, the Laplacian built with `np.concatenate`, an explicit finite check of
-the right-hand side (`run` lets the solve carry a non-finite one into x),
-and the action through `functionals.action`.  `run` must reproduce every
+copied right-hand side and the periodic border of node 0 written out (its
+Schur complement and border column taken from the solver), the Laplacian
+built with `np.concatenate`, an explicit finite check of the right-hand side
+(`run` lets the solve carry a non-finite one into x), and the action through
+`functionals.action`.  `run` must reproduce every
 recorded number exactly, so any reordering of floating-point work in the
 lean loop shows up here.
 
@@ -52,12 +53,14 @@ def _laplacian(values, g):
 
 
 def _solve(s, rhs):
-    y, info = dpttrs(s._d, s._e, rhs)
-    assert info == 0
     if s.grid.boundary != "periodic":
+        y, info = dpttrs(s._d, s._e, rhs)
+        assert info == 0
         return y
-    vy = y[0] + s._corner * y[-1]
-    return y - s._z * (vy / s._denom)
+    g, info = dpttrs(s._d, s._e, rhs[1:])
+    assert info == 0
+    x0 = (rhs[0] + s._mu * (g[0] + g[-1])) / s._schur
+    return np.concatenate(((x0,), g + s._w * (s._mu * x0)))
 
 
 def _extreme_sign(u):
