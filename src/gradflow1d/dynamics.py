@@ -15,15 +15,20 @@ identity misses the action gain by 0.40% of the energy.  The solve has no
 residual guard: it is normwise backward stable at every dt.  Numerical
 failure modes land in the trajectory status and stop_reason, never in
 exceptions.
+
+Diagnostics go by the block (see `run`): a step takes P(u), the solve and
+the max norms that steer it, into the next row of a block of K + 1 states,
+K = min(64, 16384 // M); a flush per block takes its rows' Laplacian,
+ut_sup, action, energy, snapshots and end tests, and cuts the run back to
+an ending row, discarding up to K - 1 steps and their forcing calls.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import isfinite
 
 import numpy as np
@@ -32,7 +37,7 @@ from . import problem
 from .functionals import action_parts_extended, energy_addend
 from .grid import (CSV_BLOCK_ROWS, Field, laplacian_extended, set_ghosts, sup_norm,
                    write_field_csv)
-from .nonlinearity import Nonlinearity, RangeOverflowError
+from .nonlinearity import Nonlinearity
 from .tridiag import ImplicitDiffusionSolver
 
 __all__ = [
@@ -71,6 +76,10 @@ _SMOOTH_STEPS_BEFORE_DOUBLING = 10
 # blow-ups at M 8-32; U = 18 keeps them at 0.36 and 0.62 at most
 _INCREMENT_SAFETY = 0.9
 _INCREMENT_SCALE_U = 18.0
+# `run`'s block of states: K = min(_BLOCK_ROWS, _BLOCK_VALUES // M) rows
+# (at least 1) beyond the carried one, about 128 KiB per array
+_BLOCK_ROWS = 64
+_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,10 @@ class DiagnosticSeries:
     def __init__(self):
         self._rows = {c: [] for c in self.COLUMNS}
 
-    def appenders(self) -> tuple:
-        """One bound list `append` per column, in COLUMNS order."""
-        return tuple(self._rows[c].append for c in self.COLUMNS)
+    def columns(self) -> tuple:
+        """The column lists, in COLUMNS order; `run` appends to them and
+        cuts them back."""
+        return tuple(self._rows[c] for c in self.COLUMNS)
 
     def __len__(self):
         return len(self._rows["t"])
@@ -201,16 +211,22 @@ def run(
     broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
 
-    Every finite check tests a reduction the step takes anyway: max|x| (the
-    sup_norm column; the solve carries a non-finite rhs into x), max|P(u)|
-    (the next increment guard) and the potential sum (inside the action);
-    max and sum propagate inf and nan.  P and Q are evaluated unchecked
-    under one np.errstate for the whole run.
+    A step does only what steers the next one: P(u) and max|P(u)| (the
+    increment guard), the factor, the right-hand side solved in place and
+    max|x| (the sup_norm column and the nonfinite_state and sup_guard tests:
+    the solve carries a non-finite rhs into x, and max propagates inf and
+    nan).  It solves into the next row of a block of K + 1 ghost-extended
+    states, K = min(64, 16384 // M) (at least 1), with P kept per row; row 0
+    carries the last state of the block before.  When the block fills, and
+    when the loop ends, one flush takes the ghosts, Lap(u) + P(u) and
+    ut_sup, the action's parts, the energy addends (summed in order as
+    floats) and the stride snapshots of its rows, and finds the first row
+    that ends the run: a non-finite action part (initial_out_of_range at
+    step 0), else ut_sup < tol_eq.  The run is cut back to that row; the up
+    to K - 1 steps taken past it, and their forcing calls (all at t <=
+    t_max), are discarded.  P and Q are evaluated unchecked under one
+    np.errstate for the whole run.
 
-    The arrays of a step are allocated once per run.  u and the next state
-    x live in the interiors of two ghost-extended buffers that take turns:
-    the right-hand side is formed in x's buffer and solved in place, so
-    extending x sets two ghosts, and u stays intact for the energy addend.
     Snapshots are copies; the end state is appended unless the last
     snapshot was taken at the last step.
     """
@@ -223,20 +239,25 @@ def run(
         raise ValueError("the reaction is not the problem spec's on u0's grid")
 
     diag = DiagnosticSeries()
-    add_t, add_dt, add_sup, add_action, add_energy, add_ut = diag.appenders()
+    ts, dts, sups, actions, energies, uts = diag.columns()
+    add_t, add_dt, add_sup = ts.append, dts.append, sups.append
     snaps = [(0.0, u0)]
     snap_step = 0  # steps taken when snaps[-1] was recorded
     m = g.m
-    e, e_next = np.empty((2, m + 2))  # ghost-extended u and x
-    u, x = e[1:-1], e_next[1:-1]
-    u[:] = u0.values
-    # P(u), Lap(u), their sum, Q(u) and scratch (leading terms, |.|, udot)
-    p_now, lap_u, resid_now, q, work = np.empty((5, m))
+    k = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m))
+    block = np.empty((k + 1, m + 2))  # ghost-extended states
+    rows = list(block[:, 1:-1])  # their interiors
+    p_rows = np.empty((k + 1, m))  # P of each row's state
+    # the flush's Lap + P of each row, Q (then udot) and scratch
+    resids, q, scratch = np.empty((3, k + 1, m))
+    work = np.empty(m)  # a step's scratch (|.|, leading terms)
+    rows[0][:] = u0.values
+    row = base = 0  # the current state is the (base + row)-th
+    first = 0  # the first row without its diagnostics
     t = 0.0
     dt = ctrl.dt_init
     dt_taken = 0.0  # the dt column; the initial row has 0.0
     energy = 0.0
-    steps = 0
     smooth = 0
     reason = ""  # set by every exit of the loop
     limit = _INCREMENT_SAFETY * ctrl.increment_limit
@@ -248,44 +269,71 @@ def run(
     maximum = np.maximum.reduce
     solvers = {}  # dt -> factored solver
 
+    def flush(last: int):
+        """The diagnostics of rows first..last; returns the first of these
+        rows that ends the run and why, or None."""
+        nonlocal energy, snap_step
+        n = last + 1
+        e = block[:n]
+        fresh = set_ghosts(e[first:], boundary)  # row 0 is carried with its Lap + P
+        resid = resids[:n]
+        add(laplacian_extended(fresh, g, resid[first:]), p_rows[first:n], resid[first:])
+        ut = maximum(absolute(resid[first:], scratch[first:n]), axis=-1)
+        value, dir_part, pot_part = action_parts_extended(
+            nl, fresh[:, 1:-1], fresh, q[first:n], scratch[first:n])
+        lo = max(first, 1)  # the first row a step of this block reached
+        addends = energy_addend(e[lo - 1:-1, 1:-1], e[lo:, 1:-1], resid[lo - 1:-1],
+                                dts[base + lo:base + n], h, q[lo:n])
+        cum = list(accumulate(addends.tolist(), initial=energy))[first - lo + 1:]
+        energy = cum[-1]
+        bad = ~(np.isfinite(dir_part) & np.isfinite(pot_part))
+        ends = np.flatnonzero(bad | (ut < tol_eq))
+        stop, keep = None, n - first
+        if len(ends):
+            s = int(ends[0])
+            keep = s + (not bad[s])  # a converged row is kept
+            stop = (first + s, CONVERGED if not bad[s] else
+                    "nonfinite_reaction" if base + first + s else "initial_out_of_range")
+        actions.extend(value[:keep].tolist())
+        energies.extend(cum[:keep])
+        uts.extend(ut[:keep].tolist())
+        for j in range(first, first + keep):
+            if base + j and (base + j) % snapshot_stride == 0:
+                snap_step = base + j
+                snaps.append((ts[snap_step], Field(g, rows[j])))
+        return stop
+
     with np.errstate(over="ignore", invalid="ignore"):
-        set_ghosts(e, boundary)  # e serves the Laplacian and the action
-        laplacian_extended(e, g, lap_u)
-        sup_u = float(maximum(absolute(u, work)))
+        sup_u = float(maximum(absolute(rows[0], work)))
+        stop = None
         while True:
-            # the state after `steps` accepted steps: P, the action, its row
-            reaction(u, p_now, work)
-            p_sup = float(maximum(absolute(p_now, work)))
-            try:
-                a_now = action_parts_extended(nl, u, e, q, work)[0]
-            except RangeOverflowError:
-                p_sup = math.nan  # fails the check below, as a non-finite P does
+            # the state after base + row accepted steps: P and its row
+            u, p = rows[row], p_rows[row]
+            reaction(u, p, work)
+            p_sup = float(maximum(absolute(p, work)))
             if not isfinite(p_sup):
                 # at step 0 the initial data is already beyond polynomial range
-                reason = "nonfinite_reaction" if steps else "initial_out_of_range"
+                reason = "nonfinite_reaction" if base + row else "initial_out_of_range"
                 break
-            add(lap_u, p_now, resid_now)
-            ut_sup = float(maximum(absolute(resid_now, work)))
             add_t(t)
             add_dt(dt_taken)
             add_sup(sup_u)
-            add_action(a_now)
-            add_energy(energy)
-            add_ut(ut_sup)
-            if steps:
-                if steps % snapshot_stride == 0:
-                    snaps.append((t, Field(g, u)))
-                    snap_step = steps
+            if base + row:
                 smooth += 1
                 if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
                     dt = min(dt * 2.0, dt_max)
                     smooth = 0
-            if ut_sup < tol_eq:
-                reason = CONVERGED
-                break
             if t >= t_end:
                 reason = T_MAX_REACHED
                 break
+            if row == k:  # the block is full: its diagnostics, then carry its last state
+                stop = flush(k)
+                if stop:
+                    break
+                block[0], p_rows[0], resids[0] = block[k], p_rows[k], resids[k]
+                base += k
+                row, first = 0, 1
+                u, p = rows[0], p_rows[0]
             dt = min(dt, t_max - t)
 
             # explicit-increment guard, scaled to the state above
@@ -311,28 +359,33 @@ def run(
             if reason:
                 break
 
-            # rhs = u + dt*(P(u) [+ forcing]), formed in x and solved in place
+            # rhs = u + dt*(P(u) [+ forcing]), formed in the next row, solved in place
+            x = rows[row + 1]
             if forcing is None:
-                multiply(p_now, dt, x)
+                multiply(p, dt, x)
             else:
-                multiply(add(p_now, forcing(t), x), dt, x)
+                multiply(add(p, forcing(t), x), dt, x)
             solver.solve(add(u, x, x))
             sup_u = float(maximum(absolute(x, work)))
             if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
                 reason = "nonfinite_state"
                 break
-            set_ghosts(e_next, boundary)
-            laplacian_extended(e_next, g, lap_u)
-            # windowed energy, accumulated every step regardless of stride
-            energy += energy_addend(u, x, resid_now, dt, h, work)
             t += dt
             dt_taken = dt
-            steps += 1
-            e, u, e_next, x = e_next, x, e, u
+            row += 1
             if sup_u > sup_guard:
                 reason = "sup_guard"
                 break
+        if stop is None and len(ts) > base + first:
+            stop = flush(len(ts) - base - 1)
 
+    if stop:  # the run ends at an earlier row than the loop
+        row, reason = stop
+        t = ts[base + row]
+        for c in (ts, dts, sups):
+            del c[len(actions):]
+    steps = base + row
+    u = rows[row]
     if snap_step != steps:
         snaps.append((t, Field(g, u)))  # the end state
     traj = Trajectory(snapshots=snaps, diagnostics=diag, steps=steps,

@@ -37,43 +37,46 @@ def action(nl: Nonlinearity, u: Field) -> float:
     """The action A(u); raises RangeOverflowError when a part is non-finite."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
-        return action_parts_extended(nl, v, extend(v, nl.grid.boundary),
-                                     *np.empty((2, len(v))))[0]
+        value, dir_part, pot_part = action_parts_extended(
+            nl, v, extend(v, nl.grid.boundary), *np.empty((2, len(v))))
+    if not (isfinite(dir_part) and isfinite(pot_part)):
+        raise RangeOverflowError("non-finite action integrand")
+    return float(value)
 
 
 def action_parts_extended(nl: Nonlinearity, v: np.ndarray, e: np.ndarray,
-                          out: np.ndarray, work: np.ndarray) -> tuple[float, float, float]:
+                          out: np.ndarray, work: np.ndarray) -> tuple:
     """(value, dirichlet_part, potential_part) of the action at samples v,
-    with e = grid.extend(v), for a caller that also takes the Laplacian of v.
-    out and work are scratch arrays of v's shape for Q.
+    with e = grid.extend(v), for a caller that also takes the Laplacian of v;
+    on a stack of fields (v = e[..., 1:-1]), one of each per row.  out and
+    work are scratch arrays of v's shape for Q.
 
     Q is evaluated unchecked: the caller holds np.errstate(over="ignore",
-    invalid="ignore"), and a non-finite Q shows in the potential sum, so a
-    non-finite part raises RangeOverflowError.
+    invalid="ignore") and tests the parts, since a non-finite Q shows in
+    the potential sum.
     """
     g = nl.grid
     dir_part = dirichlet_energy_extended(e, g)
     q = nl.potential_unchecked(v, out, work)
-    pot_part = g.h * float(np.add.reduce(q))  # grid.integrate's rule
-    value = -dir_part + pot_part
-    if not (isfinite(dir_part) and isfinite(pot_part)):
-        raise RangeOverflowError("non-finite action integrand")
-    return value, dir_part, pot_part
+    pot_part = g.h * np.add.reduce(q, axis=-1)  # grid.integrate's rule
+    return -dir_part + pot_part, dir_part, pot_part
 
 
 def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
-                  resid_before: np.ndarray, dt: float, h: float,
-                  out: np.ndarray) -> float:
-    """One step's windowed energy.
+                  resid_before: np.ndarray, dt, h: float, out: np.ndarray):
+    """One step's windowed energy, or one per row of a stack of steps with
+    dt one value per row.
 
     resid_before is laplacian(u_before) + P(u_before); h is the grid
     spacing; out is scratch for the difference quotient.  The time stepper
-    adds this once per accepted step.
+    adds one per accepted step, taken for a block of steps at once.  Each
+    row's sums of squares are its BLAS `ddot`, as `ndarray.dot` takes them.
     """
+    dt = np.asarray(dt)
     udot = np.subtract(u_after, u_before, out)
-    np.divide(udot, dt, udot)
-    return 0.5 * dt * h * (float(udot.dot(udot))
-                           + float(resid_before.dot(resid_before)))
+    np.divide(udot, dt[..., None], udot)
+    return 0.5 * dt * h * (np.vecdot(udot, udot)
+                           + np.vecdot(resid_before, resid_before))
 
 
 def identity_residual(traj, nl: Nonlinearity) -> float:

@@ -110,17 +110,18 @@ def extend(values: np.ndarray, boundary: str) -> np.ndarray:
 
 
 def set_ghosts(e: np.ndarray, boundary: str) -> np.ndarray:
-    """Set the two ghost nodes of e from its interior e[1:-1], in place.
+    """Set the two ghost nodes of e from its interior e[..., 1:-1], in place,
+    on every row of a stack of extended fields.
 
-    The time step solves for the new field inside such a buffer, so its
-    extension costs two assignments.
+    The time step solves each new field inside such a row, so extending a
+    block of them costs two column assignments.
     """
     if boundary == "periodic":
-        e[0], e[-1] = e[-2], e[1]
+        e[..., 0], e[..., -1] = e[..., -2], e[..., 1]
     elif boundary == "dirichlet0":
-        e[0] = e[-1] = 0.0
+        e[..., 0] = e[..., -1] = 0.0
     else:
-        e[0], e[-1] = e[1], e[-2]
+        e[..., 0], e[..., -1] = e[..., 1], e[..., -2]
     return e
 
 
@@ -131,25 +132,28 @@ def laplacian_values(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 def laplacian_extended(e: np.ndarray, grid: SpatialGrid, out: np.ndarray) -> np.ndarray:
     """The Laplacian stencil (e[:-2] - 2*e[1:-1] + e[2:])/h^2 on
-    e = extend(values, grid.boundary), written into out."""
-    c = e[1:-1]
+    e = extend(values, grid.boundary), or on each row of a stack of them,
+    written into out."""
+    c = e[..., 1:-1]
     np.add(c, c, out)  # 2*c, exactly
-    np.subtract(e[:-2], out, out)
-    np.add(out, e[2:], out)
+    np.subtract(e[..., :-2], out, out)
+    np.add(out, e[..., 2:], out)
     return np.divide(out, grid.h**2, out)
 
 
-def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid) -> float:
+def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid):
     """(1/2) integral of |grad u|^2 on e = extend(values, grid.boundary), in
     the forward-difference convention matched to the Laplacian stencil
-    (exact summation by parts for every closure)."""
+    (exact summation by parts for every closure); one value per row of a
+    stack of them.  `np.vecdot` sums the squares of each row by the BLAS
+    `ddot` of `ndarray.dot`, so a row's value has the bits of its own call."""
     if grid.boundary == "periodic":
-        d = e[2:] - e[1:-1]
+        d = e[..., 2:] - e[..., 1:-1]
     elif grid.boundary == "dirichlet0":
-        d = e[1:] - e[:-1]
+        d = e[..., 1:] - e[..., :-1]
     else:
-        d = e[2:-1] - e[1:-2]
-    return 0.5 * float(d.dot(d)) / grid.h
+        d = e[..., 2:-1] - e[..., 1:-2]
+    return 0.5 * np.vecdot(d, d) / grid.h
 
 
 def integrate(u: Field) -> float:

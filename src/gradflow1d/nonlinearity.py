@@ -156,8 +156,9 @@ class Nonlinearity:
 
     def potential_unchecked(self, v: np.ndarray, out: np.ndarray,
                             work: np.ndarray) -> np.ndarray:
-        """The potential Q at samples v with no finite check, on the terms
-        of `apply_P_unchecked`: written into out, work as scratch."""
+        """The potential Q at samples v, or at each row of a stack of them
+        (v[..., j] at node j), with no finite check, on the terms of
+        `apply_P_unchecked`: written into out, work as scratch."""
         return _folded_horner(self._Q, v, out, work)
 
     def scalar_P(self, uval: float, coeffs) -> float:

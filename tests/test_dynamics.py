@@ -443,11 +443,10 @@ def test_csv_writers_match_the_f_string_format(tmp_path, rows):
         return (-1) ** (i // 5) * _AWKWARD[i % 5]
 
     diag = DiagnosticSeries()
-    for c, add in enumerate(diag.appenders()):
-        for i in range(rows):
-            add(value(i + c))
-    for add, extra in zip(diag.appenders(), (math.inf, -math.inf, math.nan, 0.0, 1.0, 2.0)):
-        add(extra)
+    for c, column in enumerate(diag.columns()):
+        column.extend(value(i + c) for i in range(rows))
+    for column, extra in zip(diag.columns(), (math.inf, -math.inf, math.nan, 0.0, 1.0, 2.0)):
+        column.append(extra)
     diag.write_csv(tmp_path / "diagnostics.csv")
     want = "t,dt,sup_norm,action,energy_cum,ut_sup\n" + "".join(
         ",".join(f"{getattr(diag, c)[i].item():.17g}" for c in DiagnosticSeries.COLUMNS) + "\n"

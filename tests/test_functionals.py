@@ -11,7 +11,14 @@ from gradflow1d.functionals import (
     energy_addend,
     identity_residual,
 )
-from gradflow1d.grid import BOUNDARIES, Field, dirichlet_energy_extended, extend, laplacian_values
+from gradflow1d.grid import (
+    BOUNDARIES,
+    Field,
+    dirichlet_energy_extended,
+    extend,
+    laplacian_values,
+    set_ghosts,
+)
 from gradflow1d.nonlinearity import Nonlinearity
 
 _EPS = np.finfo(float).eps
@@ -173,8 +180,8 @@ def test_identity_residual_positive_for_non_solution(fisher):
                            np.empty(g.m))
     for row in ((0.0, 0.0, 0.0, action(nl, u0), 0.0, 0.0),
                 (dt, dt, 0.0, action(nl, u1), energy, 0.0)):
-        for add, value in zip(diag.appenders(), row):
-            add(value)
+        for column, value in zip(diag.columns(), row):
+            column.append(value)
     traj = dynamics.Trajectory(snapshots=[(0.0, u0), (dt, u1)], diagnostics=diag,
                                steps=1, stop_reason="t_max_reached")
     resid = identity_residual(traj, nl)
@@ -232,3 +239,34 @@ def test_action_gradient_is_laplacian_plus_P(case, signed, boundary, m, seed):
                 / (2.0 * step)
                 + (m + 8) * _EPS * g.h * float(np.sum((np.abs(lap) + pmaj) * np.abs(v))))
     assert abs(fd - inner) <= truncation + rounding
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coefficient_exprs(), st.booleans(), st.sampled_from(BOUNDARIES), st.integers(8, 300),
+       st.integers(0, 2**32 - 1))
+def test_stacked_action_and_energy_match_each_row_bitwise(case, signed, boundary, m, seed):
+    # `run` takes the action parts and the energy addends of a block of
+    # states at once; each row must have the bits of its own one-field call
+    n, exprs = case
+    spec = problem.spec_from_dict({"N": n, "coeffs": exprs, "box_half_length": 5.0,
+                                   "grid_points": m, "boundary": boundary,
+                                   "signed_power": signed})
+    g = problem.make_grid(spec)
+    nl = Nonlinearity(spec, g)
+    rng = np.random.default_rng(seed)
+    rows = 4
+    e = np.empty((rows, m + 2))
+    e[:, 1:-1] = rng.uniform(-1.5, 1.5, (rows, m))
+    set_ghosts(e, boundary)
+    v = e[:, 1:-1]
+    resid = np.stack([_resid(nl, w) for w in v])
+    dts = rng.uniform(1e-4, 1e-2, rows - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = action_parts_extended(nl, v, e, *np.empty((2, rows, m)))
+        addends = energy_addend(v[:-1], v[1:], resid[:-1], dts, g.h, np.empty((rows - 1, m)))
+    for i in range(rows):
+        one = _parts(nl, Field(g, v[i]))
+        assert [p[i] for p in parts] == list(one)
+    for i in range(rows - 1):
+        assert addends[i] == energy_addend(v[i], v[i + 1], resid[i], float(dts[i]), g.h,
+                                           np.empty(m))

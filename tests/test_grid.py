@@ -13,8 +13,10 @@ from gradflow1d.grid import (
     dirichlet_energy_extended,
     extend,
     integrate,
+    laplacian_extended,
     laplacian_values,
     read_field_csv,
+    set_ghosts,
     sup_norm,
     write_field_csv,
 )
@@ -183,6 +185,57 @@ def test_stencils_match_concatenate_and_roll_forms_bitwise(boundary, m, seed):
     assert laplacian_values(v, g).tobytes() == lap.tobytes()
     assert forward_difference(v, g).tobytes() == ((e[2:] - v) / g.h).tobytes()
     assert dirichlet_energy_extended(extend(v, boundary), g) == 0.5 * float(np.dot(d, d)) / g.h
+
+
+# np.vecdot's rows against ndarray.dot: lengths across the BLAS kernels'
+# unrolled blocks and their tails, and far-apart magnitudes
+VECDOT_LENGTHS = (8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256,
+                  257, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097)
+VECDOT_MAGNITUDES = (1e-8, 1.0, 1e8)
+
+
+def vecdot_rows_differing(seed: int = 0) -> int:
+    """Rows of stacked arrays whose np.vecdot with themselves differs by a
+    bit from ndarray.dot of the row, taken on the row and on a contiguous
+    copy of it.  The stacks are contiguous, and ghost-offset views (the
+    interior and both shifted stencils of an extended block)."""
+    rng = np.random.default_rng(seed)
+    differing = 0
+    for n in VECDOT_LENGTHS:
+        for scale in VECDOT_MAGNITUDES:
+            e = scale * rng.standard_normal((5, n + 2))
+            for v in (np.ascontiguousarray(e[:, 1:-1]), e[:, 1:-1], e[:, 2:], e[:, :-2]):
+                got = np.vecdot(v, v)
+                for i, r in enumerate(v):
+                    c = np.ascontiguousarray(r)
+                    differing += not got[i] == r.dot(r) == c.dot(c)
+    return differing
+
+
+def test_vecdot_rows_equal_ndarray_dot_bitwise():
+    # the stacked kernels sum each row's squares with np.vecdot, the stepper
+    # reference and the one-field kernels with ndarray.dot: one BLAS ddot
+    assert vecdot_rows_differing() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOUNDARIES), st.integers(8, 300), st.integers(1, 5),
+       st.integers(0, 2**31))
+def test_stacked_stencils_match_each_row_bitwise(boundary, m, rows, seed):
+    # set_ghosts, the Laplacian and the Dirichlet energy on a block of
+    # extended fields give each row the bits of its own one-field call
+    g = SpatialGrid(5.0, m, boundary)
+    v = np.random.default_rng(seed).standard_normal((rows, m))
+    e = np.empty((rows, m + 2))
+    e[:, 1:-1] = v
+    set_ghosts(e, boundary)
+    lap = laplacian_extended(e, g, np.empty((rows, m)))
+    energy = dirichlet_energy_extended(e, g)
+    for i in range(rows):
+        one = extend(v[i], boundary)
+        assert e[i].tobytes() == one.tobytes()
+        assert lap[i].tobytes() == laplacian_values(v[i], g).tobytes()
+        assert energy[i] == dirichlet_energy_extended(one, g)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -8,8 +8,11 @@ multiplies and adds.  So the snapshot files, the `status`, `stop_reason`,
 `sup_norm` and `ut_sup` columns of `diagnostics.csv` must not change when
 OpenBLAS is told to use another core type or numpy's AVX-512 kernels are
 turned off.  The `action` and `energy_cum` columns take their sums of
-squares through `ndarray.dot`, BLAS `ddot`, whose bits depend on the core
-type; they are held to a relative 1e-9 only.
+squares row by row through `np.vecdot`, BLAS `ddot`, whose bits depend on
+the core type; they are held to a relative 1e-9 only.  Under every variant,
+`np.vecdot` on stacked rows must give each row the bits of `ndarray.dot`
+(`test_grid.vecdot_rows_differing`), since the block of states in
+`dynamics.run` sums with the one and the one-field kernels with the other.
 
 `unstable_direction`'s Noda iteration factors and solves with the same
 `dpttrf`/`dpttrs` and elementwise numpy, and takes the eigenvalue as a
@@ -47,9 +50,13 @@ _KERNEL_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 _SCRIPT = """
 import json
 import sys
+sys.path.insert(0, "tests")
+from test_grid import vecdot_rows_differing
 from gradflow1d import cli, equilibria
 from gradflow1d.nonlinearity import Nonlinearity
 out, simulated, eigen = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(",")
+with open(f"{out}.vecdot", "w") as f:
+    f.write(str(vecdot_rows_differing()))
 for name in simulated:
     cli.main(["simulate", f"configs/{name}.json", "--quiet",
               "--output-dir", f"{out}/{name}"])
@@ -130,6 +137,8 @@ def _columns(path: Path) -> dict:
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 def test_simulate_is_independent_of_the_kernel_variant(tmp_path):
     outs = _run_all(tmp_path)
+    for variant, out in outs.items():
+        assert out.with_suffix(".vecdot").read_text() == "0", variant
     ref = outs.pop("default")
     for boundary in BOUNDARIES:
         want = (ref / f"varcoef_{boundary}.catalog").read_text()

@@ -5,10 +5,14 @@
 copied right-hand side and the periodic border of node 0 written out (its
 Schur complement and border column taken from the solver), the Laplacian
 built with `np.concatenate`, an explicit finite check of the right-hand side
-(`run` lets the solve carry a non-finite one into x), and the action through
-`functionals.action`.  `run` must reproduce every
-recorded number exactly, so any reordering of floating-point work in the
-lean loop shows up here.
+(`run` lets the solve carry a non-finite one into x), the Dirichlet energy
+and the energy addend written here with one-field `ndarray.dot`, and every
+diagnostic and stop test taken at once after each step (`run` takes them
+per block of states).  `run` must reproduce every recorded number exactly,
+so any reordering of floating-point work in the lean loop shows up here.
+The explicit examples end a run on the first, the second-to-last and the
+last row of a block and just past it, for each stop that a block flush or
+a step decides.
 
 The increment guard of the reference, dt*sup|P(u)| <= 0.9*increment_limit
 *max(1, sup|u|/scale_u), takes its threshold as a parameter: at
@@ -24,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrs
 
-from gradflow1d import problem, verify
+from gradflow1d import dynamics, problem, verify
 from gradflow1d.dynamics import (
     BLOW_UP,
     CONVERGED,
@@ -33,7 +37,6 @@ from gradflow1d.dynamics import (
     StepControl,
     run,
 )
-from gradflow1d.functionals import action, energy_addend
 from gradflow1d.grid import Field, sup_norm
 from gradflow1d.nonlinearity import Nonlinearity, RangeOverflowError
 from gradflow1d.tridiag import ImplicitDiffusionSolver
@@ -63,6 +66,31 @@ def _solve(s, rhs):
     return np.concatenate(((x0,), g + s._w * (s._mu * x0)))
 
 
+def _action(nl, u):
+    """The action of u: the forward-difference Dirichlet energy and the node
+    sum of Q, each part tested for a non-finite value."""
+    v, g = u.values, u.grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.boundary == "periodic":
+            d = np.roll(v, -1) - v
+        elif g.boundary == "dirichlet0":
+            d = np.diff(np.concatenate(((0.0,), v, (0.0,))))
+        else:
+            d = np.diff(v)
+        dir_part = 0.5 * float(d.dot(d)) / g.h
+        q = nl.potential_unchecked(v, np.empty(g.m), np.empty(g.m))
+        pot_part = g.h * float(np.add.reduce(q))
+    if not (math.isfinite(dir_part) and math.isfinite(pot_part)):
+        raise RangeOverflowError("non-finite action part")
+    return -dir_part + pot_part
+
+
+def _energy_addend(before, after, resid, dt, h):
+    with np.errstate(over="ignore", invalid="ignore"):
+        udot = (after - before) / dt
+        return 0.5 * dt * h * (float(udot.dot(udot)) + float(resid.dot(resid)))
+
+
 def _extreme_sign(u):
     v = u.values
     i = int(np.argmax(np.abs(v)))
@@ -76,11 +104,11 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
     g = u0.grid
     solvers = {}
     diag = DiagnosticSeries()
-    appenders = diag.appenders()
+    columns = diag.columns()
 
     def record(*row):
-        for add, value in zip(appenders, row):
-            add(value)
+        for column, value in zip(columns, row):
+            column.append(value)
 
     snaps = [(0.0, u0)]
     u, t, dt, energy, steps, smooth = u0, 0.0, ctrl.dt_init, 0.0, 0, 0
@@ -93,7 +121,7 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
 
     try:
         p_now, resid_now = reaction_and_residual(u)
-        a_now = action(nl, u)
+        a_now = _action(nl, u)
     except RangeOverflowError:
         return (diag, [(0.0, u0)], BLOW_UP, u0, 0.0, 0, _extreme_sign(u0),
                 "initial_out_of_range")
@@ -146,7 +174,7 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
             reason = "nonfinite_state"
             break
         u_next = Field(g, x)
-        energy += energy_addend(u.values, u_next.values, resid_now, dt, g.h, np.empty(g.m))
+        energy += _energy_addend(u.values, u_next.values, resid_now, dt, g.h)
         t += dt
         steps += 1
         u = u_next
@@ -157,7 +185,7 @@ def reference_run(u0, nl, ctrl, t_max, tol_eq, forcing, snapshot_stride,
             break
         try:
             p_now, resid_now = reaction_and_residual(u)
-            a_now = action(nl, u)
+            a_now = _action(nl, u)
         except RangeOverflowError:
             status, escape_sign = BLOW_UP, _extreme_sign(u)
             reason = "nonfinite_reaction"
@@ -259,12 +287,80 @@ def _blow_up_example():
     return spec, u0, ctrl, 2.0, 1e-8, None, 64
 
 
+def _block_rows(m):
+    """K, the rows of `run`'s block of states beyond the carried one."""
+    return max(1, min(dynamics._BLOCK_ROWS, dynamics._BLOCK_VALUES // m))
+
+
+def _ending(reason, steps, m=16, forcing=None):
+    """A case whose run ends by `reason` after `steps` steps at fixed dt,
+    its threshold read off a longer reference run: tol_eq between two rows
+    of a Fisher relaxation's falling ut_sup (converged), t_max at that many
+    steps (t_max_reached), sup_guard between two rows of u' = -u^2's rising
+    sup|u| (sup_guard), or an initial state that many steps before the node
+    sum of Q = -u^3/3 overflows while P = -u^2 stays finite
+    (nonfinite_reaction; initial_out_of_range at step 0)."""
+    def case(coeffs, u0, dt, **ctrl):
+        spec = problem.spec_from_dict({"N": 2, "coeffs": coeffs, "box_half_length": 5.0,
+                                       "grid_points": m, "boundary": "periodic"})
+        g = problem.make_grid(spec)
+        return (spec, Field(g, u0(g)), StepControl(dt_init=dt, dt_min=dt, dt_max=dt, **ctrl),
+                1e3, 0.0, forcing, 7)
+
+    def reference(spec, u0, ctrl, t_max, tol_eq, forcing, stride):
+        return reference_run(u0, Nonlinearity(spec, u0.grid), ctrl, t_max, tol_eq,
+                             forcing, stride)
+
+    if reason in (CONVERGED, T_MAX_REACHED):
+        spec, u0, ctrl, _, _, _, stride = c = case(
+            ["0", "1"], lambda g: 1.0 + 0.2 * np.cos(2.0 * np.pi * g.nodes / g.length), 1e-2)
+        t_max = steps * 1e-2 if steps else 1e-13  # t_end < 0 stops at step 0
+        tol_eq = 0.0
+        if reason == CONVERGED:
+            ut = reference(*c[:3], (steps + 1) * 1e-2, 0.0, forcing, stride)[0].ut_sup
+            assert np.all(np.diff(ut) < 0)
+            tol_eq = 2.0 * ut[0] if steps == 0 else 0.5 * (ut[steps - 1] + ut[steps])
+            t_max = 1e3
+        c = (spec, u0, ctrl, t_max, tol_eq, forcing, stride)
+    elif reason == "sup_guard":
+        c = case(["0", "0"], lambda g: np.full(g.m, -1.0), 1e-3)
+        sup = reference(*c)[0].sup_norm
+        guard = 0.5 * (sup[steps - 1] + sup[steps])
+        c = case(["0", "0"], lambda g: np.full(g.m, -1.0), 1e-3, sup_guard=guard)
+    else:
+        growth = dict(increment_limit=1e300, sup_guard=1e307)
+        c = case(["0", "0"], lambda g: np.full(g.m, -2e102), 1e-105, **growth)
+        _, snaps, *_, total, _, why = reference(*c[:6], 1)
+        assert why == "nonfinite_reaction" and total >= steps
+        start = snaps[total - steps][1].values
+        c = case(["0", "0"], lambda g: start, 1e-105, **growth)
+    got = reference(*c)
+    assert (got[5], got[7]) == (steps, reason if steps or reason != "nonfinite_reaction"
+                                else "initial_out_of_range"), (reason, steps)
+    return c
+
+
+_K16 = _block_rows(16)
+_BLOCK_EDGE_EXAMPLES = [
+    _ending(reason, steps)
+    for reason in (CONVERGED, T_MAX_REACHED, "sup_guard", "nonfinite_reaction")
+    for steps in (1 if reason == "sup_guard" else 0, _K16 - 1, _K16, _K16 + 1, 2 * _K16)
+]
+
+
+def _block_edges(test):
+    for case in _BLOCK_EDGE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=_EXAMPLES, deadline=None)
 @given(_cases())
 @example(_blow_up_example())
+@_block_edges
 def test_run_matches_reference_stepper_bit_for_bit(case):
     traj = _assert_run_matches_reference(*case)
-    if traj.diagnostics.sup_norm.max() <= INCREMENT_SCALE_U:
+    if traj.diagnostics.sup_norm.max(initial=0.0) <= INCREMENT_SCALE_U:
         # the guard never scaled: the absolute guard gives the same bits
         _assert_run_matches_reference(*case, scale_u=math.inf)
 
@@ -292,3 +388,44 @@ def test_run_matches_reference_when_factorization_fails(u, dt_min, reason):
         assert traj.steps == 0
     else:
         assert traj.steps > 0 and 0.0 < traj.diagnostics.dt[1] < 1e15
+
+
+@pytest.mark.parametrize("reason, steps", ((CONVERGED, 2), (T_MAX_REACHED, 3)))
+def test_run_matches_reference_with_one_row_per_block(reason, steps):
+    # at M = 16384 the block holds one state beyond the carried one, so every
+    # step flushes
+    assert _block_rows(16384) == 1
+    _assert_run_matches_reference(*_ending(reason, steps, m=16384))
+
+
+@pytest.mark.parametrize("reason", (CONVERGED, "nonfinite_reaction"))
+def test_run_ending_mid_block_keeps_nothing_past_its_end(reason, monkeypatch):
+    # the flush finds the end up to K - 1 steps after it was taken: the
+    # snapshots are the reference's, a Field is built only for a kept
+    # snapshot, and the discarded steps call forcing at t <= t_max only
+    m = 16
+    steps = _K16 // 2
+    times = []
+
+    def forcing(t):
+        times.append(t)
+        return np.zeros(m)
+
+    spec, u0, ctrl, t_max, tol_eq, _, stride = _ending(reason, steps, forcing=forcing)
+    if reason == CONVERGED:
+        t_max = (steps + 3) * ctrl.dt_init  # the steps past the end stop at t_max
+    built = []
+
+    def counted_field(grid, values):
+        built.append(len(values))
+        return Field(grid, values)
+
+    monkeypatch.setattr(dynamics, "Field", counted_field)
+    times.clear()
+    traj = _assert_run_matches_reference(spec, u0, ctrl, t_max, tol_eq, forcing, stride)
+    assert traj.stop_reason == (reason if steps else "initial_out_of_range")
+    assert traj.steps == steps
+    assert len(built) == len(traj.snapshots) - 1  # u0 is the caller's
+    assert max(times) <= t_max
+    if reason == CONVERGED:
+        assert max(times) > traj.final_time  # steps were taken past the end
