@@ -7,14 +7,9 @@
 
 Exit codes: 0 success, 1 config error, 2 blow-up, 3 verification failure.
 All outputs are reproducible bit-for-bit for identical configs (seeds
-included) on one host with one numpy and BLAS build.  Across CPUs, the
-trajectory `simulate` writes (snapshots, step counts, times, sup norms,
-ut_sup), Newton's equilibria and the eigenpairs `connect` launches along
-are host-independent: the step and the eigenpair factor with LAPACK dpttrf
-and solve with dpttrs, Newton with dgttrf and dgttrs (none calls BLAS), the
-eigenvalue is a Rayleigh quotient summed by numpy's add.reduce, and P and Q
-use no power kernel.  Actions, energy_cum and connection energies take sums
-of squares through BLAS ddot, whose last bits depend on the CPU.
+included), whatever OpenBLAS core type or numpy SIMD kernels the host
+selects: the package reaches no BLAS, only `tridiag`'s LAPACK loops and
+numpy's elementwise ufuncs and `add.reduce` (tests/test_kernel_variants.py).
 """
 
 from __future__ import annotations

@@ -171,6 +171,8 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
                              window_fraction: float = 0.5) -> GrowthDiagnostic:
     """Least-squares slope of cumulative energy vs t over the trailing window.
 
+    On the centred window (tc, ec), rate = sum(tc*ec)/sum(tc^2) and fit quality
+    R^2 = sum(tc*ec)^2/(sum(tc^2) sum(ec^2)), each sum an `np.add.reduce`.
     A travelling front shows a positive rate with fit quality near 1; a
     connecting run shows the rate falling to zero.  Both are NaN when the
     energy in the window overflowed.
@@ -183,12 +185,10 @@ def energy_growth_diagnostic(traj: dynamics.Trajectory,
     tw, ew = diag.t[i:], diag.energy_cum[i:]
     if not np.isfinite(ew).all():
         return GrowthDiagnostic(rate=math.nan, fit_quality=math.nan)
-    slope, intercept = np.polyfit(tw, ew, 1)
-    fitted = slope * tw + intercept
-    ss_res = float(np.sum((ew - fitted) ** 2))
-    ss_tot = float(np.sum((ew - ew.mean()) ** 2))
-    quality = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    return GrowthDiagnostic(rate=float(slope), fit_quality=quality)
+    tc, ec = tw - tw.mean(), ew - ew.mean()
+    stt, ste, see = (float(np.add.reduce(a * b)) for a, b in ((tc, tc), (tc, ec), (ec, ec)))
+    quality = 1.0 if see <= 1e-300 else ste * ste / (stt * see)
+    return GrowthDiagnostic(rate=ste / stt, fit_quality=quality)
 
 
 @dataclass

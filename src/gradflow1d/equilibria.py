@@ -388,8 +388,7 @@ def unstable_direction(nl: Nonlinearity, eq: Equilibrium,
     polished = False
     for it in range(max_iter + 1):
         aw = laplacian_values(w, g) + dp * w
-        # summed by add.reduce, not the BLAS ddot of np.dot, for the same
-        # bits on every host
+        # summed by add.reduce, as every sum in the package: no BLAS
         lam = float(np.add.reduce(w * aw) / np.add.reduce(w * w))
         tol = 1e-8 * max(1.0, abs(lam)) + 8.0 * EPS * norm_a
         met = float(np.max(np.abs(aw - lam * w))) <= tol

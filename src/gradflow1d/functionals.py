@@ -70,13 +70,14 @@ def energy_addend(u_before: np.ndarray, u_after: np.ndarray,
     resid_before is laplacian(u_before) + P(u_before); h is the grid
     spacing; out is scratch for the difference quotient.  The time stepper
     adds one per accepted step, taken for a block of steps at once.  Each
-    row's sums of squares are its BLAS `ddot`, as `ndarray.dot` takes them.
+    row's sums of squares are `np.add.reduce` of its squares in out.
     """
     dt = np.asarray(dt)
     udot = np.subtract(u_after, u_before, out)
     np.divide(udot, dt[..., None], udot)
-    return 0.5 * dt * h * (np.vecdot(udot, udot)
-                           + np.vecdot(resid_before, resid_before))
+    kinetic = np.add.reduce(np.multiply(udot, udot, out), axis=-1)
+    return 0.5 * dt * h * (kinetic + np.add.reduce(
+        np.multiply(resid_before, resid_before, out), axis=-1))
 
 
 def identity_residual(traj, nl: Nonlinearity) -> float:

@@ -145,15 +145,15 @@ def dirichlet_energy_extended(e: np.ndarray, grid: SpatialGrid):
     """(1/2) integral of |grad u|^2 on e = extend(values, grid.boundary), in
     the forward-difference convention matched to the Laplacian stencil
     (exact summation by parts for every closure); one value per row of a
-    stack of them.  `np.vecdot` sums the squares of each row by the BLAS
-    `ddot` of `ndarray.dot`, so a row's value has the bits of its own call."""
+    stack of them.  Each row's squares are summed by `np.add.reduce`, which
+    gives a row of a stack the bits of its own call on every host."""
     if grid.boundary == "periodic":
         d = e[..., 2:] - e[..., 1:-1]
     elif grid.boundary == "dirichlet0":
         d = e[..., 1:] - e[..., :-1]
     else:
         d = e[..., 2:-1] - e[..., 1:-2]
-    return 0.5 * np.vecdot(d, d) / grid.h
+    return 0.5 * np.add.reduce(np.multiply(d, d, d), axis=-1) / grid.h
 
 
 def integrate(u: Field) -> float:

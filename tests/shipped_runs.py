@@ -11,14 +11,21 @@ code and sha256 of stdout) and one per output file (sha256), and saves the
 same lines as OUT_DIR/manifest.txt.
 
 With --compare, it then lists every run and file whose line differs from, or
-is missing in, OTHER_DIR/manifest.txt, and exits 1 if there is one.  To check
-that a change keeps every output byte, run the script from a copy of the
-parent commit (`git archive`) into OTHER_DIR, then from the change with
---compare OTHER_DIR.
+is missing in, OTHER_DIR/manifest.txt, and exits 1 if there is one.  For a
+differing CSV file with the same header and row count on both sides it
+prints each column's largest relative change, |a - b| / max(|a|, |b|) over
+the rows (`text` for a column whose non-numeric cells differ); for a
+differing JSON file, each key whose value differs, with both values.  To
+check that a change keeps every output byte, or to measure how far it moves
+them, run the script from a copy of the parent commit (`git archive`) into
+OTHER_DIR, then from the change with --compare OTHER_DIR.
 """
 
 import argparse
+import csv
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +68,77 @@ def _entries(lines) -> dict:
     return {" ".join(line.split()[:2]): line for line in lines}
 
 
+def _relative_change(a: str, b: str):
+    """|a - b| / max(|a|, |b|) of two CSV cells, None when one is not a number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:  # the same number written two ways
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf  # one side inf or nan, the other not the same
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _csv_changes(ours: Path, theirs: Path) -> str:
+    """`column change` for every column of two CSV files with one header and
+    row count, its largest relative change; why not, when they differ."""
+    with open(ours, newline="") as f:
+        a = list(csv.reader(f))
+    with open(theirs, newline="") as f:
+        b = list(csv.reader(f))
+    if a[:1] != b[:1] or len(a) != len(b):
+        return "header or row count differs"
+    out = []
+    for j, name in enumerate(a[0]):
+        changes = [_relative_change(r[j], s[j]) for r, s in zip(a[1:], b[1:])]
+        if None in changes:
+            out.append(f"{name} text")
+        else:
+            out.append(f"{name} {max(changes, default=0.0):.2g}")
+    return ", ".join(out)
+
+
+def _flatten(value, key=""):
+    """{dotted key: scalar} of a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {key: value}
+    flat = {}
+    for k, v in items:
+        flat.update(_flatten(v, f"{key}.{k}" if key else str(k)))
+    return flat
+
+
+def _json_changes(ours: Path, theirs: Path) -> list[str]:
+    """`key: theirs -> ours` for every key whose value differs, compared by
+    repr so that NaN equals NaN."""
+    a = _flatten(json.loads(ours.read_text()))
+    b = _flatten(json.loads(theirs.read_text()))
+    texts = [(key, repr(b[key]) if key in b else "(missing)",
+              repr(a[key]) if key in a else "(missing)") for key in sorted(a.keys() | b.keys())]
+    return [f"{key}: {y} -> {x}" for key, y, x in texts if x != y]
+
+
+def _changes(key: str, out_dir: Path, other_dir: Path) -> list[str]:
+    """How a differing file moved, when it is a CSV or JSON file on both sides."""
+    kind, _, name = key.partition(" ")
+    ours, theirs = out_dir / name, other_dir / name
+    if kind != "file" or not (ours.is_file() and theirs.is_file()):
+        return []
+    if name.endswith(".csv"):
+        return [f"max relative change: {_csv_changes(ours, theirs)}"]
+    if name.endswith(".json"):
+        return _json_changes(ours, theirs)
+    return []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -83,6 +161,8 @@ def main(argv=None) -> int:
                     if ours.get(key) != theirs.get(key))
     for key in differ:
         print(f"differs: {key}")
+        for line in _changes(key, out_dir, args.compare.resolve()):
+            print(f"    {line}")
     print(f"{len(differ)} of {len(ours.keys() | theirs.keys())} entries differ "
           f"from {args.compare}")
     return 1 if differ else 0

@@ -133,6 +133,9 @@ def test_sobolev_norm_trivial():
             abs(c) * L ** (1.0 / p)
         )
     assert sobolev_norm(Field.constant(g, 0.0), 3, 2.0) == 0.0
+    for p in (0.5, 3.0, 6.0):  # |D^j u|^p is repeated squaring: p = 1, 2, 4, ...
+        with pytest.raises(ValueError, match="power of two"):
+            sobolev_norm(Field.constant(g, c), 0, p)
 
 
 def test_sobolev_norm_sin():
@@ -184,38 +187,26 @@ def test_stencils_match_concatenate_and_roll_forms_bitwise(boundary, m, seed):
     lap = (e[:-2] - 2.0 * v + e[2:]) / g.h**2
     assert laplacian_values(v, g).tobytes() == lap.tobytes()
     assert forward_difference(v, g).tobytes() == ((e[2:] - v) / g.h).tobytes()
-    assert dirichlet_energy_extended(extend(v, boundary), g) == 0.5 * float(np.dot(d, d)) / g.h
+    assert dirichlet_energy_extended(extend(v, boundary), g) == \
+        0.5 * float(np.add.reduce(d * d)) / g.h
 
 
-# np.vecdot's rows against ndarray.dot: lengths across the BLAS kernels'
-# unrolled blocks and their tails, and far-apart magnitudes
-VECDOT_LENGTHS = (8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256,
-                  257, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097)
-VECDOT_MAGNITUDES = (1e-8, 1.0, 1e8)
-
-
-def vecdot_rows_differing(seed: int = 0) -> int:
-    """Rows of stacked arrays whose np.vecdot with themselves differs by a
-    bit from ndarray.dot of the row, taken on the row and on a contiguous
-    copy of it.  The stacks are contiguous, and ghost-offset views (the
-    interior and both shifted stencils of an extended block)."""
-    rng = np.random.default_rng(seed)
-    differing = 0
-    for n in VECDOT_LENGTHS:
-        for scale in VECDOT_MAGNITUDES:
+def test_stacked_add_reduce_rows_equal_each_rows_sum_bitwise():
+    # the stacked kernels sum each row's squares with np.add.reduce(axis=-1),
+    # the stepper reference and the one-field calls with 1-D np.add.reduce:
+    # lengths across its pairwise blocks and their tails, far-apart
+    # magnitudes, contiguous stacks and ghost-offset views (the interior and
+    # both shifted stencils of an extended block), the rows and their squares
+    rng = np.random.default_rng(0)
+    for n in (8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256,
+              257, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097):
+        for scale in (1e-8, 1.0, 1e8):
             e = scale * rng.standard_normal((5, n + 2))
             for v in (np.ascontiguousarray(e[:, 1:-1]), e[:, 1:-1], e[:, 2:], e[:, :-2]):
-                got = np.vecdot(v, v)
-                for i, r in enumerate(v):
-                    c = np.ascontiguousarray(r)
-                    differing += not got[i] == r.dot(r) == c.dot(c)
-    return differing
-
-
-def test_vecdot_rows_equal_ndarray_dot_bitwise():
-    # the stacked kernels sum each row's squares with np.vecdot, the stepper
-    # reference and the one-field kernels with ndarray.dot: one BLAS ddot
-    assert vecdot_rows_differing() == 0
+                for w in (v, v * v):
+                    got = np.add.reduce(w, axis=-1)
+                    for i, r in enumerate(w):
+                        assert got[i] == np.add.reduce(r) == np.add.reduce(r.copy()), (n, i)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,34 +1,24 @@
-"""`simulate` writes the same trajectory, and every equilibrium the same
-leading eigenpair, under every BLAS and SIMD kernel variant the host offers.
+"""Every output is the same under every BLAS and SIMD kernel variant the
+host offers.
 
-The time step calls no BLAS and no power kernel: the diffusion solve is
-LAPACK `dpttrf`/`dpttrs` (plain loops) and P and Q are elementwise
-multiplies and adds.  So the snapshot files, the `status`, `stop_reason`,
-`steps` and `final_time` of `run_summary.json`, and the `t`, `dt`,
-`sup_norm` and `ut_sup` columns of `diagnostics.csv` must not change when
-OpenBLAS is told to use another core type or numpy's AVX-512 kernels are
-turned off.  The `action` and `energy_cum` columns take their sums of
-squares row by row through `np.vecdot`, BLAS `ddot`, whose bits depend on
-the core type; they are held to a relative 1e-9 only.  Under every variant,
-`np.vecdot` on stacked rows must give each row the bits of `ndarray.dot`
-(`test_grid.vecdot_rows_differing`), since the block of states in
-`dynamics.run` sums with the one and the one-field kernels with the other.
+The package calls no BLAS and no numpy power kernel
+(`tests/test_reachability.py` guards the rule): its solves are LAPACK
+`dpttrf`/`dpttrs` and `dgttrf`/`dgttrs`, plain loops, and every other number
+is made by numpy's elementwise ufuncs and `np.add.reduce`.  So nothing it
+writes may change when OpenBLAS is told to use another core type or numpy's
+AVX-512 kernels are turned off.
 
-`unstable_direction`'s Noda iteration factors and solves with the same
-`dpttrf`/`dpttrs` and elementwise numpy, and takes the eigenvalue as a
-Rayleigh quotient summed by numpy's `add.reduce`; the eigenvalue and the
-direction's bytes must not change either.  Newton's step solves with
-`dgttrf`/`dgttrs` (plain loops) and the periodic border in elementwise
-numpy, so the bytes of Newton's equilibria must not change either.
-
-Each variant runs `simulate` on the shipped `blowup`, `cubic` and `front`
-configs, `unstable_direction` on every member of the `cubic` and `fisher`
-catalogs, and Newton's catalog of a Fisher spec with a_1 = 1 + 0.3cos(0.7x)
-on each closure, in its own interpreter, all variants at once.
+Each variant runs, in its own interpreter, `tests/shipped_runs.py`'s 13
+shipped-config runs (the sha256 of every file, exit code and stdout) and
+writes records of what those runs reach only in part: the leading eigenpair
+of every member of the `cubic` and `fisher` catalogs, Newton's catalog of a
+Fisher spec with a_1 = 1 + 0.3cos(0.7x) on each closure,
+`energy_growth_diagnostic` on fixed synthetic energy windows, and the 1000
+norm-growth ratios behind `verify.FROZEN_RATIO_BOUNDS[(1, 4.0)]`, of which
+the verify report keeps only the maximum.  Every variant's manifest and
+records must equal the default's, entry for entry.  All variants run at once.
 """
 
-import csv
-import json
 import os
 import platform
 import subprocess
@@ -39,44 +29,57 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ("blowup", "cubic", "front")
-EIGEN_CONFIGS = ("cubic", "fisher")
-SUMMARY_KEYS = ("status", "stop_reason", "steps", "final_time")
-HOST_INDEPENDENT_COLUMNS = ("t", "dt", "sup_norm", "ut_sup")
-DDOT_COLUMNS = ("action", "energy_cum")
-BOUNDARIES = ("periodic", "dirichlet0", "neumann0")
+RECORDS = ("eigenpairs", "varcoef", "growth", "ratios")
 _KERNEL_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 _SCRIPT = """
 import json
 import sys
+from pathlib import Path
+from types import SimpleNamespace
+import numpy as np
 sys.path.insert(0, "tests")
-from test_grid import vecdot_rows_differing
-from gradflow1d import cli, equilibria
+from shipped_runs import shipped_runs
+from gradflow1d import cli, connections, dynamics, equilibria, problem, verify
 from gradflow1d.nonlinearity import Nonlinearity
-out, simulated, eigen = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(",")
-with open(f"{out}.vecdot", "w") as f:
-    f.write(str(vecdot_rows_differing()))
-for name in simulated:
-    cli.main(["simulate", f"configs/{name}.json", "--quiet",
-              "--output-dir", f"{out}/{name}"])
-for name in eigen:
-    cfg = cli.load_config(f"configs/{name}.json")
-    nl = Nonlinearity(cfg.spec, cfg.u0.grid)
-    with open(f"{out}/{name}.eigenpairs", "w") as f:
+out = Path(sys.argv[1])
+out.mkdir()
+(out / "manifest.txt").write_text("\\n".join(shipped_runs(out / "shipped")) + "\\n")
+with open(out / "eigenpairs", "w") as f:
+    for name in ("cubic", "fisher"):
+        cfg = cli.load_config(f"configs/{name}.json")
+        nl = Nonlinearity(cfg.spec, cfg.u0.grid)
         for eq in cli.build_catalog(cfg, nl)[0]:
             ud = equilibria.unstable_direction(nl, eq)
-            f.write(f"{ud.eigenvalue!r} {ud.direction.values.tobytes().hex()}\\n")
-for boundary in ("periodic", "dirichlet0", "neumann0"):
-    data = json.load(open("configs/fisher.json"))
-    data["spec"].update(coeffs=["0", "1+0.3*cos(0.7*x)"], boundary=boundary)
-    data["equilibria"] = {"constant_roots": False, "newton_guesses": ["1", "0.9+0.1*cos(x)"]}
-    with open(f"{out}/varcoef_{boundary}.json", "w") as f:
-        json.dump(data, f)
-    cfg = cli.load_config(f"{out}/varcoef_{boundary}.json")
-    with open(f"{out}/varcoef_{boundary}.catalog", "w") as f:
+            f.write(f"{name} {ud.eigenvalue!r} {ud.direction.values.tobytes().hex()}\\n")
+with open(out / "varcoef", "w") as f:
+    for boundary in ("periodic", "dirichlet0", "neumann0"):
+        data = json.load(open("configs/fisher.json"))
+        data["spec"].update(coeffs=["0", "1+0.3*cos(0.7*x)"], boundary=boundary)
+        data["equilibria"] = {"constant_roots": False,
+                              "newton_guesses": ["1", "0.9+0.1*cos(x)"]}
+        path = out / f"varcoef_{boundary}.json"
+        path.write_text(json.dumps(data))
+        cfg = cli.load_config(str(path))
         for eq in cli.build_catalog(cfg, Nonlinearity(cfg.spec, cfg.u0.grid))[0]:
-            f.write(f"{eq.residual!r} {eq.field.values.tobytes().hex()}\\n")
+            f.write(f"{boundary} {eq.residual!r} {eq.field.values.tobytes().hex()}\\n")
+rng = np.random.default_rng(7)
+with open(out / "growth", "w") as f:
+    for rows in (100, 101, 333, 1000, 4097) * 4:
+        diag = dynamics.DiagnosticSeries()
+        t, _, _, _, energy, _ = diag.columns()
+        t.extend(np.cumsum(rng.uniform(1e-3, 1e-2, rows)).tolist())
+        energy.extend((rng.uniform(-2, 2) * np.asarray(t) + rng.uniform(-5, 5)
+                       + 1e-3 * rng.standard_normal(rows)).tolist())
+        g = connections.energy_growth_diagnostic(SimpleNamespace(diagnostics=diag))
+        f.write(f"{g.rate!r} {g.fit_quality!r}\\n")
+spec = verify.fisher_spec(grid_points=64)
+nl = Nonlinearity(spec, problem.make_grid(spec))
+rng = np.random.default_rng(verify._RATIO_SEED)
+with open(out / "ratios", "w") as f:
+    for _ in range(verify._RATIO_SAMPLES):
+        u = verify.random_smooth_field(nl.grid, rng, bound_order=1)
+        f.write(f"{verify.reaction_norm_ratio(nl, u, 1, 4.0)!r}\\n")
 """
 
 
@@ -117,61 +120,33 @@ def _run_all(tmp_path) -> dict:
     for name, extra in _variants().items():
         out = tmp_path / name
         procs[name] = (out, subprocess.Popen(
-            [sys.executable, "-c", _SCRIPT, str(out), ",".join(CONFIGS),
-             ",".join(EIGEN_CONFIGS)], cwd=ROOT,
+            [sys.executable, "-c", _SCRIPT, str(out)], cwd=ROOT,
             env={**base, **extra}, stdout=subprocess.PIPE, stderr=subprocess.STDOUT))
     for name, (_, proc) in procs.items():
-        output = proc.communicate(timeout=300)[0]
+        output = proc.communicate(timeout=600)[0]
         assert proc.returncode == 0, (name, output.decode())
     return {name: out for name, (out, _) in procs.items()}
 
 
-def _columns(path: Path) -> dict:
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    return {name: [r[j] for r in rows[1:]] for j, name in enumerate(rows[0])}
+def _manifest(out: Path) -> dict:
+    """The manifest's lines keyed by their run or file name."""
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return {" ".join(line.split()[:2]): line for line in lines}
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the kernel variants are x86-64 ones")
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
-def test_simulate_is_independent_of_the_kernel_variant(tmp_path):
+def test_every_output_is_independent_of_the_kernel_variant(tmp_path):
     outs = _run_all(tmp_path)
-    for variant, out in outs.items():
-        assert out.with_suffix(".vecdot").read_text() == "0", variant
     ref = outs.pop("default")
-    for boundary in BOUNDARIES:
-        want = (ref / f"varcoef_{boundary}.catalog").read_text()
-        assert len(want.splitlines()) >= 1, boundary
-        for variant, out in outs.items():
-            assert (out / f"varcoef_{boundary}.catalog").read_text() == want, \
-                (variant, boundary)
-    for config in EIGEN_CONFIGS:
-        want = (ref / f"{config}.eigenpairs").read_text()
-        assert len(want.splitlines()) >= 2, config
-        for variant, out in outs.items():
-            assert (out / f"{config}.eigenpairs").read_text() == want, (variant, config)
-    for config in CONFIGS:
-        want_dir = ref / config
-        want_summary = json.loads((want_dir / "run_summary.json").read_text())
-        want_snaps = sorted(p.name for p in want_dir.glob("snap_*.csv"))
-        want = _columns(want_dir / "diagnostics.csv")
-        assert len(want_snaps) >= 2 and len(want["t"]) > 1
-        for variant, out in outs.items():
-            got_dir = out / config
-            where = (variant, config)
-            got_summary = json.loads((got_dir / "run_summary.json").read_text())
-            for key in SUMMARY_KEYS:
-                assert got_summary[key] == want_summary[key], (where, key)
-            assert sorted(p.name for p in got_dir.glob("snap_*.csv")) == want_snaps, where
-            for name in want_snaps:
-                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), \
-                    (where, name)
-            got = _columns(got_dir / "diagnostics.csv")
-            for column in HOST_INDEPENDENT_COLUMNS:
-                assert got[column] == want[column], (where, column)
-            for column in DDOT_COLUMNS:
-                a = np.array(got[column], dtype=float)
-                b = np.array(want[column], dtype=float)
-                assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), \
-                    (where, column)
+    want = _manifest(ref)
+    assert sum(key.startswith("run ") for key in want) == 13 and len(want) > 13
+    records = {name: (ref / name).read_text() for name in RECORDS}
+    assert all(len(text.splitlines()) >= 3 for text in records.values()), records.keys()
+    for variant, out in outs.items():
+        got = _manifest(out)
+        assert sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k)) == [], \
+            variant
+        for name, text in records.items():
+            assert (out / name).read_text() == text, (variant, name)

@@ -21,6 +21,12 @@ that one module.  A module counts as importing scipy
 when it imports it or names it, or a part of it, in a string constant, as a
 load by path does (`find_spec("scipy")`).
 
+No module reaches BLAS or `numpy.linalg`: no `vecdot`, `dot`, `matmul`,
+`@`, `einsum`, `inner`, `tensordot`, `polyfit` or `lstsq`, and no `linalg`
+attribute other than `LinAlgError`.  Every sum is `np.add.reduce` of
+elementwise products, whose bits do not depend on the host's BLAS or SIMD
+kernels (`tests/test_kernel_variants.py`).
+
 Every optional parameter of a package function is set by some call in the
 package or in `bench/*.py`, and left at its default by another; the few
 that no such call sets are listed in `TEST_ONLY_OPTIONS`, each with its
@@ -181,6 +187,63 @@ def test_scipy_guard_sees_a_load_by_path(tmp_path):
         'import importlib.util\n\nSPEC = importlib.util.find_spec("scipy")\n')
     (tmp_path / "prose.py").write_text('"""Needs no scipy."""\n\nX = "scipyx"\n')
     assert _scipy_importers(tmp_path) == ["finder"]
+
+
+# numpy functions and methods that call BLAS or LAPACK
+BLAS_NAMES = {"vecdot", "dot", "matmul", "einsum", "inner", "tensordot", "polyfit", "lstsq"}
+
+
+def _blas_uses(package: Path = PACKAGE) -> list[str]:
+    """`module.name` per use of a BLAS or numpy.linalg function in package:
+    an attribute, a called or imported name in BLAS_NAMES, the `@` operator,
+    or a `linalg` attribute or numpy.linalg import other than LinAlgError."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                outer = node.value
+                if getattr(outer, "attr", getattr(outer, "id", None)) == "linalg":
+                    names.append(f"linalg.{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names.append(node.func.id)
+            elif isinstance(node, ast.ImportFrom):
+                prefix = "linalg." if node.module == "numpy.linalg" else ""
+                names.extend(prefix + a.name for a in node.names)
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names.append("@")
+            out.update(f"{path.stem}.{n}" for n in names
+                       if n in BLAS_NAMES or n == "@"
+                       or (n.startswith("linalg.") and n != "linalg.LinAlgError"))
+    return sorted(out)
+
+
+def test_no_module_reaches_blas():
+    assert _blas_uses() == []
+
+
+def test_blas_guard_on_a_toy_package(tmp_path):
+    # each form counts once per module; LinAlgError, add.reduce and a local
+    # variable named like a BLAS function do not count
+    (tmp_path / "sums.py").write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "from numpy.linalg import LinAlgError, solve\n"
+        "\n"
+        "def f(a, b):\n"
+        "    inner = np.add.reduce(a * b)\n"
+        "    try:\n"
+        "        c = a @ b + a.dot(b) + np.vecdot(a, b) + np.linalg.norm(a)\n"
+        "    except np.linalg.LinAlgError:\n"
+        "        c = inner\n"
+        "    c @= b\n"
+        "    return np.polyfit(a, b, 1), np.linalg.lstsq(a, b), einsum('i,i', a, b), c\n")
+    (tmp_path / "clean.py").write_text(
+        "import numpy as np\n\ndef g(a):\n    return np.add.reduce(a * a, axis=-1)\n")
+    assert _blas_uses(tmp_path) == [
+        "sums.@", "sums.dot", "sums.einsum", "sums.linalg.lstsq", "sums.linalg.norm",
+        "sums.linalg.solve", "sums.lstsq", "sums.polyfit", "sums.vecdot"]
 
 
 def _bench_targets():

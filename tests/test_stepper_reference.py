@@ -6,7 +6,7 @@ copied right-hand side and the periodic border of node 0 written out (its
 Schur complement and border column taken from the solver), the Laplacian
 built with `np.concatenate`, an explicit finite check of the right-hand side
 (`run` lets the solve carry a non-finite one into x), the Dirichlet energy
-and the energy addend written here with one-field `ndarray.dot`, and every
+and the energy addend written here with one-field `np.add.reduce`, and every
 diagnostic and stop test taken at once after each step (`run` takes them
 per block of states).  `run` must reproduce every recorded number exactly,
 so any reordering of floating-point work in the lean loop shows up here.
@@ -77,7 +77,7 @@ def _action(nl, u):
             d = np.diff(np.concatenate(((0.0,), v, (0.0,))))
         else:
             d = np.diff(v)
-        dir_part = 0.5 * float(d.dot(d)) / g.h
+        dir_part = 0.5 * float(np.add.reduce(d * d)) / g.h
         q = nl.potential_unchecked(v, np.empty(g.m), np.empty(g.m))
         pot_part = g.h * float(np.add.reduce(q))
     if not (math.isfinite(dir_part) and math.isfinite(pot_part)):
@@ -88,7 +88,8 @@ def _action(nl, u):
 def _energy_addend(before, after, resid, dt, h):
     with np.errstate(over="ignore", invalid="ignore"):
         udot = (after - before) / dt
-        return 0.5 * dt * h * (float(udot.dot(udot)) + float(resid.dot(resid)))
+        return 0.5 * dt * h * (float(np.add.reduce(udot * udot))
+                               + float(np.add.reduce(resid * resid)))
 
 
 def _extreme_sign(u):
