@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -328,7 +329,9 @@ def _jsonable(value):
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: building costs about fifteen parses."""
     parser = argparse.ArgumentParser(
         prog="gradflow1d",
         description="1-D semilinear reaction-diffusion gradient-flow laboratory",
@@ -339,7 +342,11 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a JSON run configuration")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

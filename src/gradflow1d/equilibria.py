@@ -282,19 +282,20 @@ def shoot(nl: Nonlinearity, u_left: float, slope_left: float,
           x_span: tuple[float, float]) -> ShootingPath:
     """RK4 on the steady phase-plane system (u, v): u' = v, v' = -P(u).
 
-    The step is the largest that divides x_span evenly and is at most a
-    quarter of the grid spacing.  Escape (|u| beyond the spec's sup_guard,
-    or a step that overflows to a non-finite u or v, signed by the last
-    finite u) is flagged, not an error.  Every coefficient is sampled
-    before the first step on the lattice the steps reach, the nodes
-    x0 + h + ... + h and their midpoints, so a coefficient that is
+    The step is the largest that divides x_span evenly and is at most the
+    grid spacing h: the path only seeds Newton on Lap_h u + P(u) = 0, which
+    is O(h^2) from the ODE, and RK4 at h errs by O(h^4).  Escape (|u| beyond
+    the spec's sup_guard, or a step that overflows to a non-finite u or v,
+    signed by the last finite u) is flagged, not an error.  Every coefficient
+    is sampled before the first step on the lattice the steps reach, the
+    nodes x0 + h + ... + h and their midpoints, so a coefficient that is
     non-finite at any lattice point raises NonFiniteResultError even where
     the path would escape before reaching it.
     """
     x0, x1 = x_span
     if not x1 > x0:
         raise ValueError("x_span must be increasing")
-    n_steps = max(1, math.ceil((x1 - x0) / (nl.grid.h / 4.0)))
+    n_steps = max(1, math.ceil((x1 - x0) / nl.grid.h))
     h = (x1 - x0) / n_steps
     thr = nl.spec.sup_guard
     # the nodes accumulate h as `x += h` does; add.accumulate is sequential

@@ -339,6 +339,24 @@ def test_empty_output_dir_flag_exits_1(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "unused").exists()
 
 
+def test_main_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; neither a flag nor the
+    # subcommand of one call carries over to the next
+    data = _fisher_config(tmp_path / "config_out", t_max=1.0)
+    data["equilibria"] = {"constant_roots": True}
+    cfg = _write(tmp_path, data)
+    assert main(["equilibria", cfg, "--output-dir", str(tmp_path / "flag_out"),
+                 "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(["simulate", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("status: ")
+    flag_out, config_out = tmp_path / "flag_out", tmp_path / "config_out"
+    assert (flag_out / "equilibria.json").is_file()
+    assert not (flag_out / "diagnostics.csv").exists()
+    assert (config_out / "diagnostics.csv").is_file()
+    assert not (config_out / "equilibria.json").exists()
+
+
 def test_equilibria_catalog_fisher(tmp_path):
     data = _fisher_config(tmp_path / "out")
     data["equilibria"] = {"constant_roots": True}

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradflow1d import equilibria, exprlang, problem, verify
@@ -199,7 +199,7 @@ def test_shoot_fixed_points(fisher):
 
 def _fisher_drift(grid_points):
     """Drift of H = v^2/2 + u^2/2 - u^3/3, conserved by u'' = u^2 - u, along
-    a path shot at a quarter of the periodic grid spacing 10/grid_points."""
+    a path shot at the periodic grid spacing 10/grid_points."""
     nl = _nl(verify.fisher_spec(grid_points=grid_points))
     path = shoot(nl, 0.5, 0.0, (-5.0, 5.0))
     u, v = path.us, path.vs
@@ -208,13 +208,13 @@ def _fisher_drift(grid_points):
 
 
 def test_shoot_conserves_invariant():
-    assert _fisher_drift(2500) <= 1e-10  # step 1e-3
+    assert _fisher_drift(2500) <= 1e-10  # step 4e-3
 
 
 def test_shoot_rk4_convergence():
-    # refined-step oracle: quarter step, drift shrinks ~ h^4
-    d1 = _fisher_drift(625)  # step 4e-3
-    d2 = _fisher_drift(2500)  # step 1e-3
+    # refined-step oracle: a quarter of the step, drift shrinks ~ h^4
+    d1 = _fisher_drift(625)  # step 1.6e-2
+    d2 = _fisher_drift(2500)  # step 4e-3
     assert d2 < d1 / 50.0
 
 
@@ -305,7 +305,7 @@ def _assert_shoot_matches_reference(coeffs, signed, start, grid):
     })
     nl = _nl(spec)
     path = shoot(nl, *start, (-5.0, 5.0))
-    want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
+    want = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h, spec.sup_guard)
     for got, ref in zip((path.xs, path.us, path.vs), want):
         assert got.tobytes() == ref.tobytes()
     return nl
@@ -325,21 +325,6 @@ def test_shoot_matches_four_evaluation_loop(coeffs, signed, start, grid):
     assert (nl.constant_coefficients() is not None) == (grid[0] == 16)
 
 
-_NUMBER = st.floats(-2.0, 2.0).map(lambda c: f"({c!r})")
-
-
-@st.composite
-def _shooting_coefficient(draw):
-    """A constant, or a smooth profile in x from the shipped families."""
-    level = draw(_NUMBER)
-    if draw(st.booleans()):
-        return level
-    family = draw(st.sampled_from(("cos({k}*x)", "tanh({k}*(x-{c}))",
-                                   "exp(-((x-{c})/{k})^2)")))
-    profile = family.format(k=draw(st.floats(0.1, 3.0).map(repr)), c=draw(_NUMBER))
-    return f"{level}+{draw(_NUMBER)}*{profile}"
-
-
 @settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(coeffs=st.integers(2, 4).flatmap(
            lambda n: st.lists(_shooting_coefficient(), min_size=n, max_size=n)),
@@ -355,20 +340,80 @@ def test_shoot_matches_four_evaluation_loop_property(coeffs, signed, start, grid
 
 def test_shoot_raises_on_a_lattice_point_past_the_escape():
     # every coefficient is sampled on the whole lattice, nodes first, before
-    # the first step: a_1 overflows beyond x = 4.855 (the node 5.0 and the
-    # midpoint 4.921875), and the path escapes near x = -3 long before, yet
-    # shoot raises at the node 5.0
+    # the first step: on the h = 0.625 lattice a_1 overflows beyond x = 4.855
+    # only at the node 5.0 (the last midpoint, 4.6875, stays finite), and the
+    # path escapes at x = -3.125 long before, yet shoot raises at the node 5.0
     spec = problem.spec_from_dict({
         "N": 2, "coeffs": ["0", "1+0.1*x+exp(2000*(x-4.5))"], "box_half_length": 5.0,
         "grid_points": 16, "boundary": "periodic", "sup_guard": 1e3,
     })
     nl = _nl(spec)
     assert np.isfinite(nl.coeff_samples[1]).all()
-    xs, us, _ = _shoot_reference(nl, 2.0, 1.0, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
+    xs, us, _ = _shoot_reference(nl, 3.0, 1.0, -5.0, 5.0, nl.grid.h, spec.sup_guard)
     assert abs(us[-1]) > spec.sup_guard and xs[-1] < -2.9
     with pytest.raises(exprlang.NonFiniteResultError) as exc:
-        shoot(nl, 2.0, 1.0, (-5.0, 5.0))
+        shoot(nl, 3.0, 1.0, (-5.0, 5.0))
     assert exc.value.x == 5.0
+
+
+# a_1's profiles as the catalog benchmark draws them, with its ranges of k
+_CATALOG_PROFILES = {"cos({k!r}*x+({c!r}))": (0.3, 1.5),
+                     "tanh({k!r}*(x-({c!r})))": (0.5, 2.0),
+                     "exp(-(x-({c!r}))^2/{k!r})": (0.5, 3.0)}
+
+
+@st.composite
+def _catalog_a1(draw):
+    """A constant near 1, or one of the catalog's profiles about it."""
+    level = draw(st.floats(0.8, 1.2))
+    if draw(st.booleans()):
+        return repr(level)
+    family = draw(st.sampled_from(list(_CATALOG_PROFILES)))
+    profile = family.format(k=draw(st.floats(*_CATALOG_PROFILES[family])),
+                            c=draw(st.floats(-2.0, 2.0)))
+    return f"{level!r}+{draw(st.floats(0.1, 0.4))!r}*{profile}"
+
+
+def _catalog_entry(nl, xs, us, escaped):
+    """What the catalog makes of a shooting path: the values `newton_refine`
+    polishes it into, or None where the path escaped or Newton failed."""
+    if escaped:
+        return None
+    try:
+        guess = Field(nl.grid, np.interp(nl.grid.nodes, xs, us))
+        return newton_refine(nl, guess).field.values
+    except (ValueError, ArithmeticError):
+        return None
+
+
+# starts around the catalog benchmark's; from wider ones, a path can end on
+# a Newton basin boundary, near the separatrix or, on periodic with a nearly
+# constant a_1, on a nearly flat family of translates, where a change of
+# 1e-9 in the guess already changes what Newton returns
+@settings(deadline=None)
+@given(m=st.integers(128, 1024), boundary=st.sampled_from(BOUNDARIES),
+       coeffs=st.one_of(st.tuples(st.just("0"), _catalog_a1()),
+                        st.tuples(st.just("0"), _catalog_a1(),
+                                  st.floats(-0.2, 0.2).map(repr))),
+       start=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)))
+# test_cli.py's shooting scan: a wall-pinned profile, and an escape
+@example(m=128, boundary="dirichlet0", coeffs=("0", "1", "0"), start=(0.0, 0.5))
+@example(m=128, boundary="dirichlet0", coeffs=("0", "1", "0"), start=(0.0, 0.8))
+def test_shoot_refines_as_the_quarter_step_path(m, boundary, coeffs, start):
+    spec = problem.spec_from_dict({
+        "N": len(coeffs), "coeffs": list(coeffs), "box_half_length": 5.0,
+        "grid_points": m, "boundary": boundary,
+    })
+    nl = _nl(spec)
+    path = shoot(nl, *start, (-5.0, 5.0))
+    xs, us, _ = _shoot_reference(nl, *start, -5.0, 5.0, nl.grid.h / 4.0, spec.sup_guard)
+    # the reference stops short of x = 5, or past the guard, only on an escape
+    escaped = not (xs[-1] == pytest.approx(5.0) and abs(us[-1]) <= spec.sup_guard)
+    coarse = _catalog_entry(nl, path.xs, path.us, path.escaped)
+    fine = _catalog_entry(nl, xs, us, escaped)
+    assert (coarse is None) == (fine is None)
+    if coarse is not None:
+        assert np.max(np.abs(coarse - fine)) <= 1e-8
 
 
 # -- boundedness classification ---------------------------------------------------
