@@ -16,11 +16,13 @@ residual guard: it is normwise backward stable at every dt.  Numerical
 failure modes land in the trajectory status and stop_reason, never in
 exceptions.
 
-Diagnostics go by the block (see `run`): a step takes P(u), the solve and
-the max norms that steer it, into the next row of a block of K + 1 states,
-K = min(64, 16384 // M); a flush per block takes its rows' Laplacian,
-ut_sup, action, energy, snapshots and end tests, and cuts the run back to
-an ending row, discarding up to K - 1 steps and their forcing calls.
+Diagnostics and the steps' own tests go by the block (see `run`): a step
+takes P(u) and the solve into the next row of a block of K + 1 states,
+K = min(128, 16384 // M); a flush per block checks that no step's test
+would have fired, or retakes the block with every step tested, then takes
+its rows' Laplacian, ut_sup, action, energy, snapshots and end tests, and
+cuts the run back to an ending row, discarding up to K - 1 steps and their
+forcing calls.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ _INCREMENT_SAFETY = 0.9
 _INCREMENT_SCALE_U = 18.0
 # `run`'s block of states: K = min(_BLOCK_ROWS, _BLOCK_VALUES // M) rows
 # (at least 1) beyond the carried one, about 128 KiB per array
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 128
 _BLOCK_VALUES = 16384
+# what `run`'s flush returns when an untested block must be taken again
+_RETAKE = object()
 
 
 @dataclass(frozen=True)
@@ -211,21 +215,32 @@ def run(
     broadcast to the grid raises ValueError.
     Identical inputs produce bit-identical trajectories.
 
-    A step does only what steers the next one: P(u) and max|P(u)| (the
-    increment guard), the factor, the right-hand side solved in place and
-    max|x| (the sup_norm column and the nonfinite_state and sup_guard tests:
-    the solve carries a non-finite rhs into x, and max propagates inf and
-    nan).  It solves into the next row of a block of K + 1 ghost-extended
-    states, K = min(64, 16384 // M) (at least 1), with P kept per row; row 0
-    carries the last state of the block before.  When the block fills, and
-    when the loop ends, one flush takes the ghosts, Lap(u) + P(u) and
-    ut_sup, the action's parts, the energy addends (summed in order as
-    floats) and the stride snapshots of its rows, and finds the first row
-    that ends the run: a non-finite action part (initial_out_of_range at
-    step 0), else ut_sup < tol_eq.  The run is cut back to that row; the up
-    to K - 1 steps taken past it, and their forcing calls (all at t <=
-    t_max), are discarded.  P and Q are evaluated unchecked under one
-    np.errstate for the whole run.
+    A step does only what steers the next one: P(u), the factor and the
+    right-hand side solved in place into the next row of a block of K + 1
+    ghost-extended states, K = min(128, 16384 // M) (at least 1), with P
+    kept per row; row 0 carries the last state of the block before.  It
+    takes none of its own tests.  When the block fills, and when the loop
+    ends, one flush takes max|P| and max|u| of each row (max is exact, so
+    the sup_norm column has the bits a step would give it) and checks what
+    the steps would have tested: P and every state finite, no state above
+    sup_guard, and dt*max|P| within the increment guard's cap on every
+    step.  A block that fails, or that a failed factorization ended, is
+    retaken from its row 0 (t, dt, the smooth-step count and the columns as
+    they were there) with every step tested as it goes: the increment guard
+    on max|P(u)|, a non-finite P (nonfinite_reaction), a non-finite x
+    (nonfinite_state: the solve carries a non-finite rhs into x, and max
+    propagates inf and nan) and sup_guard.  The run then tests every step
+    to its end, so a blow-up retakes one block; the steps before the first
+    test that fires have the same bits either way.  forcing must be a pure
+    function of t: a retake calls it again at the same times.  Then the
+    flush takes the ghosts, Lap(u) + P(u) and ut_sup, the action's parts,
+    the energy addends (summed in order as floats) and the stride
+    snapshots of its rows, and finds the first row that ends the run: a
+    non-finite action part (initial_out_of_range at step 0), else
+    ut_sup < tol_eq.  The run is cut back to that row; the up to K - 1
+    steps taken past it, and their forcing calls (all at t <= t_max), are
+    discarded.  P and Q are evaluated unchecked under one np.errstate for
+    the whole run.
 
     Snapshots are copies; the end state is appended unless the last
     snapshot was taken at the last step.
@@ -240,14 +255,16 @@ def run(
 
     diag = DiagnosticSeries()
     ts, dts, sups, actions, energies, uts = diag.columns()
-    add_t, add_dt, add_sup = ts.append, dts.append, sups.append
+    add_t, add_dt = ts.append, dts.append
     snaps = [(0.0, u0)]
     snap_step = 0  # steps taken when snaps[-1] was recorded
     m = g.m
     k = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m))
     block = np.empty((k + 1, m + 2))  # ghost-extended states
     rows = list(block[:, 1:-1])  # their interiors
+    tails = [r[1:] for r in rows]  # the views the periodic solve takes
     p_rows = np.empty((k + 1, m))  # P of each row's state
+    ps = list(p_rows)  # its rows, as the steps take them
     # the flush's Lap + P of each row, Q (then udot) and scratch
     resids, q, scratch = np.empty((3, k + 1, m))
     work = np.empty(m)  # a step's scratch (|.|, leading terms)
@@ -259,6 +276,8 @@ def run(
     dt_taken = 0.0  # the dt column; the initial row has 0.0
     energy = 0.0
     smooth = 0
+    mark = (dt, smooth)  # the step control as row 0 was reached, for a retake
+    tested = False  # whether the steps take their own tests (after a retake)
     reason = ""  # set by every exit of the loop
     limit = _INCREMENT_SAFETY * ctrl.increment_limit
     dt_min, dt_max, sup_guard = ctrl.dt_min, ctrl.dt_max, ctrl.sup_guard
@@ -271,10 +290,24 @@ def run(
 
     def flush(last: int):
         """The diagnostics of rows first..last; returns the first of these
-        rows that ends the run and why, or None."""
+        rows that ends the run and why, None, or _RETAKE when the block was
+        taken untested and a step's test would have fired in it."""
         nonlocal energy, snap_step
         n = last + 1
         e = block[:n]
+        u_max = maximum(absolute(e[:, 1:-1], scratch[:n]), axis=-1)
+        if not tested:
+            # the tests of the steps 0 -> 1 .. last - 1 -> last, as a tested
+            # step takes them: P finite, no state above sup_guard (nor
+            # non-finite: row 0 is u0 or was checked before), the increment guard
+            p_max = maximum(absolute(p_rows[:n], scratch[:n]), axis=-1)
+            cap = limit * np.maximum(1.0, u_max[:-1] / _INCREMENT_SCALE_U)
+            if reason == "solve_dt_collapse" or not (
+                    np.isfinite(p_max).all() and (u_max[1:] <= sup_guard).all()
+                    and (p_max[:-1] * dts[base + 1:base + n] <= cap).all()):
+                return _RETAKE
+        if n == first:
+            return None
         fresh = set_ghosts(e[first:], boundary)  # row 0 is carried with its Lap + P
         resid = resids[:n]
         add(laplacian_extended(fresh, g, resid[first:]), p_rows[first:n], resid[first:])
@@ -294,6 +327,7 @@ def run(
             keep = s + (not bad[s])  # a converged row is kept
             stop = (first + s, CONVERGED if not bad[s] else
                     "nonfinite_reaction" if base + first + s else "initial_out_of_range")
+        sups.extend(u_max[first:first + keep].tolist())
         actions.extend(value[:keep].tolist())
         energies.extend(cum[:keep])
         uts.extend(ut[:keep].tolist())
@@ -304,60 +338,67 @@ def run(
         return stop
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sup_u = float(maximum(absolute(rows[0], work)))
-        stop = None
         while True:
-            # the state after base + row accepted steps: P and its row
-            u, p = rows[row], p_rows[row]
-            reaction(u, p, work)
-            p_sup = float(maximum(absolute(p, work)))
-            if not isfinite(p_sup):
-                # at step 0 the initial data is already beyond polynomial range
-                reason = "nonfinite_reaction" if base + row else "initial_out_of_range"
-                break
-            add_t(t)
-            add_dt(dt_taken)
-            add_sup(sup_u)
+            u, p = rows[row], ps[row]
+            if not reason:
+                # the state after base + row accepted steps: P and its row
+                reaction(u, p, work)
+                if tested and not isfinite(p_sup := float(maximum(absolute(p, work)))):
+                    # at step 0 the initial data is already beyond polynomial range
+                    reason = "nonfinite_reaction" if base + row else "initial_out_of_range"
+                else:
+                    add_t(t)
+                    add_dt(dt_taken)
+                    if t >= t_end:
+                        reason = T_MAX_REACHED
+            if reason or row == k:  # the block ends: its diagnostics
+                stop = flush(len(ts) - base - 1)
+                if stop is _RETAKE:  # back to row 0, and every step tested from here
+                    t, dt_taken = ts[base], dts[base]
+                    del ts[base:], dts[base:]
+                    dt, smooth = mark
+                    row, reason, tested = 0, "", True
+                    sup_u = float(maximum(absolute(rows[0], work)))  # for row 0's guard
+                    continue
+                if reason or stop:
+                    break
+                # carry the block's last state into row 0
+                block[0], p_rows[0], resids[0] = block[k], p_rows[k], resids[k]
+                base += k
+                row, first = 0, 1
+                u, p = rows[0], ps[0]
+                mark = (dt, smooth)
             if base + row:
                 smooth += 1
                 if smooth >= _SMOOTH_STEPS_BEFORE_DOUBLING:
                     dt = min(dt * 2.0, dt_max)
                     smooth = 0
-            if t >= t_end:
-                reason = T_MAX_REACHED
-                break
-            if row == k:  # the block is full: its diagnostics, then carry its last state
-                stop = flush(k)
-                if stop:
-                    break
-                block[0], p_rows[0], resids[0] = block[k], p_rows[k], resids[k]
-                base += k
-                row, first = 0, 1
-                u, p = rows[0], p_rows[0]
             dt = min(dt, t_max - t)
 
-            # explicit-increment guard, scaled to the state above
-            # _INCREMENT_SCALE_U; collapse of dt counts as blow-up evidence
-            cap = limit * max(1.0, sup_u / _INCREMENT_SCALE_U)
-            while dt * p_sup > cap:
-                dt *= 0.5
-                smooth = 0
-                if dt < dt_min:
-                    reason = "increment_dt_collapse"
-                    break
+            if tested:
+                # explicit-increment guard, scaled to the state above
+                # _INCREMENT_SCALE_U; collapse of dt counts as blow-up evidence
+                cap = limit * max(1.0, sup_u / _INCREMENT_SCALE_U)
+                while dt * p_sup > cap:
+                    dt *= 0.5
+                    smooth = 0
+                    if dt < dt_min:
+                        reason = "increment_dt_collapse"
+                        break
             solver = solvers.get(dt)
             while solver is None and not reason:
                 try:
                     solver = solvers[dt] = ImplicitDiffusionSolver(g, float(dt), 1.0)
                 except np.linalg.LinAlgError:
-                    # not positive definite in floating point at this dt
+                    # not positive definite in floating point at this dt; an
+                    # untested block ends at the first such failure and is retaken
                     dt *= 0.5
                     smooth = 0
                     solver = solvers.get(dt)
-                    if dt < dt_min:
+                    if dt < dt_min or not tested:
                         reason = "solve_dt_collapse"
             if reason:
-                break
+                continue  # every exit of the loop goes through the flush
 
             # rhs = u + dt*(P(u) [+ forcing]), formed in the next row, solved in place
             x = rows[row + 1]
@@ -365,25 +406,22 @@ def run(
                 multiply(p, dt, x)
             else:
                 multiply(add(p, forcing(t), x), dt, x)
-            solver.solve(add(u, x, x))
-            sup_u = float(maximum(absolute(x, work)))
-            if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
-                reason = "nonfinite_state"
-                break
+            solver.solve_unchecked(add(u, x, x), tails[row + 1])
+            if tested:
+                sup_u = float(maximum(absolute(x, work)))
+                if not isfinite(sup_u):  # a non-finite rhs gives a non-finite x
+                    reason = "nonfinite_state"
+                    continue
             t += dt
             dt_taken = dt
             row += 1
-            if sup_u > sup_guard:
+            if tested and sup_u > sup_guard:
                 reason = "sup_guard"
-                break
-        if stop is None and len(ts) > base + first:
-            stop = flush(len(ts) - base - 1)
 
     if stop:  # the run ends at an earlier row than the loop
         row, reason = stop
         t = ts[base + row]
-        for c in (ts, dts, sups):
-            del c[len(actions):]
+        del ts[len(actions):], dts[len(actions):]
     steps = base + row
     u = rows[row]
     if snap_step != steps:

@@ -166,14 +166,18 @@ class ImplicitDiffusionSolver:
         contiguous float64 array."""
         if b.dtype != np.float64 or not b.flags.carray:
             raise ValueError("solve in place needs a writable contiguous float64 array")
+        return self.solve_unchecked(b, b[1:])
+
+    def solve_unchecked(self, b: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """`solve` on b with tail its view b[1:], neither checked; the time
+        step calls it on its rows with views it makes once per run."""
         if not self._periodic:
             self._band_solve(b)
             return b
-        g = b[1:]
-        self._band_solve(g)
-        x0 = (b.item(0) + self._mu * (g.item(0) + g.item(-1))) / self._schur
+        self._band_solve(tail)
+        x0 = (b.item(0) + self._mu * (tail.item(0) + tail.item(-1))) / self._schur
         b[0] = x0
-        g += np.multiply(self._w, self._mu * x0, self._ws)
+        tail += np.multiply(self._w, self._mu * x0, self._ws)
         return b
 
     def relative_residual(self, x: np.ndarray, rhs: np.ndarray,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradflow1d import problem, verify
+from gradflow1d import dynamics, problem, verify
 from gradflow1d.dynamics import (
     BLOW_UP,
     CONVERGED,
@@ -279,6 +279,39 @@ def test_run_tmax_reached():
     assert traj.status == T_MAX_REACHED
     assert traj.stop_reason == T_MAX_REACHED
     assert traj.final_time == pytest.approx(0.5, abs=1e-9)
+
+
+def test_untested_blocks_waste_at_most_one_retake(monkeypatch):
+    # run takes each block of K steps without the steps' own tests and
+    # retakes it step by step where one would have fired, testing every step
+    # after: the step's solves count what that wastes
+    solves = []
+    solve = ImplicitDiffusionSolver.solve_unchecked
+
+    def counted(self, b, tail):
+        solves.append(len(b))
+        return solve(self, b, tail)
+
+    monkeypatch.setattr(ImplicitDiffusionSolver, "solve_unchecked", counted)
+    k = min(dynamics._BLOCK_ROWS, dynamics._BLOCK_VALUES // 16)
+    spec, nl = _fisher(m=16)
+    u0 = Field(nl.grid, 0.5 + 0.4 * np.cos(2.0 * np.pi * nl.grid.nodes / nl.grid.length))
+    # a bounded run to t_max takes no step twice and none past its end
+    traj = run(spec, u0, StepControl(), 1.0, tol_eq=0.0, nl=nl)
+    assert traj.stop_reason == T_MAX_REACHED and len(solves) == traj.steps
+    # a converged run discards the steps its block took past the end
+    solves.clear()
+    traj = run(spec, u0, StepControl(), 1e3, nl=nl)
+    assert traj.stop_reason == CONVERGED
+    assert traj.steps <= len(solves) <= traj.steps + k - 1
+    # a blow-up halves dt every few steps: one block retaken, and up to K - 1
+    # steps past a non-finite action part
+    spec, g = _zero_reaction(m=16)
+    solves.clear()
+    traj = run(spec, Field.constant(g, -1.0), StepControl(dt_min=1e-5, dt_max=1e-3), 2.0,
+               nl=Nonlinearity(spec, g))
+    assert traj.status == BLOW_UP and traj.steps > 2 * k
+    assert traj.steps < len(solves) <= traj.steps + 2 * k
 
 
 def test_run_deterministic_bit_identical():

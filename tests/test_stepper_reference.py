@@ -8,11 +8,14 @@ built with `np.concatenate`, an explicit finite check of the right-hand side
 (`run` lets the solve carry a non-finite one into x), the Dirichlet energy
 and the energy addend written here with one-field `np.add.reduce`, and every
 diagnostic and stop test taken at once after each step (`run` takes them
-per block of states).  `run` must reproduce every recorded number exactly,
-so any reordering of floating-point work in the lean loop shows up here.
-The explicit examples end a run on the first, the second-to-last and the
-last row of a block and just past it, for each stop that a block flush or
-a step decides.
+per block of states, and its steps' own tests too, retaking a block step
+by step where one would have fired).  `run` must reproduce every recorded
+number exactly, so any reordering of floating-point work in the lean loop
+shows up here.  The explicit examples end a run on the first, the
+second-to-last and the last row of a block and just past it, for each stop
+that a block flush or a step decides, and have the increment guard first
+halve dt on those steps; more fire each of a step's tests in the middle of
+a block that `run` takes untested.
 
 The increment guard of the reference, dt*sup|P(u)| <= 0.9*increment_limit
 *max(1, sup|u|/scale_u), takes its threshold as a parameter: at
@@ -330,7 +333,7 @@ def _ending(reason, steps, m=16, forcing=None):
         c = case(["0", "0"], lambda g: np.full(g.m, -1.0), 1e-3, sup_guard=guard)
     else:
         growth = dict(increment_limit=1e300, sup_guard=1e307)
-        c = case(["0", "0"], lambda g: np.full(g.m, -2e102), 1e-105, **growth)
+        c = case(["0", "0"], lambda g: np.full(g.m, -1e102), 1e-105, **growth)
         _, snaps, *_, total, _, why = reference(*c[:6], 1)
         assert why == "nonfinite_reaction" and total >= steps
         start = snaps[total - steps][1].values
@@ -341,16 +344,138 @@ def _ending(reason, steps, m=16, forcing=None):
     return c
 
 
+def _forced(reason, steps, m=16):
+    """The Fisher relaxation of `_ending` at fixed dt, forced from a time
+    read off the reference run: by inf from the step off state `steps` on
+    (nonfinite_state after `steps` steps), or by -1e162 from the step before
+    it on, which throws state `steps` near -1e160, where P = u - u^2
+    overflows (nonfinite_reaction; sup_guard is above that)."""
+    spec, u0, ctrl, _, _, _, stride = _ending(T_MAX_REACHED, steps + 2, m)
+    ts = reference_run(u0, Nonlinearity(spec, u0.grid), ctrl, (steps + 2) * 1e-2, 0.0,
+                       None, stride)[0].t
+    push = steps if reason == "nonfinite_state" else steps - 1  # the first forced step
+    start = 0.5 * (ts[push - 1] + ts[push]) if push else -1.0
+    value = np.inf if reason == "nonfinite_state" else -1e162
+
+    def forcing(t):
+        return np.full(m, value if t >= start else 0.0)
+
+    ctrl = StepControl(dt_init=1e-2, dt_min=1e-2, dt_max=1e-2, sup_guard=1e300)
+    c = (spec, u0, ctrl, 1e3, 0.0, forcing, stride)
+    got = reference_run(u0, Nonlinearity(spec, u0.grid), *c[2:])
+    assert (got[5], got[7]) == (steps, reason), (reason, steps)
+    return c
+
+
+def _guarded(steps, end=None, m=16):
+    """u' = -u^2 from -1 at dt 1e-3, with the increment limit read off the
+    reference run so that the guard first halves dt on the step off state
+    `steps` (dt*max|P| grows with |u|): below dt_min at once
+    (increment_dt_collapse) when end is None, else on, halving again as |P|
+    grows, to t_max at step `end`."""
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["0", "0"], "box_half_length": 5.0,
+                                   "grid_points": m, "boundary": "periodic"})
+    g = problem.make_grid(spec)
+    nl = Nonlinearity(spec, g)
+    u0 = Field.constant(g, -1.0)
+    loose = StepControl(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3, increment_limit=1e300)
+    _, snaps, *_ = reference_run(u0, nl, loose, (steps + 2) * 1e-3, 0.0, None, 1)
+    # the guard's dt*max|P| / max(1, max|u|/scale) on each state
+    ratio = [1e-3 * np.abs(nl.apply_P_values(f.values)).max()
+             / max(1.0, sup_norm(f) / INCREMENT_SCALE_U) for _, f in snaps[:steps + 1]]
+    below = max(ratio[:steps], default=0.5 * ratio[0])
+    assert below < ratio[steps]
+    ctrl = StepControl(dt_init=1e-3, dt_min=1e-3 if end is None else 1e-7, dt_max=1e-3,
+                       increment_limit=0.5 * (below + ratio[steps]) / 0.9)
+    t_max = 2.0
+    if end is not None:  # dt <= 1e-3, so this passes step `end`
+        longer = reference_run(u0, nl, ctrl, end * 1e-3, 0.0, None, 7)[0]
+        t_max = longer.t[end]
+    c = (spec, u0, ctrl, t_max, 0.0, None, 7)
+    got = reference_run(u0, nl, *c[2:])
+    dt = got[0].dt
+    assert got[5] == (steps if end is None else end)
+    assert got[7] == ("increment_dt_collapse" if end is None else T_MAX_REACHED)
+    assert end is None or (np.all(dt[1:steps + 1] == 1e-3) and dt[steps + 1] == 5e-4)
+    return c
+
+
+def _factor_fails_under_the_guard():
+    """u = 0, P = a_0 = 1e-60, neumann0, M = 16: dt = 2^51 factors and 2^52
+    does not (mu near 1e16; see test_run_matches_reference_when_factorization_fails).
+    After ten steps at 2^51 dt doubles to 2^52 mid-block; the guard, tested
+    first, halves it back, so the dt column never shows it.  The solves'
+    rounding noise grows 8-fold a step, and u^2 stays far below a_0 up to
+    t_max at step 12."""
+    spec = problem.spec_from_dict({"N": 2, "coeffs": ["1e-60", "0"], "box_half_length": 5.0,
+                                   "grid_points": 16, "boundary": "neumann0"})
+    u0 = Field.constant(problem.make_grid(spec), 0.0)
+    dt = 2.0**51
+    ctrl = StepControl(dt_init=dt, dt_min=1e-9, dt_max=2 * dt,
+                       increment_limit=1.5 * dt * 1e-60 / 0.9)
+    with pytest.raises(np.linalg.LinAlgError):
+        ImplicitDiffusionSolver(u0.grid, 2 * dt, 1.0)
+    c = (spec, u0, ctrl, 12 * dt, 0.0, None, 7)
+    got = reference_run(u0, Nonlinearity(spec, u0.grid), *c[2:])
+    assert (got[5], got[7]) == (12, T_MAX_REACHED) and np.all(got[0].dt[1:] == dt)
+    return c
+
+
+def _reaction_overflow(steps, m=16):
+    """P = 1.79e308 + 1e308*u - u^2 from u = 0.006 at the subnormal dt =
+    1e-5/1.79e308: u climbs about 1e-5 a step until P overflows near
+    u = 0.0077, while Q, about 1.79e308*u, stays finite.  Started `steps`
+    states before that, the run ends as nonfinite_reaction from P alone."""
+    def case(u0):
+        spec = problem.spec_from_dict({"N": 2, "coeffs": ["1.79e308", "1e308"],
+                                       "box_half_length": 5.0, "grid_points": m,
+                                       "boundary": "periodic"})
+        g = problem.make_grid(spec)
+        dt = 1e-5 / 1.79e308
+        return (spec, Field(g, np.broadcast_to(u0, g.m)),
+                StepControl(dt_init=dt, dt_min=dt, dt_max=dt), 1e3, 0.0, None, 7)
+
+    spec, u0, *rest = case(0.006)
+    nl = Nonlinearity(spec, u0.grid)
+    _, snaps, *_, total, _, why = reference_run(u0, nl, *rest[:4], 1)
+    assert why == "nonfinite_reaction" and total >= steps
+    c = case(snaps[total - steps][1].values)
+    got = reference_run(c[1], nl, *c[2:])
+    assert (got[5], got[7]) == (steps, "nonfinite_reaction")
+    _action(nl, got[3])  # Q of the end state is finite
+    return c
+
+
 _K16 = _block_rows(16)
+_EDGES = (_K16 - 1, _K16, _K16 + 1, 2 * _K16)  # and the first row
 _BLOCK_EDGE_EXAMPLES = [
-    _ending(reason, steps)
-    for reason in (CONVERGED, T_MAX_REACHED, "sup_guard", "nonfinite_reaction")
-    for steps in (1 if reason == "sup_guard" else 0, _K16 - 1, _K16, _K16 + 1, 2 * _K16)
+    *(_ending(reason, steps)
+      for reason in (CONVERGED, T_MAX_REACHED, "sup_guard", "nonfinite_reaction")
+      for steps in (1 if reason == "sup_guard" else 0, *_EDGES)),
+    *(_forced("nonfinite_state", steps) for steps in (0, *_EDGES)),
+    *(_guarded(steps, steps + 20) for steps in (0, *_EDGES)),
+]
+# each test of a step firing in the middle of a block that run takes
+# untested and then retakes step by step (the block edges above have the
+# guard halve on the first and last step of a block and off the carried
+# row 0): a guard halving, each blow-up a step decides, a factorization that
+# fails where the guard halves too, and t_max in the block after a retake;
+# then P overflowing with Q finite on the last row of a block, where only
+# the flush's finite test of P sees it
+_MID_BLOCK_EXAMPLES = [
+    _guarded(_K16 // 2, _K16 // 2 + 20),
+    _guarded(_K16 // 2),
+    _ending("sup_guard", _K16 // 2),
+    _forced("nonfinite_state", _K16 // 2),
+    _forced("nonfinite_reaction", _K16 // 2),
+    _factor_fails_under_the_guard(),
+    _guarded(_K16 // 2, _K16 + _K16 // 2),
+    _reaction_overflow(_K16),
 ]
 
 
 def _block_edges(test):
-    for case in _BLOCK_EDGE_EXAMPLES:
+    for case in _BLOCK_EDGE_EXAMPLES + _MID_BLOCK_EXAMPLES:
         test = example(case)(test)
     return test
 
