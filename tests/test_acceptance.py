@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every tolerance is pinned here, not computed.  Oracles are scalar ODE
-solutions, hand integration of the reaction potential, and frozen seeded
-measurements; no expected value is asserted that was not independently
-computed.
+solutions, hand integration of the reaction potential, and the bound the
+discrete chain rule gives each seeded draw; no expected value is asserted
+that was not independently computed.
 """
 
 import pytest
@@ -125,9 +125,11 @@ def test_criterion_5_equilibrium_catalog(fisher_setup):
 
 
 def test_criterion_6_reaction_norm_regression():
-    res = verify.suite_reaction_bound()
+    res = verify.suite_reaction_bound(seed=0)
     worst = {k: f"{v:.6f}" for k, v in res.details["measured"].items()}
-    _report("6 reaction norm-growth regression", res.passed, f"max ratios {worst}")
+    slack = {k: f"{v:.6f}" for k, v in res.details["least_slack"].items()}
+    _report("6 reaction norm-growth bound", res.passed,
+            f"max ratios {worst}, least slack to the derived bound {slack}")
 
 
 def test_criterion_7_solver_verification():

@@ -660,6 +660,10 @@ def test_verify_subset_passes(tmp_path):
     assert report["all_passed"] is True
     assert {s["name"] for s in report["suites"]} == {"blowup_timing",
                                                      "reaction_bound"}
+    [details] = [s["details"] for s in report["suites"] if s["name"] == "reaction_bound"]
+    keys = {"k=0,p=2", "k=1,p=2", "k=2,p=2", "k=1,p=4"}
+    assert set(details) == {"measured", "least_slack"}
+    assert set(details["measured"]) == set(details["least_slack"]) == keys
 
 
 def test_verify_gradient_consistency_suite(tmp_path):

@@ -13,10 +13,11 @@ shipped-config runs (the sha256 of every file, exit code and stdout) and
 writes records of what those runs reach only in part: the leading eigenpair
 of every member of the `cubic` and `fisher` catalogs, Newton's catalog of a
 Fisher spec with a_1 = 1 + 0.3cos(0.7x) on each closure,
-`energy_growth_diagnostic` on fixed synthetic energy windows, and the 1000
-norm-growth ratios behind `verify.FROZEN_RATIO_BOUNDS[(1, 4.0)]`, of which
-the verify report keeps only the maximum.  Every variant's manifest and
-records must equal the default's, entry for entry.  All variants run at once.
+`energy_growth_diagnostic` on fixed synthetic energy windows, and the
+`reaction_bound` suite's norm-growth ratios at seed 0, all four (k, p) of
+each of its 1000 fields, of which the verify report keeps only the maxima.
+Every variant's manifest and records must equal the default's, entry for
+entry.  All variants run at once.
 """
 
 import os
@@ -75,11 +76,12 @@ with open(out / "growth", "w") as f:
         f.write(f"{g.rate!r} {g.fit_quality!r}\\n")
 spec = verify.fisher_spec(grid_points=64)
 nl = Nonlinearity(spec, problem.make_grid(spec))
-rng = np.random.default_rng(verify._RATIO_SEED)
+rng = np.random.default_rng(0)
 with open(out / "ratios", "w") as f:
     for _ in range(verify._RATIO_SAMPLES):
-        u = verify.random_smooth_field(nl.grid, rng, bound_order=1)
-        f.write(f"{verify.reaction_norm_ratio(nl, u, 1, 4.0)!r}\\n")
+        u = verify.random_smooth_field(nl.grid, rng)
+        f.write(" ".join(repr(verify.reaction_norm_ratio(nl, u, k, p))
+                         for k, p in verify._RATIO_NORMS) + "\\n")
 """
 
 

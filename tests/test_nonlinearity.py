@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradflow1d import exprlang, problem, verify
@@ -181,6 +181,56 @@ def test_ratio_subtracts_constant_coefficient():
     u = Field.constant(nl.grid, 1.0)
     got = verify.reaction_norm_ratio(nl, u, 0, 2.0)
     assert got == pytest.approx(1.0)
+
+
+# -- the discrete chain rule's bound on the Fisher ratio ---------------------
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(st.sampled_from(("periodic", "dirichlet0", "neumann0")), st.integers(8, 257),
+       st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.0, 4.0))
+@example("neumann0", 8, 0, 0.25, 0.0)  # constant: the ratio is c0 = B
+@example("dirichlet0", 8, 0, 3.0, 0.0)  # constant: only the wall ghost jumps
+@example("periodic", 257, 0, -3.0, 4.0)
+def test_fisher_ratio_within_derived_bound(boundary, m, seed, offset, amplitude):
+    # ||u - u^2||_{k,p} / ||u||_{k,p} <= fisher_ratio_bound(u, k) on every
+    # closure, k <= 2 and p in {1, 2, 4}, within the suite's rounding slack
+    nl = _nl(verify.fisher_spec(grid_points=m, boundary=boundary))
+    shape = verify.random_smooth_field(nl.grid, np.random.default_rng(seed)).values
+    u = Field(nl.grid, offset + amplitude * shape)
+    # a field this small loses its fourth powers to underflow
+    assume(np.max(np.abs(u.values)) >= 1e-6)
+    for k in (0, 1, 2):
+        bound = verify.fisher_ratio_bound(u, k)
+        for p in (1.0, 2.0, 4.0):
+            ratio = verify.reaction_norm_ratio(nl, u, k, p)
+            assert ratio <= bound * (1.0 + verify._RATIO_SLACK), (k, p, ratio, bound)
+
+
+def test_fisher_ratio_bound_is_attained(fisher):
+    # u = 1/2: c0 = 1/2, c1 = 0 and Du = 0, so the ratio is the bound 1/2
+    u = Field.constant(fisher.grid, 0.5)
+    for k, p in verify._RATIO_NORMS:
+        assert verify.fisher_ratio_bound(u, k) == 0.5
+        assert verify.reaction_norm_ratio(fisher, u, k, p) == pytest.approx(0.5, rel=1e-14)
+    # u alternating -1, -2: q = 1 - u_i - u_{i+1} = 4 = c1 > c0 = 3 at every
+    # node, and on a fine grid ||Du|| outweighs ||u||, so the k = 1 ratio
+    # nears c1
+    nl = _nl(verify.fisher_spec(grid_points=1024))
+    u = Field(nl.grid, np.resize([-1.0, -2.0], 1024))
+    assert verify.fisher_ratio_bound(u, 1) == 4.0
+    assert 0.99 * 4.0 < verify.reaction_norm_ratio(nl, u, 1, 2.0) <= 4.0
+
+
+@pytest.mark.parametrize("seed", (0, 1, 11, 2026))
+def test_reaction_bound_suite_passes(seed):
+    # the bound is per draw, so any seed passes: seed 0 draws a larger (0, 2)
+    # ratio (1.6286) than seed 2026 does (1.6025)
+    res = verify.suite_reaction_bound(seed)
+    assert res.passed, res.details
+    keys = {f"k={k},p={p:g}" for k, p in verify._RATIO_NORMS}
+    assert set(res.details["measured"]) == set(res.details["least_slack"]) == keys
+    assert min(res.details["least_slack"].values()) > 0.0
 
 
 # -- one Horner on and off the grid ------------------------------------------
